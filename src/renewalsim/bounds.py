@@ -34,6 +34,19 @@ from .simulate import JointRenewalEstimate, SimulationPlan, estimate_joint_renew
 GOLDEN_GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def quantity(value, provenance: str, se=None) -> dict:
+    """One reported number tagged with its kind: exact, analytic or mc (with its SE)."""
+    out = {"value": value, "provenance": provenance}
+    if se is not None:
+        out["se"] = se
+    return out
+
+
+def exact_bracket(bracket: exact.ExpectationBracket) -> dict:
+    """Report form of an exact expectation bracket."""
+    return {"low": bracket.low, "high": bracket.high, "provenance": "exact"}
+
+
 def expectation_bound(
     m1: float, m2: float, n0: int, head: float, mass: float, gamma: float
 ) -> float:
@@ -114,14 +127,12 @@ def meeting_tail_envelope(
     """
     if length >= envelope.length + n0:
         raise ValueError("envelope too short for the requested length")
-    mass = stats.by_sum
-    out = np.zeros(length + 1)
-    for n in range(length + 1):
-        total = 0.0
-        for j in range(0, min(n, len(mass) - 1) + 1):
-            total += envelope.at(n - j - n0) * mass[j]
-        out[n] = total
-    return out
+    return np.convolve(_shifted(envelope, n0, length), stats.by_sum)[: length + 1]
+
+
+def _shifted(envelope: DominatingSequence, n0: int, length: int) -> np.ndarray:
+    """``envelope[n - n0]`` for n = 0..length, negative indices at the head value."""
+    return envelope.values[np.maximum(np.arange(length + 1) - n0, 0)]
 
 
 def walk_moment1(p: float) -> float:
@@ -174,18 +185,6 @@ class BoundComparison:
     identity_residual: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "gamma": self.gamma,
-            "second_moment_bound": self.second_moment_bound,
-            "first_moment_bound": self.first_moment_bound,
-            "walk_moment1": self.walk_moment1,
-            "walk_moment2": self.walk_moment2,
-            "identity_residual": self.identity_residual,
-            "verdict": self.verdict,
-        }
-
 
 def compare_bounds(p: float, gamma: float) -> BoundComparison:
     """Evaluate both bounds and the identity
@@ -230,44 +229,43 @@ class BoundReport:
     warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        def q(value, provenance, se=None):
-            out = {"value": value, "provenance": provenance}
-            if se is not None:
-                out["se"] = se
-            return out
-
+        c = self.comparison
+        analytic = {
+            "p": self.p,
+            "gamma": self.gamma,
+            "n0": self.n0,
+            "floor": self.floor,
+            "envelope_head": self.envelope_head,
+            "envelope_mass": self.envelope_mass,
+            "bound": self.bound,
+            "second_moment_bound": c.second_moment_bound,
+            "first_moment_bound": c.first_moment_bound,
+            "walk_moment1": c.walk_moment1,
+            "walk_moment2": c.walk_moment2,
+            "identity_residual": c.identity_residual,
+        }
         return {
-            "p": q(self.p, "analytic"),
-            "gamma": q(self.gamma, "analytic"),
-            "n0": q(self.n0, "analytic"),
-            "floor": q(self.floor, "analytic"),
-            "mean_hit1": {
-                "low": self.mean_hit1.low,
-                "high": self.mean_hit1.high,
-                "provenance": "exact",
-            },
-            "mean_hit2": {
-                "low": self.mean_hit2.low,
-                "high": self.mean_hit2.high,
-                "provenance": "exact",
-            },
-            "envelope_head": q(self.envelope_head, "analytic"),
-            "envelope_mass": q(self.envelope_mass, "analytic"),
-            "bound": q(self.bound, "analytic"),
-            "second_moment_bound": q(self.comparison.second_moment_bound, "analytic"),
-            "first_moment_bound": q(self.comparison.first_moment_bound, "analytic"),
-            "walk_moment1": q(self.comparison.walk_moment1, "analytic"),
-            "walk_moment2": q(self.comparison.walk_moment2, "analytic"),
-            "identity_residual": q(self.comparison.identity_residual, "analytic"),
+            **{key: quantity(value, "analytic") for key, value in analytic.items()},
+            "mean_hit1": exact_bracket(self.mean_hit1),
+            "mean_hit2": exact_bracket(self.mean_hit2),
             "verdict": self.comparison.verdict,
-            "mc_mean": q(self.mc.mean, "mc", self.mc.se),
-            "mc_censoring_rate": q(self.mc.censoring_rate, "mc"),
+            "mc_mean": quantity(self.mc.mean, "mc", self.mc.se),
+            "mc_censoring_rate": quantity(self.mc.censoring_rate, "mc"),
             "tail_envelope": None
             if self.tail_envelope is None
             else [float(v) for v in self.tail_envelope],
             "bound_holds": self.bound_holds,
             "warnings": list(self.warnings),
         }
+
+
+def analytic_certificate(
+    spec1: BirthDeathSpec, spec2: BirthDeathSpec, p: float, mu_hat: float | None = None
+) -> RegularityCertificate:
+    """Certificate from both chains' floor stay probabilities; the mean-bound
+    exponent is ``mu_hat`` when given, else the walk's first-moment constant."""
+    floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
+    return regularity_from_floor(floor, walk_moment1(p) if mu_hat is None else mu_hat)
 
 
 def full_report(
@@ -302,8 +300,7 @@ def full_report(
 
     schedule1 = birth_death_schedule(spec1)
     schedule2 = birth_death_schedule(spec2)
-    floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
-    certificate = regularity_from_floor(floor, mu_hat if mu_hat is not None else walk_moment1(p))
+    certificate = analytic_certificate(spec1, spec2, p, mu_hat)
     envelope = walk_dominating_sequence(p, series_len)
 
     exact_h = exact_horizon if exact_horizon is not None else max(horizon, 2000)
@@ -352,7 +349,7 @@ def full_report(
         stats = trial_statistics(mc.traces, max_sum=tail_len)
         tail_env = meeting_tail_envelope(envelope, certificate.n0, stats, tail_len)
         # first-gap term of the decomposition: P(S_0 > n) <= envelope[n - n0]
-        tail_env += envelope.values[np.maximum(np.arange(tail_len + 1) - certificate.n0, 0)]
+        tail_env += _shifted(envelope, certificate.n0, tail_len)
 
     bound = expectation_bound(
         hit1.expectation.high,
@@ -369,7 +366,7 @@ def full_report(
         p=p,
         gamma=certificate.gamma,
         n0=certificate.n0,
-        floor=floor,
+        floor=certificate.provenance.floor,
         mean_hit1=hit1.expectation,
         mean_hit2=hit2.expectation,
         envelope_head=envelope.head,

@@ -4,6 +4,7 @@ Subcommands: validate, simulate, exact, condition-check, bound, compare,
 and birth-death-demo.  Every run writes one JSON report (and optional
 CSVs with --format csv) into --out-dir.  Exit codes: 0 success, 1
 validation failure, 2 statistical-check failure, 3 I/O or config error.
+Every subcommand validates both schedules before it runs.
 """
 
 from __future__ import annotations
@@ -13,27 +14,22 @@ import csv
 import datetime
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, bounds, domination, exact
+from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
 from .kernel import validate_schedule
 from .simulate import SimulationPlan, estimate_joint_renewal
 
 
-class ValidationFailure(Exception):
+class ValidationFailure(ValueError):
     """Scenario is well-formed but invalid (exit code 1)."""
 
 
 class StatisticalCheckFailure(Exception):
     """An empirical check contradicted a certified bound (exit code 2)."""
-
-
-def _quantity(value, provenance, se=None):
-    out = {"value": value, "provenance": provenance}
-    if se is not None:
-        out["se"] = se
-    return out
 
 
 def _report_skeleton(scenario: Scenario, subcommand: str) -> dict:
@@ -71,17 +67,9 @@ def _require_p(scenario: Scenario) -> float:
     return scenario.domination_p
 
 
-def _gamma_certificate(scenario: Scenario, p: float) -> domination.RegularityCertificate:
+def _regularity_scan(scenario: Scenario) -> domination.RegularityScan:
     reg = scenario.regularity
-    if reg.get("source", "analytic") == "analytic":
-        if scenario.spec1 is None or scenario.spec2 is None:
-            raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
-        floor = domination.return_floor(
-            scenario.spec1.min_alpha_at_zero(), scenario.spec2.min_alpha_at_zero()
-        )
-        mean_bound = reg.get("mu_hat") or bounds.walk_moment1(p)
-        return domination.regularity_from_floor(floor, mean_bound)
-    scan = domination.estimate_regularity(
+    return domination.estimate_regularity(
         scenario.schedule1,
         n0=int(reg.get("n0", 0)),
         base_times=reg.get("t_grid", [0, 1, 2, 3]),
@@ -91,6 +79,9 @@ def _gamma_certificate(scenario: Scenario, p: float) -> domination.RegularityCer
         initial=scenario.initial1,
         n0_applies_to=reg.get("n0_applies_to", "base"),
     )
+
+
+def _certified(scan: domination.RegularityScan) -> domination.RegularityCertificate:
     certificate = scan.certificate()
     if certificate is None:
         raise StatisticalCheckFailure(
@@ -100,12 +91,16 @@ def _gamma_certificate(scenario: Scenario, p: float) -> domination.RegularityCer
     return certificate
 
 
-def _cmd_validate(scenario: Scenario, report: dict) -> None:
-    violations = validate_schedule(scenario.schedule1) + validate_schedule(scenario.schedule2)
-    report["results"]["violations"] = violations
-    report["results"]["valid"] = not violations
-    if violations:
-        raise ValidationFailure("; ".join(violations))
+def _analytic_certificate(scenario: Scenario, p: float) -> domination.RegularityCertificate:
+    if scenario.spec1 is None or scenario.spec2 is None:
+        raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
+    return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, scenario.regularity.get("mu_hat"))
+
+
+def _gamma_certificate(scenario: Scenario, p: float) -> domination.RegularityCertificate:
+    if scenario.regularity.get("source", "analytic") == "analytic":
+        return _analytic_certificate(scenario, p)
+    return _certified(_regularity_scan(scenario))
 
 
 def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
@@ -119,9 +114,9 @@ def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
         master_seed=scenario.master_seed,
     )
     est = estimate_joint_renewal(plan, workers=args.workers, tail_len=scenario.tail_len)
-    report["results"]["meeting_time"] = _quantity(est.mean, "mc", est.se)
+    report["results"]["meeting_time"] = quantity(est.mean, "mc", est.se)
     report["results"]["mean_is_lower_bound"] = est.mean_is_lower_bound
-    report["results"]["censoring_rate"] = _quantity(est.censoring_rate, "mc")
+    report["results"]["censoring_rate"] = quantity(est.censoring_rate, "mc")
     report["results"]["status"] = est.status
     report["results"]["tail"] = {
         "values": [float(v) for v in est.tail],
@@ -164,22 +159,11 @@ def _cmd_exact(scenario: Scenario, report: dict, args) -> None:
         scenario.schedule2, scenario.initial2, horizon=scenario.horizon
     )
     report["results"]["meeting_time"] = {
-        "low": meeting.expectation.low,
-        "high": meeting.expectation.high,
-        "unbounded": meeting.expectation.unbounded,
-        "provenance": "exact",
+        **exact_bracket(meeting.expectation), "unbounded": meeting.expectation.unbounded
     }
-    report["results"]["residual"] = _quantity(meeting.table.residual, "exact")
-    report["results"]["mean_hit1"] = {
-        "low": hit1.expectation.low,
-        "high": hit1.expectation.high,
-        "provenance": "exact",
-    }
-    report["results"]["mean_hit2"] = {
-        "low": hit2.expectation.low,
-        "high": hit2.expectation.high,
-        "provenance": "exact",
-    }
+    report["results"]["residual"] = quantity(meeting.table.residual, "exact")
+    report["results"]["mean_hit1"] = exact_bracket(hit1.expectation)
+    report["results"]["mean_hit2"] = exact_bracket(hit2.expectation)
     tail_len = min(scenario.tail_len, scenario.horizon)
     report["results"]["tail"] = {
         "values": [float(v) for v in meeting.tails[: tail_len + 1]],
@@ -208,8 +192,8 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         seed=scenario.master_seed,
     )
     dom_report = domination.check_domination(surface, envelope)
-    report["results"]["envelope_head"] = _quantity(envelope.head, "analytic")
-    report["results"]["envelope_mass"] = _quantity(envelope.total_mass, "analytic")
+    report["results"]["envelope_head"] = quantity(envelope.head, "analytic")
+    report["results"]["envelope_mass"] = quantity(envelope.total_mass, "analytic")
     report["results"]["domination_passed"] = dom_report.passed
     report["results"]["domination_flags"] = [
         {"start_time": f.start_time, "lag": f.lag, "estimate": f.estimate, "se": f.se, "bound": f.bound}
@@ -218,27 +202,18 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
 
     scan = None
     if reg.get("source", "analytic") == "empirical":
-        scan = domination.estimate_regularity(
-            scenario.schedule1,
-            n0=int(reg.get("n0", 0)),
-            base_times=reg.get("t_grid", [0, 1, 2, 3]),
-            lags=reg.get("lag_grid", [0, 1, 2, 3, 4]),
-            n_paths=int(reg.get("n_paths", 5000)),
-            seed=scenario.master_seed,
-            initial=scenario.initial1,
-            n0_applies_to=reg.get("n0_applies_to", "base"),
-        )
+        scan = _regularity_scan(scenario)
         report["results"]["gamma_grid"] = [
             {"base_time": pt.base_time, "lag": pt.lag, "estimate": pt.estimate,
              "se": pt.se, "n_conditioned": pt.n_conditioned}
             for pt in scan.points
         ]
-        report["results"]["gamma_hat"] = _quantity(scan.gamma_hat, "mc")
+        report["results"]["gamma_hat"] = quantity(scan.gamma_hat, "mc")
         certificate = scan.certificate()
     else:
-        certificate = _gamma_certificate(scenario, p)
+        certificate = _analytic_certificate(scenario, p)
     if certificate is not None:
-        report["results"]["gamma"] = _quantity(certificate.gamma, _prov_of(certificate))
+        report["results"]["gamma"] = quantity(certificate.gamma, _prov_of(certificate))
         report["results"]["n0"] = certificate.n0
 
     if args.format == "csv":
@@ -268,11 +243,8 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         raise StatisticalCheckFailure(
             f"{len(dom_report.flags)} grid point(s) exceed the envelope by more than 3 SE"
         )
-    if scan is not None and certificate is None:
-        raise StatisticalCheckFailure(
-            f"empirical regularity scan is consistent with gamma = 0 "
-            f"(gamma_hat = {scan.gamma_hat:.6g}); certificate rejected"
-        )
+    if scan is not None:
+        _certified(scan)
 
 
 def _prov_of(certificate: domination.RegularityCertificate) -> str:
@@ -283,23 +255,20 @@ def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     if scenario.spec1 is None or scenario.spec2 is None:
         raise ValidationFailure("the bound pipeline needs birth-death chains on both sides")
-    try:
-        result = bounds.full_report(
-            scenario.spec1,
-            scenario.spec2,
-            scenario.initial1,
-            scenario.initial2,
-            p=p,
-            series_len=scenario.series_len,
-            horizon=scenario.horizon,
-            n_paths=scenario.n_paths,
-            master_seed=scenario.master_seed,
-            mu_hat=scenario.regularity.get("mu_hat"),
-            workers=args.workers,
-            tail_len=scenario.tail_len,
-        )
-    except ValueError as err:
-        raise ValidationFailure(str(err)) from err
+    result = bounds.full_report(
+        scenario.spec1,
+        scenario.spec2,
+        scenario.initial1,
+        scenario.initial2,
+        p=p,
+        series_len=scenario.series_len,
+        horizon=scenario.horizon,
+        n_paths=scenario.n_paths,
+        master_seed=scenario.master_seed,
+        mu_hat=scenario.regularity.get("mu_hat"),
+        workers=args.workers,
+        tail_len=scenario.tail_len,
+    )
     report["results"].update(result.to_dict())
     if not result.bound_holds:
         raise StatisticalCheckFailure(
@@ -308,17 +277,23 @@ def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
         )
 
 
-def _cmd_compare(scenario: Scenario, report: dict) -> None:
+def _cmd_compare(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     gamma = scenario.regularity.get("gamma")
     if gamma is None:
-        certificate = _gamma_certificate(scenario, p)
-        gamma = certificate.gamma
-    try:
-        comparison = bounds.compare_bounds(p, float(gamma))
-    except ValueError as err:
-        raise ValidationFailure(str(err)) from err
-    report["results"].update(comparison.to_dict())
+        gamma = _gamma_certificate(scenario, p).gamma
+    report["results"].update(asdict(bounds.compare_bounds(p, float(gamma))))
+
+
+COMMANDS = {
+    "validate": lambda scenario, report, args: None,  # run() validates every scenario
+    "simulate": _cmd_simulate,
+    "exact": _cmd_exact,
+    "condition-check": _cmd_condition_check,
+    "bound": _cmd_bound,
+    "compare": _cmd_compare,
+    "birth-death-demo": _cmd_bound,
+}
 
 
 DEMO_CONFIG = {
@@ -344,18 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simultaneous renewal times of Markov chain pairs: "
         "simulation, exact oracles, and certified bounds.",
     )
-    parser.add_argument(
-        "subcommand",
-        choices=[
-            "validate",
-            "simulate",
-            "exact",
-            "condition-check",
-            "bound",
-            "compare",
-            "birth-death-demo",
-        ],
-    )
+    parser.add_argument("subcommand", choices=list(COMMANDS))
     parser.add_argument("--config", type=Path, default=None, help="scenario JSON file")
     parser.add_argument("--workers", type=int, default=1, help="parallel worker count")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
@@ -380,33 +344,18 @@ def run(args: argparse.Namespace) -> int:
 
     report = _report_skeleton(scenario, args.subcommand)
     try:
+        violations = validate_schedule(scenario.schedule1) + validate_schedule(scenario.schedule2)
         if args.subcommand == "validate":
-            _cmd_validate(scenario, report)
-        elif args.subcommand == "simulate":
-            _cmd_simulate(scenario, report, args)
-        elif args.subcommand == "exact":
-            _cmd_exact(scenario, report, args)
-        elif args.subcommand == "condition-check":
-            _cmd_condition_check(scenario, report, args)
-        elif args.subcommand in ("bound", "birth-death-demo"):
-            _cmd_bound(scenario, report, args)
-        elif args.subcommand == "compare":
-            _cmd_compare(scenario, report)
-    except ValidationFailure as err:
+            report["results"].update(violations=violations, valid=not violations)
+        if violations:
+            raise ValidationFailure("; ".join(violations))
+        COMMANDS[args.subcommand](scenario, report, args)
+    except (StatisticalCheckFailure, ValueError) as err:
+        statistical = isinstance(err, StatisticalCheckFailure)
         report["results"]["error"] = str(err)
         _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")
-        print(f"validation failure: {err}", file=sys.stderr)
-        return 1
-    except StatisticalCheckFailure as err:
-        report["results"]["error"] = str(err)
-        _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")
-        print(f"statistical check failure: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        report["results"]["error"] = str(err)
-        _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")
-        print(f"validation failure: {err}", file=sys.stderr)
-        return 1
+        print(f"{'statistical check' if statistical else 'validation'} failure: {err}", file=sys.stderr)
+        return 2 if statistical else 1
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3

@@ -15,14 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .kernel import (
-    BirthDeathSpec,
-    ConstantTail,
-    KernelSchedule,
-    PeriodicTail,
-    StateSpace,
-    birth_death_schedule,
-)
+from .kernel import BirthDeathSpec, KernelSchedule, PeriodicTail, StateSpace, birth_death_schedule
 
 SCHEMA_VERSION = 1
 
@@ -46,21 +39,33 @@ def _as_alpha_row(value, cap: int, where: str) -> np.ndarray:
     return row
 
 
+def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> PeriodicTail:
+    """The ``tail`` object: ``kind`` constant (the period-1 cycle) or periodic.
+
+    ``one_entry`` means a constant tail gives its entry bare, not as a
+    one-element list.
+    """
+    tail_obj = _require(obj, "tail", where)
+    where = f"{where}.tail"
+    kind = _require(tail_obj, "kind", where)
+    values = _require(tail_obj, key, where)
+    if kind not in ("constant", "periodic"):
+        raise ConfigError(f"{where}.kind must be 'constant' or 'periodic', got '{kind}'")
+    if kind == "constant" and one_entry:
+        return PeriodicTail((parse(values, f"{where}.{key}"),))
+    entries = tuple(parse(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
+    if not entries:
+        raise ConfigError(f"{where}.{key} must be nonempty")
+    if kind == "constant" and len(entries) > 1:
+        raise ConfigError(f"{where}.{key}: a constant tail takes one entry, got {len(entries)}")
+    return PeriodicTail(entries)
+
+
 def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
     cap = int(_require(obj, "cap", where))
     body = tuple(_as_alpha_row(r, cap, f"{where}.alpha_table[{i}]")
                  for i, r in enumerate(obj.get("alpha_table", [])))
-    tail_obj = _require(obj, "tail", where)
-    kind = _require(tail_obj, "kind", f"{where}.tail")
-    alphas = _require(tail_obj, "alphas", f"{where}.tail")
-    if kind == "constant":
-        tail = ConstantTail(_as_alpha_row(alphas, cap, f"{where}.tail.alphas"))
-    elif kind == "periodic":
-        rows = tuple(_as_alpha_row(r, cap, f"{where}.tail.alphas[{i}]")
-                     for i, r in enumerate(alphas))
-        tail = PeriodicTail(rows)
-    else:
-        raise ConfigError(f"{where}.tail.kind must be 'constant' or 'periodic', got '{kind}'")
+    tail = _parse_tail(obj, "alphas", lambda r, at: _as_alpha_row(r, cap, at), where, one_entry=True)
     try:
         return BirthDeathSpec(cap=cap, body=body, tail=tail)
     except ValueError as err:
@@ -70,17 +75,7 @@ def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
 def _parse_explicit(obj: dict, target_set, where: str) -> KernelSchedule:
     states = int(_require(obj, "states", where))
     body = tuple(np.asarray(m, dtype=float) for m in obj.get("body", []))
-    tail_obj = _require(obj, "tail", where)
-    kind = _require(tail_obj, "kind", f"{where}.tail")
-    matrices = [np.asarray(m, dtype=float) for m in _require(tail_obj, "matrices", f"{where}.tail")]
-    if not matrices:
-        raise ConfigError(f"{where}.tail.matrices must be nonempty")
-    if kind == "constant":
-        tail = ConstantTail(matrices[0])
-    elif kind == "periodic":
-        tail = PeriodicTail(tuple(matrices))
-    else:
-        raise ConfigError(f"{where}.tail.kind must be 'constant' or 'periodic', got '{kind}'")
+    tail = _parse_tail(obj, "matrices", lambda m, at: np.asarray(m, dtype=float), where, one_entry=False)
     try:
         space = StateSpace(states, frozenset(target_set))
     except ValueError as err:
@@ -124,7 +119,11 @@ class Scenario:
 
 
 def load_scenario(source: str | Path | dict, seed_override: int | None = None) -> Scenario:
-    """Load and resolve a scenario from a JSON file path or a dict."""
+    """Load and resolve a scenario from a JSON file path or a dict.
+
+    Every malformed input raises ``ConfigError``, including values of the
+    wrong type or out of range for their key.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -137,6 +136,13 @@ def load_scenario(source: str | Path | dict, seed_override: int | None = None) -
             raw = json.loads(text)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
+    try:
+        return _resolve(raw, seed_override)
+    except (TypeError, ValueError, AttributeError, OverflowError) as err:
+        raise ConfigError(f"invalid config value: {err}") from err
+
+
+def _resolve(raw, seed_override: int | None) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     version = raw.get("version", SCHEMA_VERSION)

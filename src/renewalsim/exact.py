@@ -62,6 +62,18 @@ def _tail_bracket(low: float, residual: float, tail_gamma: float | None) -> Expe
     return ExpectationBracket(low, low + residual / tail_gamma)
 
 
+def _law(mass: np.ndarray, residual: float, tail_gamma: float | None):
+    """Table, tails P{value > n} and expectation bracket of a propagated law.
+
+    Tails are the residual plus suffix sums of the mass, never
+    ``1 - cumsum(mass)``, so deep tails keep their relative precision and
+    the tail at the horizon is exactly the residual.
+    """
+    tails = residual + np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
+    low = float(tails[:-1].sum())
+    return DistributionTable(mass=mass, residual=residual), tails, _tail_bracket(low, residual, tail_gamma)
+
+
 @dataclass(frozen=True, eq=False)
 class HittingResult:
     """Exact law of the first hitting time of the target set."""
@@ -101,15 +113,7 @@ def hitting_time_distribution(
         q = q @ schedule.at(t)
         mass[t + 1] = q[target].sum()
         q[target] = 0.0
-    residual = float(q.sum())
-
-    tails = 1.0 - np.cumsum(mass)
-    low = float(tails[:horizon].sum())
-    return HittingResult(
-        table=DistributionTable(mass=mass, residual=residual),
-        tails=tails,
-        expectation=_tail_bracket(low, residual, tail_gamma),
-    )
+    return HittingResult(*_law(mass, float(q.sum()), tail_gamma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +173,4 @@ def product_tail(
         conservation_error = max(
             conservation_error, abs(1.0 - (absorbed_total + float(joint.sum())))
         )
-    residual = float(joint.sum())
-
-    tails = 1.0 - np.cumsum(mass)
-    low = float(tails[:horizon].sum())
-    return MeetingResult(
-        table=DistributionTable(mass=mass, residual=residual),
-        tails=tails,
-        expectation=_tail_bracket(low, residual, tail_gamma),
-        conservation_error=conservation_error,
-    )
+    return MeetingResult(*_law(mass, float(joint.sum()), tail_gamma), conservation_error)

@@ -1,15 +1,16 @@
 """Time-dependent transition kernels on finite state spaces.
 
 A schedule assigns one row-stochastic matrix to every step ``t >= 0``:
-explicit matrices for an initial stretch (the body) followed by a tail
-that is either constant or cycles periodically.  Periodic tails are
-anchored at time zero, i.e. step ``t`` uses ``values[t % period]``.
+explicit matrices for an initial stretch (the body) followed by a
+periodic tail; a constant tail is the period-1 cycle.  Tails are anchored
+at time zero, i.e. step ``t`` uses ``values[t % period]``.  Birth-death
+specs index their per-step down probabilities by the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -40,26 +41,6 @@ class StateSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstantTail:
-    """Every step past the body uses the same entry."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _frozen_array(self.value))
-
-    def at(self, t: int) -> np.ndarray:
-        return self.value
-
-    def entries(self) -> tuple[np.ndarray, ...]:
-        return (self.value,)
-
-    @property
-    def period(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True, eq=False)
 class PeriodicTail:
     """Steps past the body cycle with absolute time: step t uses values[t % period]."""
 
@@ -73,46 +54,46 @@ class PeriodicTail:
     def at(self, t: int) -> np.ndarray:
         return self.values[t % len(self.values)]
 
-    def entries(self) -> tuple[np.ndarray, ...]:
-        return self.values
-
     @property
     def period(self) -> int:
         return len(self.values)
 
 
-Tail = Union[ConstantTail, PeriodicTail]
+def ConstantTail(value) -> PeriodicTail:
+    """A tail that repeats one entry: the period-1 cycle."""
+    return PeriodicTail((value,))
 
 
-@dataclass(frozen=True, eq=False)
-class KernelSchedule:
-    """One transition matrix per step: body matrices for t < len(body), then the tail."""
+class _BodyThenTail:
+    """Per-step entries: ``body[t]`` for t < len(body), then ``tail.at(t)``."""
 
-    space: StateSpace
     body: tuple[np.ndarray, ...]
-    tail: Tail
+    tail: PeriodicTail
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(_frozen_array(m) for m in self.body))
 
     def at(self, t: int) -> np.ndarray:
-        """The matrix governing the step from time t to time t + 1."""
+        """The entry governing the step from time t to time t + 1."""
         if t < 0:
             raise ValueError("time index must be nonnegative")
         if t < len(self.body):
             return self.body[t]
         return self.tail.at(t)
 
-    def matrices(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """All distinct matrices the schedule can produce, with labels."""
-        labeled = [(f"body[{i}]", m) for i, m in enumerate(self.body)]
-        labeled += [(f"tail[{i}]", m) for i, m in enumerate(self.tail.entries())]
-        return tuple(labeled)
+    def labeled(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """All distinct entries the schedule can produce, with labels."""
+        return tuple([(f"body[{i}]", m) for i, m in enumerate(self.body)]
+                     + [(f"tail[{i}]", m) for i, m in enumerate(self.tail.values)])
 
 
-def kernel_at(schedule: KernelSchedule, t: int) -> np.ndarray:
-    """Resolve the transition matrix for step t through the body/tail rules."""
-    return schedule.at(t)
+@dataclass(frozen=True, eq=False)
+class KernelSchedule(_BodyThenTail):
+    """One transition matrix per step: body matrices for t < len(body), then the tail."""
+
+    space: StateSpace
+    body: tuple[np.ndarray, ...]
+    tail: PeriodicTail
 
 
 def validate_schedule(schedule: KernelSchedule) -> list[str]:
@@ -123,12 +104,15 @@ def validate_schedule(schedule: KernelSchedule) -> list[str]:
     """
     violations: list[str] = []
     n = schedule.space.size
-    for label, mat in schedule.matrices():
+    for label, mat in schedule.labeled():
         if mat.shape != (n, n):
             violations.append(f"{label}: expected shape {(n, n)}, got {mat.shape}")
             continue
         for i in range(n):
             row = mat[i]
+            if not np.isfinite(row).all():
+                violations.append(f"{label}: row {i} has a non-finite entry")
+                continue
             if (row < 0).any():
                 violations.append(f"{label}: row {i} has a negative entry")
             if (row > 1).any():
@@ -140,48 +124,38 @@ def validate_schedule(schedule: KernelSchedule) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class BirthDeathSpec:
+class BirthDeathSpec(_BodyThenTail):
     """Nearest-neighbour chain on 0..cap with step-dependent down probabilities.
 
-    Interior states step down with probability ``alpha(t, j)`` and up
-    otherwise; state 0 stays put instead of stepping down; the cap state
-    reflects down with probability one.  Down probabilities are given per
-    step like a schedule: explicit rows for t < len(body), then a constant
-    or periodic tail.  Each row holds alpha(t, j) for j = 0..cap-1 (the cap
+    Interior states step down with probability ``alpha(t, j) = at(t)[j]``
+    and up otherwise; state 0 stays put instead of stepping down; the cap
+    state reflects down with probability one.  Down probabilities are
+    given per step like a schedule: explicit rows for t < len(body), then
+    a periodic tail.  Each row holds alpha(t, j) for j = 0..cap-1 (the cap
     row is deterministic and carries no parameter).
     """
 
     cap: int
     body: tuple[np.ndarray, ...]
-    tail: Tail
+    tail: PeriodicTail
 
     def __post_init__(self):
         if self.cap < 2:
             raise ValueError("cap must be at least 2")
-        object.__setattr__(self, "body", tuple(_frozen_array(r) for r in self.body))
-        for label, row in self.rows():
+        super().__post_init__()
+        for label, row in self.labeled():
             if row.shape != (self.cap,):
                 raise ValueError(f"{label}: expected {self.cap} down probabilities, got {row.shape}")
-            if (row <= 0).any() or (row >= 1).any():
+            if not ((row > 0) & (row < 1)).all():
                 raise ValueError(f"{label}: down probabilities must lie strictly in (0, 1)")
-
-    def rows(self) -> tuple[tuple[str, np.ndarray], ...]:
-        labeled = [(f"body[{i}]", r) for i, r in enumerate(self.body)]
-        labeled += [(f"tail[{i}]", r) for i, r in enumerate(self.tail.entries())]
-        return tuple(labeled)
-
-    def alpha(self, t: int, j: int) -> float:
-        if t < len(self.body):
-            return float(self.body[t][j])
-        return float(self.tail.at(t)[j])
 
     def min_alpha_at_zero(self) -> float:
         """inf over t of the stay probability at state 0 (exact on this representation)."""
-        return min(float(r[0]) for _, r in self.rows())
+        return min(float(r[0]) for _, r in self.labeled())
 
     def sup_alpha_product(self) -> float:
         """sup over t, j of alpha(t, j) * (1 - alpha(t, j))."""
-        return max(float((r * (1.0 - r)).max()) for _, r in self.rows())
+        return max(float((r * (1.0 - r)).max()) for _, r in self.labeled())
 
     @property
     def size(self) -> int:
@@ -204,22 +178,16 @@ def birth_death_schedule(spec: BirthDeathSpec, target_set: Iterable[int] = (0,))
     """Materialize a birth-death spec as a kernel schedule on 0..cap."""
     space = StateSpace(spec.size, frozenset(target_set))
     body = tuple(_birth_death_matrix(r, spec.cap) for r in spec.body)
-    if isinstance(spec.tail, ConstantTail):
-        tail: Tail = ConstantTail(_birth_death_matrix(spec.tail.value, spec.cap))
-    else:
-        tail = PeriodicTail(tuple(_birth_death_matrix(r, spec.cap) for r in spec.tail.values))
+    tail = PeriodicTail(tuple(_birth_death_matrix(r, spec.cap) for r in spec.tail.values))
     return KernelSchedule(space, body, tail)
 
 
 def constant_birth_death(cap: int, alpha: float | Iterable[float]) -> BirthDeathSpec:
     """Spec whose down probabilities do not depend on the step."""
-    row = np.full(cap, float(alpha)) if np.isscalar(alpha) else np.asarray(alpha, float)
-    return BirthDeathSpec(cap=cap, body=(), tail=ConstantTail(row))
+    return periodic_birth_death(cap, [alpha])
 
 
 def periodic_birth_death(cap: int, alphas: Iterable[float | Iterable[float]]) -> BirthDeathSpec:
     """Spec whose down probabilities cycle periodically with the step."""
-    rows = []
-    for a in alphas:
-        rows.append(np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float))
-    return BirthDeathSpec(cap=cap, body=(), tail=PeriodicTail(tuple(rows)))
+    rows = tuple(np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in alphas)
+    return BirthDeathSpec(cap=cap, body=(), tail=PeriodicTail(rows))

@@ -36,11 +36,7 @@ def _check_initial(initial, size: int) -> np.ndarray:
 
 
 class _Sampler:
-    """Cumulative-row tables for one schedule, built once and read many times.
-
-    Constant tails are treated as period-1 cycles, which matches the
-    absolute-time anchoring of periodic tails.
-    """
+    """Cumulative-row tables for one schedule, built once and read many times."""
 
     __slots__ = ("body", "tail", "body_len", "period", "size")
 
@@ -49,7 +45,7 @@ class _Sampler:
             return [list(np.cumsum(row)) for row in m]
 
         self.body = [cum_rows(m) for m in schedule.body]
-        self.tail = [cum_rows(m) for m in schedule.tail.entries()]
+        self.tail = [cum_rows(m) for m in schedule.tail.values]
         self.body_len = len(self.body)
         self.period = len(self.tail)
         self.size = schedule.space.size
@@ -365,21 +361,6 @@ class JointRenewalEstimate:
     first_hit2: np.ndarray
     trials_to_success: np.ndarray
     traces: tuple[RenewalTrace, ...] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "horizon": self.horizon,
-            "master_seed": self.master_seed,
-            "status": self.status,
-            "censored": self.censored,
-            "censoring_rate": self.censoring_rate,
-            "mean": self.mean,
-            "se": self.se,
-            "mean_is_lower_bound": self.mean_is_lower_bound,
-            "tail": [float(v) for v in self.tail],
-            "tail_se": [float(v) for v in self.tail_se],
-        }
 
 
 def estimate_joint_renewal(

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renewalsim.cli import main
 from renewalsim.config import ConfigError, load_scenario
@@ -29,6 +30,40 @@ def demo_config(**overrides):
 
 def explicit_chain(matrix):
     return {"states": 2, "body": [], "tail": {"kind": "constant", "matrices": [matrix]}}
+
+
+def explicit_config():
+    return demo_config(
+        chain1=explicit_chain([[0.5, 0.5], [0.5, 0.5]]),
+        chain2={"states": 2, "body": [[[0.9, 0.1], [0.2, 0.8]]],
+                "tail": {"kind": "periodic", "matrices": [[[0.4, 0.6], [0.7, 0.3]]]}},
+        initial1=[0.5, 0.5],
+        initial2={"state": 1},
+    )
+
+
+def _leaf_paths(obj, prefix=()):
+    """Key paths of every scalar, and of every empty list or dict, in a config."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# Numbers stay small: a config may ask for a cap or a state count, and the
+# parser allocates matrices of that size.
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=60),
+    st.floats(min_value=-100, max_value=100),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=5), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=-2, max_value=5), max_size=2),
+)
 
 
 def write_config(tmp_path: Path, cfg, name="cfg.json") -> Path:
@@ -79,6 +114,33 @@ class TestConfig:
     def test_seed_override(self):
         assert load_scenario(demo_config(), seed_override=7).master_seed == 7
 
+    def test_constant_tail_takes_one_matrix(self):
+        chain = explicit_chain([[0.5, 0.5], [0.5, 0.5]])
+        chain["tail"]["matrices"].append([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ConfigError, match="one entry"):
+            load_scenario(demo_config(chain1=chain, initial1=[1.0, 0.0]))
+
+    @pytest.mark.parametrize("override", [{"horizon": "abc"}, {"regularity": "x"}])
+    def test_bad_value_is_exit_3(self, tmp_path, override):
+        path = write_config(tmp_path, demo_config(**override))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "t_simulate.json").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_leaf_mutation_is_config_error_or_loads(self, data):
+        cfg = data.draw(st.sampled_from([demo_config(), explicit_config()]))
+        leaves = list(_leaf_paths(cfg))
+        path = data.draw(st.sampled_from(leaves))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_LEAVES)
+        try:
+            load_scenario(cfg)
+        except ConfigError:
+            pass
+
 
 class TestCliExitCodes:
     def test_simulate_ok(self, tmp_path):
@@ -99,16 +161,20 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
 
     def test_invalid_matrix_is_exit_1(self, tmp_path):
-        cfg = demo_config(
-            chain1=explicit_chain([[0.6, 0.5], [0.5, 0.5]]),
-            chain2=explicit_chain([[0.5, 0.5], [0.5, 0.5]]),
-            initial1=[1.0, 0.0],
-            initial2=[1.0, 0.0],
-        )
-        path = write_config(tmp_path, cfg)
-        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
-        report = load_report(tmp_path, "t_validate.json")
-        assert report["results"]["violations"]
+        # every subcommand validates; only validate lists the violations
+        for bad in ([[0.6, 0.5], [0.5, 0.5]], [[float("nan"), 0.5], [0.5, 0.5]]):
+            cfg = demo_config(
+                chain1=explicit_chain(bad),
+                chain2=explicit_chain([[0.5, 0.5], [0.5, 0.5]]),
+                initial1=[1.0, 0.0],
+                initial2=[1.0, 0.0],
+            )
+            path = write_config(tmp_path, cfg)
+            for sub in ("validate", "simulate", "exact"):
+                assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1, (bad, sub)
+                report = load_report(tmp_path, f"t_{sub}.json")
+                assert "row 0" in report["results"]["error"]
+                assert bool(report["results"].get("violations")) == (sub == "validate")
 
     def test_valid_schedule_validates(self, tmp_path):
         path = write_config(tmp_path, demo_config())

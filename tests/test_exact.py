@@ -134,3 +134,42 @@ class TestProductTail:
         est = estimate_joint_renewal(plan)
         assert est.censored == 0
         assert abs(est.mean - res.expectation.low) <= 3 * est.se
+
+
+class TestTailPrecision:
+    """Deep exact tails keep their relative precision (no ``1 - cumsum`` cancellation)."""
+
+    def test_tails_match_live_mass(self):
+        from renewalsim import birth_death_schedule, constant_birth_death
+
+        sched = birth_death_schedule(constant_birth_death(50, 0.75))
+        start = delta(51, 0)
+        horizon = 300
+        res = product_tail(sched, sched, start, start, horizon=horizon)
+        assert res.tails[horizon] == res.table.residual
+        # independent propagation of the unabsorbed joint mass
+        m = sched.at(0)
+        joint = np.outer(start, start)
+        live = [1.0]
+        for _ in range(horizon):
+            joint = m.T @ joint @ m
+            joint[0, 0] = 0.0
+            live.append(joint.sum())
+        assert live[-1] < 1e-20
+        np.testing.assert_allclose(res.tails, live, rtol=1e-12, atol=0)
+
+    def test_hitting_tails_match_live_mass(self):
+        from renewalsim import birth_death_schedule, constant_birth_death
+
+        sched = birth_death_schedule(constant_birth_death(50, 0.75))
+        horizon = 300
+        res = hitting_time_distribution(sched, delta(51, 5), horizon=horizon)
+        assert res.tails[horizon] == res.table.residual
+        q = delta(51, 5)
+        live = [1.0]
+        for _ in range(horizon):
+            q = q @ sched.at(0)
+            q[0] = 0.0
+            live.append(q.sum())
+        assert live[-1] < 1e-20
+        np.testing.assert_allclose(res.tails, live, rtol=1e-12, atol=0)

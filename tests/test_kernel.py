@@ -10,7 +10,6 @@ from renewalsim import (
     StateSpace,
     birth_death_schedule,
     constant_birth_death,
-    kernel_at,
     periodic_birth_death,
     validate_schedule,
 )
@@ -53,6 +52,11 @@ class TestValidate:
         bad = make([np.eye(3)], ConstantTail(I2))
         assert any("shape" in v for v in violations_of(bad))
 
+    def test_non_finite_entry_is_reported(self):
+        for value in (float("nan"), float("inf")):
+            bad = make([], ConstantTail([[value, 0.5], [0.5, 0.5]]))
+            assert any("row 0 has a non-finite entry" in v for v in validate_schedule(bad))
+
 
 def violations_of(schedule):
     return validate_schedule(schedule)
@@ -61,32 +65,32 @@ def violations_of(schedule):
 class TestKernelAt:
     def test_body_takes_precedence(self):
         sched = make([A], ConstantTail(B))
-        assert np.array_equal(kernel_at(sched, 0), A)
+        assert np.array_equal(sched.at(0), A)
 
     def test_periodic_tail_indexes_by_absolute_time(self):
         sched = make([A], PeriodicTail((B, D)))
-        assert np.array_equal(kernel_at(sched, 3), D)
-        assert np.array_equal(kernel_at(sched, 2), B)
+        assert np.array_equal(sched.at(3), D)
+        assert np.array_equal(sched.at(2), B)
 
     def test_constant_tail_reaches_far(self):
         sched = make([], ConstantTail(B))
-        assert np.array_equal(kernel_at(sched, 10**6), B)
+        assert np.array_equal(sched.at(10**6), B)
 
     def test_periodic_invariance_past_body(self):
         sched = make([A], PeriodicTail((B, D)))
         period = sched.tail.period
         for t in range(1, 40):
-            assert np.array_equal(kernel_at(sched, t), kernel_at(sched, t + period))
+            assert np.array_equal(sched.at(t), sched.at(t + period))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            kernel_at(make([], ConstantTail(I2)), -1)
+            make([], ConstantTail(I2)).at(-1)
 
 
 class TestBirthDeath:
     def test_constant_rows(self):
         sched = birth_death_schedule(constant_birth_death(3, 0.75))
-        m = kernel_at(sched, 0)
+        m = sched.at(0)
         assert np.allclose(m[1], [0.75, 0.0, 0.25, 0.0])
         assert np.allclose(m[0], [0.75, 0.25, 0.0, 0.0])
         assert np.allclose(m[3], [0.0, 0.0, 1.0, 0.0])
@@ -95,22 +99,26 @@ class TestBirthDeath:
         spec = periodic_birth_death(6, [0.7, 0.8])
         sched = birth_death_schedule(spec)
         for t in range(4):
-            m = kernel_at(sched, t)
+            m = sched.at(t)
             assert ((m != 0).sum(axis=1) <= 2).all()
             assert np.array_equal(m.sum(axis=1), np.ones(7))
         assert validate_schedule(sched) == []
 
     def test_periodic_alphas_cycle(self):
         spec = periodic_birth_death(4, [0.7, 0.8])
-        assert spec.alpha(0, 2) == 0.7
-        assert spec.alpha(1, 2) == 0.8
-        assert spec.alpha(2, 2) == 0.7
+        assert spec.at(0)[2] == 0.7
+        assert spec.at(1)[2] == 0.8
+        assert spec.at(2)[2] == 0.7
 
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             constant_birth_death(3, 1.0)
         with pytest.raises(ValueError):
             constant_birth_death(3, 0.0)
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            constant_birth_death(3, float("nan"))
 
     def test_cap_too_small_rejected(self):
         with pytest.raises(ValueError):
