@@ -1,4 +1,6 @@
+import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,9 +21,23 @@ from renewalsim import (
     walk_return_law,
 )
 
-from conftest import delta, two_state
+from conftest import delta, periodic_two_state, two_state
 
 walk_p = st.floats(min_value=0.51, max_value=0.99)
+
+
+def time_variant_points(surf, family_alpha=0.005):
+    """(lag, i, j) where start times i and j differ beyond a two-sided z window.
+
+    z is Bonferroni over every pair of start times at every lag, so a
+    time-invariant schedule trips some window with probability at most
+    ``family_alpha`` (normal approximation).
+    """
+    pairs = list(itertools.combinations(range(len(surf.start_times)), 2))
+    lags = range(surf.max_lag + 1)
+    z = NormalDist().inv_cdf(1 - family_alpha / (2 * len(pairs) * len(lags)))
+    return [(n, i, j) for n in lags for i, j in pairs
+            if abs(surf.tails[i, n] - surf.tails[j, n]) > z * math.hypot(surf.se[i, n], surf.se[j, n])]
 
 
 class TestFirstReturn:
@@ -169,9 +185,12 @@ class TestRenewalTailSurface:
         sched = two_state(0.5, 0.5)
         surf = estimate_renewal_tails(sched, [0, 2, 5], [0], max_lag=6,
                                       n_paths=6000, seed=13)
-        for n in range(7):
-            spread = surf.tails[:, n].max() - surf.tails[:, n].min()
-            assert spread <= 3 * (surf.se[:, n].max() + 1e-3)
+        assert not time_variant_points(surf)
+        # power: stay probability at 0 alternating 0.5, 0.9 makes start time 5 differ
+        alternating = periodic_two_state([[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.5, 0.5]]])
+        surf = estimate_renewal_tails(alternating, [0, 2, 5], [0], max_lag=6,
+                                      n_paths=6000, seed=13)
+        assert time_variant_points(surf)
 
     def test_start_states_must_be_targets(self):
         sched = two_state(0.5, 0.5)
