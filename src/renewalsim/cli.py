@@ -71,10 +71,10 @@ def _regularity_scan(scenario: Scenario) -> domination.RegularityScan:
     reg = scenario.regularity
     return domination.estimate_regularity(
         scenario.schedule1,
-        n0=int(reg.get("n0", 0)),
+        n0=reg.get("n0", 0),
         base_times=reg.get("t_grid", [0, 1, 2, 3]),
         lags=reg.get("lag_grid", [0, 1, 2, 3, 4]),
-        n_paths=int(reg.get("n_paths", 5000)),
+        n_paths=reg.get("n_paths", 5000),
         seed=scenario.master_seed,
         initial=scenario.initial1,
         n0_applies_to=reg.get("n0_applies_to", "base"),

@@ -97,6 +97,43 @@ def _parse_initial(value, size: int, where: str) -> np.ndarray:
     return out
 
 
+def _integral(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_regularity(reg) -> dict:
+    """The ``regularity`` object, each key the subcommands read type-checked.
+
+    Counts and grid entries must be integral numbers and come back as
+    ``int``; ``mu_hat`` and ``gamma`` are numbers or null and
+    ``n0_applies_to`` is a string.  Value ranges are checked where the
+    values are used.
+    """
+    where = "config.regularity"
+    if not isinstance(reg, dict):
+        raise ConfigError(f"{where} must be an object")
+    if reg.get("source", "analytic") not in ("analytic", "empirical"):
+        raise ConfigError(f"{where}.source must be 'analytic' or 'empirical'")
+    out = dict(reg)
+    for key in ("n0", "n_paths"):
+        if key in reg:
+            out[key] = _integral(reg[key], f"{where}.{key}")
+    for key in ("t_grid", "lag_grid"):
+        if key in reg:
+            if not isinstance(reg[key], (list, tuple)):
+                raise ConfigError(f"{where}.{key} must be a list of integers")
+            out[key] = [_integral(v, f"{where}.{key}[{i}]") for i, v in enumerate(reg[key])]
+    for key in ("mu_hat", "gamma"):
+        value = reg.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{where}.{key} must be a number or null, got {value!r}")
+    if not isinstance(reg.get("n0_applies_to", "base"), str):
+        raise ConfigError(f"{where}.n0_applies_to must be a string")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully resolved run configuration."""
@@ -166,9 +203,7 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
     initial2 = _parse_initial(_require(raw, "initial2", "config"), chains[1].space.size, "config.initial2")
 
     domination = raw.get("domination", {})
-    regularity = raw.get("regularity", {"source": "analytic"})
-    if regularity.get("source", "analytic") not in ("analytic", "empirical"):
-        raise ConfigError("config.regularity.source must be 'analytic' or 'empirical'")
+    regularity = _parse_regularity(raw.get("regularity", {"source": "analytic"}))
 
     seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
     return Scenario(

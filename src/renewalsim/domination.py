@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import KernelSchedule
-from .rng import derive_stream
-from .simulate import _Sampler, _draw
+from .rng import stream_keys, uniforms
+from .simulate import _InverseCdf, _Sampler
 
 
 def _check_walk_parameter(p: float) -> None:
@@ -143,16 +143,23 @@ def walk_dominating_sequence(p: float, n: int) -> DominatingSequence:
     value is exactly 1/p.  Because the law's pairwise term ratio is below
     ``4p(1-p) < 1``, the mass beyond the stored range decays geometrically
     and the sequence carries a certified finite tail bound.
+
+    The masses are suffix sums of the law plus a bound on its mass past
+    lag n, so deep values keep full relative precision and still dominate
+    (``1 - cumsum`` would cancel to a rounding floor).
     """
     _check_walk_parameter(p)
     if n < 2:
         raise ValueError("n must be at least 2")
     law = walk_return_law(p, n)
-    # clamp against one-ulp overshoot of the cumulative sum past 1
-    tail_mass = np.maximum(1.0 - np.cumsum(law), 0.0)
+    r = 4.0 * p * (1.0 - p)
+    # The mass past lag n is at most the geometric series of law[j + 2] <=
+    # r * law[j], and at most one minus the stored mass, plus its rounding.
+    beyond = min(law[n - n % 2] * r / (1.0 - r), 1.0 - law.sum() + n * np.finfo(float).eps)
+    tail_mass = np.append(np.cumsum(law[:0:-1])[::-1], 0.0) + beyond
+    tail_mass[:2] = 1.0  # unit mass, and no return before lag 2
     values = tail_mass / p
     head_mass = float(values.sum())
-    r = 4.0 * p * (1.0 - p)
     # G_{k+2} <= r * G_k, so the sum beyond index n is geometrically small.
     tail_bound = float((values[n - 1] + values[n]) * r / (1.0 - r))
     return DominatingSequence(values=values, head_mass=head_mass, tail_bound=tail_bound)
@@ -165,6 +172,12 @@ def domination_valid_for(p: float, alpha_sup_product: float) -> bool:
     if not 0.0 < alpha_sup_product <= 0.25:
         raise ValueError("alpha_sup_product must lie in (0, 1/4]")
     return p * (1.0 - p) >= alpha_sup_product
+
+
+def _target_mask(schedule: KernelSchedule) -> np.ndarray:
+    mask = np.zeros(schedule.space.size, dtype=bool)
+    mask[sorted(schedule.space.target_set)] = True
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,25 +221,26 @@ def estimate_renewal_tails(
     times = tuple(start_times)
     if not times:
         raise ValueError("start times must be nonempty")
+    if min(times) < 0:
+        raise ValueError("start times must be nonnegative")
 
     sampler = _Sampler(schedule)
-    n = sampler.size
+    in_target = _target_mask(schedule)
     per_state = np.zeros((len(times), len(states), max_lag + 1))
     for ti, t0 in enumerate(times):
         for xi, x0 in enumerate(states):
+            # x holds the paths not yet back in the target set; path i
+            # draws from stream (ti, xi, i)
+            keys = stream_keys(seed, ti, xi, count=n_paths)
+            x = np.full(len(keys), x0)
             exceed = np.zeros(max_lag + 1)
-            for i in range(n_paths):
-                rng = derive_stream(seed, ti, xi, i)
-                x = x0
-                gap = 0
-                while gap <= max_lag:
-                    x = _draw(sampler.rows_at(t0 + gap)[x], rng.random(), n)
-                    gap += 1
-                    if x in targets:
-                        break
-                else:
-                    gap = max_lag + 1
-                exceed[: min(gap, max_lag + 1)] += 1.0
+            for gap in range(max_lag + 1):
+                if not len(x):
+                    break
+                exceed[gap] = len(x)
+                x = sampler.draw(t0 + gap, x, uniforms(keys, gap))
+                away = ~in_target[x]
+                x, keys = x[away], keys[away]
             per_state[ti, xi] = exceed / n_paths
 
     tails = per_state.max(axis=1)
@@ -414,33 +428,35 @@ def estimate_regularity(
         lag_grid = tuple(t for t in lags if t >= n0)
     if not bases or not lag_grid:
         raise ValueError("grids must be nonempty after applying n0")
+    if min(bases) < 0 or min(lag_grid) < 0:
+        raise ValueError("base times and lags must be nonnegative")
 
     size = schedule.space.size
     init = np.full(size, 1.0 / size) if initial is None else np.asarray(initial, float)
     sampler = _Sampler(schedule)
-    cum_init = list(np.cumsum(init))
-    targets = schedule.space.target_set
+    in_target = _target_mask(schedule)
     max_t = max(bases) + max(lag_grid)
 
-    in_target = np.zeros((n_paths, max_t + 1), dtype=bool)
-    for i in range(n_paths):
-        rng = derive_stream(seed, i)
-        x = _draw(cum_init, rng.random(), size)
-        in_target[i, 0] = x in targets
-        for t in range(max_t):
-            x = _draw(sampler.rows_at(t)[x], rng.random(), size)
-            in_target[i, t + 1] = x in targets
+    # hits[t, i]: path i is in the target set at time t.  Path i draws X_t
+    # from draw t of stream i.
+    keys = stream_keys(seed, count=n_paths)
+    x = _InverseCdf(np.cumsum(init)[None, :])(np.zeros(n_paths, dtype=np.int64), uniforms(keys, 0))
+    hits = np.empty((max_t + 1, n_paths), dtype=bool)
+    hits[0] = in_target[x]
+    for t in range(max_t):
+        x = sampler.draw(t, x, uniforms(keys, t + 1))
+        hits[t + 1] = in_target[x]
 
     points = []
     gamma_hat = 1.0
     for b in bases:
-        conditioned = in_target[:, b]
+        conditioned = hits[b]
         k = int(conditioned.sum())
         for lag in lag_grid:
             if k == 0:
                 points.append(RegularityPoint(b, lag, math.nan, math.nan, 0))
                 continue
-            p_hat = float(in_target[conditioned, b + lag].mean())
+            p_hat = float(hits[b + lag, conditioned].mean())
             se = math.sqrt(p_hat * (1.0 - p_hat) / k)
             points.append(RegularityPoint(b, lag, p_hat, se, k))
             gamma_hat = min(gamma_hat, p_hat - 3.0 * se)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .kernel import KernelSchedule
-from .rng import derive_stream
+from .rng import derive_stream, stream_keys, uniforms
 
 INITIAL_SUM_TOL = 1e-12
 
@@ -36,9 +36,13 @@ def _check_initial(initial, size: int) -> np.ndarray:
 
 
 class _Sampler:
-    """Cumulative-row tables for one schedule, built once and read many times."""
+    """Cumulative-row tables for one schedule, built once and read many times.
 
-    __slots__ = ("body", "tail", "body_len", "period", "size")
+    ``rows_at`` serves the scalar :func:`_draw`; :meth:`draw` steps a whole
+    batch of chains at once.
+    """
+
+    __slots__ = ("body", "tail", "body_len", "period", "size", "tables")
 
     def __init__(self, schedule: KernelSchedule):
         def cum_rows(m: np.ndarray) -> list[list[float]]:
@@ -49,11 +53,17 @@ class _Sampler:
         self.body_len = len(self.body)
         self.period = len(self.tail)
         self.size = schedule.space.size
+        self.tables = [_InverseCdf(np.cumsum(m, axis=1)) for m in (*schedule.body, *schedule.tail.values)]
 
     def rows_at(self, t: int) -> list[list[float]]:
         if t < self.body_len:
             return self.body[t]
         return self.tail[t % self.period]
+
+    def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next states of chains at ``states`` for the step from t, given uniforms u."""
+        phase = t if t < self.body_len else self.body_len + t % self.period
+        return self.tables[phase](states, u)
 
 
 def _draw(cum: list[float], u: float, size: int) -> int:
@@ -61,25 +71,54 @@ def _draw(cum: list[float], u: float, size: int) -> int:
     return s if s < size else size - 1
 
 
+class _InverseCdf:
+    """:func:`_draw` for a batch of (row, uniform) pairs of one cumulative table.
+
+    With ``bounds`` all cumulative values sorted, entry j of row x gets the
+    key ``x * width + (number of bounds below it)``; for a valid kernel the
+    rows are nondecreasing, so the keys are sorted.  An entry is at most u
+    exactly when its count of smaller bounds is below the number of bounds
+    at most u.  The number of row-x entries at most u is then the number of
+    keys below ``x * width + (number of bounds at most u)``, less the
+    x * size keys of earlier rows: two ``searchsorted`` calls, with no
+    batch-by-size array and the same float comparisons as ``bisect_right``.
+    """
+
+    __slots__ = ("bounds", "keys", "width", "size")
+
+    def __init__(self, cum: np.ndarray):
+        self.bounds = np.sort(cum, axis=None)
+        self.width = len(self.bounds)
+        self.size = cum.shape[1]
+        self.keys = (np.arange(len(cum))[:, None] * self.width + np.searchsorted(self.bounds, cum)).ravel()
+
+    def __call__(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        query = np.searchsorted(self.bounds, u, side="right")
+        query += rows * self.width
+        s = np.searchsorted(self.keys, query)
+        s -= rows * self.size
+        return np.minimum(s, self.size - 1, out=s)
+
+
 def sample_path(schedule: KernelSchedule, initial, seed: int, horizon: int) -> np.ndarray:
     """Sample one trajectory X_0..X_horizon.
 
     X_0 follows ``initial`` and the step from t to t + 1 uses the row of
-    ``schedule.at(t)`` for the current state.  The output is a pure
+    ``schedule.at(t)`` for the current state.  Draw k comes from the
+    counter stream ``stream_keys(seed, count=1)``, so the output is a pure
     function of ``(schedule, initial, seed, horizon)``.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     init = _check_initial(initial, schedule.space.size)
-    rng = derive_stream(seed)
+    draws = uniforms(stream_keys(seed, count=1), np.arange(horizon + 1)).tolist()
     sampler = _Sampler(schedule)
-    init_cum = list(np.cumsum(init))
     n = sampler.size
     out = np.empty(horizon + 1, dtype=np.int64)
-    x = _draw(init_cum, rng.random(), n)
+    x = _draw(list(np.cumsum(init)), draws[0], n)
     out[0] = x
     for t in range(horizon):
-        x = _draw(sampler.rows_at(t)[x], rng.random(), n)
+        x = _draw(sampler.rows_at(t)[x], draws[t + 1], n)
         out[t + 1] = x
     return out
 

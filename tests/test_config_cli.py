@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,17 @@ class TestConfig:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
         assert not (tmp_path / "t_simulate.json").exists()
 
+    @pytest.mark.parametrize("sub, regularity", [
+        ("compare", {"source": "analytic", "mu_hat": "x"}),
+        ("condition-check", {"source": "empirical", "t_grid": "ab"}),
+        ("condition-check", {"source": "empirical", "lag_grid": [0, 1.5]}),
+        ("condition-check", {"source": "empirical", "n_paths": True}),
+    ])
+    def test_bad_regularity_type_is_exit_3(self, tmp_path, sub, regularity):
+        path = write_config(tmp_path, demo_config(regularity=regularity))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / f"t_{sub}.json").exists()
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_any_leaf_mutation_is_config_error_or_loads(self, data):
@@ -143,6 +155,28 @@ class TestConfig:
 
 
 class TestCliExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_regularity_mutation_exits_cleanly(self, data):
+        # every key the subcommands read from "regularity", under both sources
+        source = data.draw(st.sampled_from(["analytic", "empirical"]))
+        cfg = demo_config(n_paths=200, tail_len=20, regularity={
+            "source": source, "t_grid": [0, 1], "lag_grid": [0, 1, 2], "n_paths": 300,
+            "n0": 0, "n0_applies_to": "base", "mu_hat": 2.0, "gamma": None,
+        })
+        reg = cfg["regularity"]
+        path = data.draw(st.sampled_from([(key,) for key in reg] + list(_leaf_paths(reg))))
+        parent = reg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_LEAVES)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = write_config(Path(tmp), cfg)
+            for sub in ("condition-check", "compare"):
+                code = main([sub, "--config", str(cfg_path), "--out-dir", tmp])
+                assert code in (0, 1, 2, 3)
+                assert (Path(tmp) / f"t_{sub}.json").exists() == (code != 3)
+
     def test_simulate_ok(self, tmp_path):
         path = write_config(tmp_path, demo_config())
         code = main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)])

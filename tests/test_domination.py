@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
     DominatingSequence,
+    birth_death_schedule,
     check_domination,
     domination_valid_for,
     estimate_regularity,
@@ -15,6 +16,7 @@ from renewalsim import (
     first_return_coefficients,
     first_return_series,
     hitting_time_distribution,
+    periodic_birth_death,
     regularity_from_floor,
     return_floor,
     walk_dominating_sequence,
@@ -136,6 +138,25 @@ class TestDominatingSequence:
 
     @given(walk_p)
     @settings(max_examples=40)
+    def test_head_is_exactly_reciprocal(self, p):
+        # no return before lag 2 and unit total mass: the first two values are 1/p
+        env = walk_dominating_sequence(p, 300)
+        assert env.values[0] == env.values[1] == 1 / p
+
+    def test_deep_values_follow_suffix_sums(self):
+        # true values from an exactly rounded suffix sum over twice the range
+        p, n = 0.75, 2000
+        env = walk_dominating_sequence(p, n)
+        law = walk_return_law(p, 2 * n)
+        exact = np.array([math.fsum(law[k + 1:]) / p for k in range(n + 1)])
+        exact[:2] = 1 / p
+        assert (env.values >= exact * (1 - 4e-16)).all()  # never below, up to rounding
+        assert env.values[n] > exact[n]  # the bound past lag n is conservative
+        deep = slice(250, 1001)
+        assert np.allclose(env.values[deep], exact[deep], rtol=1e-12, atol=0)
+
+    @given(walk_p)
+    @settings(max_examples=40)
     def test_nonincreasing_and_certified(self, p):
         env = walk_dominating_sequence(p, 300)
         assert (np.diff(env.values) <= 1e-15).all()
@@ -192,10 +213,68 @@ class TestRenewalTailSurface:
                                       n_paths=6000, seed=13)
         assert time_variant_points(surf)
 
+    def test_negative_times_rejected(self):
+        sched = two_state(0.5, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_renewal_tails(sched, [-2], [0], max_lag=4, n_paths=10, seed=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_regularity(sched, n0=0, base_times=[-1, 0], lags=[1], n_paths=10,
+                                seed=1, n0_applies_to="lag")
+
     def test_start_states_must_be_targets(self):
         sched = two_state(0.5, 0.5)
         with pytest.raises(ValueError):
             estimate_renewal_tails(sched, [0], [1], max_lag=4, n_paths=10, seed=1)
+
+
+class TestScansAgainstExactLaws:
+    """Both scans on the condition-empirical chain (cap 50, down probability
+    alternating 0.75, 0.70, start 0) against exact law propagation.
+
+    Each estimate must lie within 4 binomial SE, taken at the exact value,
+    plus one path: past the lags where fewer than one path is expected to
+    survive, a single survivor is already several SE out.
+    """
+
+    SEED = 20190814
+    N_PATHS = 5000
+
+    @staticmethod
+    def _within(estimate, exact, n):
+        return np.abs(estimate - exact) <= 4 * np.sqrt(exact * (1 - exact) / n) + 1 / n
+
+    def _schedule(self):
+        return birth_death_schedule(periodic_birth_death(50, [0.75, 0.70]))
+
+    def test_regularity_grid(self):
+        sched = self._schedule()
+        scan = estimate_regularity(sched, n0=0, base_times=[0, 1, 2, 3],
+                                   lags=[0, 1, 2, 3, 4, 8, 16, 32], n_paths=20000,
+                                   seed=self.SEED, initial=delta(51, 0))
+        laws = [delta(51, 0)]
+        for t in range(3):
+            laws.append(laws[-1] @ sched.at(t))
+        assert len(scan.points) == 32
+        for pt in scan.points:
+            law = np.where(np.arange(51) == 0, laws[pt.base_time], 0.0)
+            law /= law.sum()
+            for t in range(pt.base_time, pt.base_time + pt.lag):
+                law = law @ sched.at(t)
+            assert self._within(pt.estimate, law[0], pt.n_conditioned), pt
+
+    def test_renewal_tails(self):
+        sched = self._schedule()
+        surf = estimate_renewal_tails(sched, [0, 1, 2, 3], [0], max_lag=200,
+                                      n_paths=self.N_PATHS, seed=self.SEED)
+        for ti, t0 in enumerate(surf.start_times):
+            alive = delta(51, 0)
+            exact = [1.0]
+            for t in range(t0, t0 + 200):
+                alive = alive @ sched.at(t)
+                alive[0] = 0.0  # returned to the target set
+                exact.append(alive.sum())
+            ok = self._within(surf.tails[ti], np.array(exact), self.N_PATHS)
+            assert ok.all(), (t0, np.flatnonzero(~ok))
 
 
 class TestCheckDomination:

@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
+    KernelSchedule,
+    PeriodicTail,
     SimulationPlan,
+    StateSpace,
+    birth_death_schedule,
     estimate_joint_renewal,
     extract_renewals,
+    periodic_birth_death,
     sample_path,
     simultaneous_renewal_time,
     trial_sequence,
 )
+from renewalsim.simulate import _draw, _Sampler
 
 from conftest import delta, two_state
 
@@ -38,6 +44,44 @@ class TestSamplePath:
             sample_path(sched, [0.5, 0.6], seed=1, horizon=5)
         with pytest.raises(ValueError):
             sample_path(sched, [-0.1, 1.1], seed=1, horizon=5)
+
+
+class TestBatchedDraw:
+    """``_Sampler.draw`` must return what the scalar ``_draw`` returns, state by state."""
+
+    @staticmethod
+    def _edge_uniforms(cum):
+        # u = 0, each cumulative value, the float just below it, and a few in between
+        us = [0.0, *cum, *np.nextafter(cum, -1.0), *np.linspace(0.0, 1.0, 7, endpoint=False)]
+        return [u for u in us if 0.0 <= u < 1.0]
+
+    def _check(self, schedule, steps):
+        sampler = _Sampler(schedule)
+        for t in range(steps):
+            rows = sampler.rows_at(t)
+            states, us = [], []
+            for x in range(sampler.size):
+                edge = self._edge_uniforms(np.asarray(rows[x]))
+                states += [x] * len(edge)
+                us += edge
+            got = sampler.draw(t, np.array(states), np.array(us))
+            assert got.tolist() == [_draw(rows[x], u, sampler.size) for x, u in zip(states, us)]
+
+    def test_birth_death_schedule(self):
+        spec = periodic_birth_death(12, [0.75, np.linspace(0.55, 0.9, 12)])
+        self._check(birth_death_schedule(spec), steps=3)
+
+    def test_dense_schedule_with_short_row(self):
+        rng = np.random.default_rng(3)
+        dense = rng.random((3, 6, 6))
+        dense /= dense.sum(axis=2, keepdims=True)
+        short = dense[2].copy()
+        short[4] = [0.1, 0.2, 0.0, 0.3, 0.2, 0.1999999]  # sums below 1: the clamp applies
+        schedule = KernelSchedule(StateSpace(6, frozenset({0, 3})), (dense[0],),
+                                  PeriodicTail((dense[1], short)))
+        self._check(schedule, steps=3)
+        sampler = _Sampler(schedule)
+        assert sampler.draw(1, np.array([4]), np.array([0.99999995])).tolist() == [5]
 
 
 class TestExtractRenewals:
