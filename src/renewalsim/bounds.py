@@ -160,6 +160,8 @@ def bound_via_second_moment(p: float, gamma: float) -> tuple[float, float, float
     """Legacy bound moment2/gamma + moment1/gamma^2; returns (bound, m1, m2)."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
+    if gamma**2 == 0.0:
+        raise ValueError(f"gamma = {gamma:.6g} is too small: gamma^2 underflows to 0")
     m1 = walk_moment1(p)
     m2 = walk_moment2(p)
     return m2 / gamma + m1 / gamma**2, m1, m2
@@ -282,7 +284,6 @@ def full_report(
     mu_hat: float | None = None,
     workers: int = 1,
     tail_len: int = 200,
-    exact_horizon: int | None = None,
 ) -> BoundReport:
     """Run the whole pipeline on a birth-death pair.
 
@@ -301,9 +302,10 @@ def full_report(
     schedule1 = birth_death_schedule(spec1)
     schedule2 = birth_death_schedule(spec2)
     certificate = analytic_certificate(spec1, spec2, p, mu_hat)
+    floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
     envelope = walk_dominating_sequence(p, series_len)
 
-    exact_h = exact_horizon if exact_horizon is not None else max(horizon, 2000)
+    exact_h = max(horizon, 2000)
     hit1 = exact.hitting_time_distribution(
         schedule1, initial1, horizon=exact_h, tail_gamma=certificate.gamma
     )
@@ -366,7 +368,7 @@ def full_report(
         p=p,
         gamma=certificate.gamma,
         n0=certificate.n0,
-        floor=certificate.provenance.floor,
+        floor=floor,
         mean_hit1=hit1.expectation,
         mean_hit2=hit2.expectation,
         envelope_head=envelope.head,

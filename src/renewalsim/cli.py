@@ -67,9 +67,25 @@ def _require_p(scenario: Scenario) -> float:
     return scenario.domination_p
 
 
-def _regularity_scan(scenario: Scenario) -> domination.RegularityScan:
+SCAN_REJECTED = (
+    "empirical regularity scan is consistent with gamma = 0 (gamma_hat = {:.6g}); certificate rejected"
+)
+
+
+def _certificate(
+    scenario: Scenario, p: float
+) -> tuple[domination.RegularityCertificate | None, domination.RegularityScan | None]:
+    """The regularity certificate of the configured source, and the scan behind it.
+
+    The analytic source has no scan.  The empirical certificate is None
+    when the scan is consistent with gamma = 0.
+    """
     reg = scenario.regularity
-    return domination.estimate_regularity(
+    if reg.get("source", "analytic") == "analytic":
+        if scenario.spec1 is None or scenario.spec2 is None:
+            raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
+        return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), None
+    scan = domination.estimate_regularity(
         scenario.schedule1,
         n0=reg.get("n0", 0),
         base_times=reg.get("t_grid", [0, 1, 2, 3]),
@@ -79,28 +95,7 @@ def _regularity_scan(scenario: Scenario) -> domination.RegularityScan:
         initial=scenario.initial1,
         n0_applies_to=reg.get("n0_applies_to", "base"),
     )
-
-
-def _certified(scan: domination.RegularityScan) -> domination.RegularityCertificate:
-    certificate = scan.certificate()
-    if certificate is None:
-        raise StatisticalCheckFailure(
-            f"empirical regularity scan is consistent with gamma = 0 "
-            f"(gamma_hat = {scan.gamma_hat:.6g}); certificate rejected"
-        )
-    return certificate
-
-
-def _analytic_certificate(scenario: Scenario, p: float) -> domination.RegularityCertificate:
-    if scenario.spec1 is None or scenario.spec2 is None:
-        raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
-    return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, scenario.regularity.get("mu_hat"))
-
-
-def _gamma_certificate(scenario: Scenario, p: float) -> domination.RegularityCertificate:
-    if scenario.regularity.get("source", "analytic") == "analytic":
-        return _analytic_certificate(scenario, p)
-    return _certified(_regularity_scan(scenario))
+    return scan.certificate(), scan
 
 
 def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
@@ -182,10 +177,9 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     envelope = domination.walk_dominating_sequence(p, scenario.series_len)
     targets = sorted(scenario.schedule1.space.target_set)
-    reg = scenario.regularity
     surface = domination.estimate_renewal_tails(
         scenario.schedule1,
-        start_times=reg.get("t_grid", [0, 1, 2, 3]),
+        start_times=scenario.regularity.get("t_grid", [0, 1, 2, 3]),
         start_states=targets,
         max_lag=min(scenario.tail_len, envelope.length - 1),
         n_paths=min(scenario.n_paths, 5000),
@@ -200,20 +194,16 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         for f in dom_report.flags
     ]
 
-    scan = None
-    if reg.get("source", "analytic") == "empirical":
-        scan = _regularity_scan(scenario)
+    certificate, scan = _certificate(scenario, p)
+    if scan is not None:
         report["results"]["gamma_grid"] = [
             {"base_time": pt.base_time, "lag": pt.lag, "estimate": pt.estimate,
              "se": pt.se, "n_conditioned": pt.n_conditioned}
             for pt in scan.points
         ]
         report["results"]["gamma_hat"] = quantity(scan.gamma_hat, "mc")
-        certificate = scan.certificate()
-    else:
-        certificate = _analytic_certificate(scenario, p)
     if certificate is not None:
-        report["results"]["gamma"] = quantity(certificate.gamma, _prov_of(certificate))
+        report["results"]["gamma"] = quantity(certificate.gamma, certificate.provenance)
         report["results"]["n0"] = certificate.n0
 
     if args.format == "csv":
@@ -243,18 +233,20 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         raise StatisticalCheckFailure(
             f"{len(dom_report.flags)} grid point(s) exceed the envelope by more than 3 SE"
         )
-    if scan is not None:
-        _certified(scan)
-
-
-def _prov_of(certificate: domination.RegularityCertificate) -> str:
-    return "analytic" if isinstance(certificate.provenance, domination.AnalyticProvenance) else "mc"
+    if certificate is None:
+        raise StatisticalCheckFailure(SCAN_REJECTED.format(scan.gamma_hat))
 
 
 def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     if scenario.spec1 is None or scenario.spec2 is None:
         raise ValidationFailure("the bound pipeline needs birth-death chains on both sides")
+    # the report tags gamma and the bound analytic, and full_report builds
+    # both schedules with target set {0}
+    if scenario.regularity.get("source", "analytic") != "analytic":
+        raise ValidationFailure("the bound pipeline takes analytic regularity only")
+    if scenario.schedule1.space.target_set != {0}:
+        raise ValidationFailure("the bound pipeline needs target_set [0]")
     result = bounds.full_report(
         scenario.spec1,
         scenario.spec2,
@@ -281,7 +273,10 @@ def _cmd_compare(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     gamma = scenario.regularity.get("gamma")
     if gamma is None:
-        gamma = _gamma_certificate(scenario, p).gamma
+        certificate, scan = _certificate(scenario, p)
+        if certificate is None:
+            raise StatisticalCheckFailure(SCAN_REJECTED.format(scan.gamma_hat))
+        gamma = certificate.gamma
     report["results"].update(asdict(bounds.compare_bounds(p, float(gamma))))
 
 

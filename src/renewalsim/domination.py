@@ -196,7 +196,6 @@ class RenewalTailSurface:
     n_paths: int
     tails: np.ndarray
     se: np.ndarray
-    per_state_tails: np.ndarray
 
 
 def estimate_renewal_tails(
@@ -223,6 +222,8 @@ def estimate_renewal_tails(
         raise ValueError("start times must be nonempty")
     if min(times) < 0:
         raise ValueError("start times must be nonnegative")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
     sampler = _Sampler(schedule)
     in_target = _target_mask(schedule)
@@ -254,7 +255,6 @@ def estimate_renewal_tails(
         n_paths=n_paths,
         tails=tails,
         se=se,
-        per_state_tails=per_state,
     )
 
 
@@ -283,15 +283,17 @@ def check_domination(surface: RenewalTailSurface, envelope: DominatingSequence) 
     """Flag every grid point whose tail estimate exceeds the envelope by
     more than three standard errors."""
     lags = min(surface.max_lag, envelope.length - 1)
-    flags = []
-    for ti, t0 in enumerate(surface.start_times):
-        for lag in range(lags + 1):
-            est = float(surface.tails[ti, lag])
-            se = float(surface.se[ti, lag])
-            bound = envelope.at(lag)
-            if est - 3.0 * se > bound:
-                flags.append(DominationFlag(t0, lag, est, se, bound))
-    return DominationReport(flags=tuple(flags), checked_lags=lags)
+    est = surface.tails[:, : lags + 1]
+    se = surface.se[:, : lags + 1]
+    bound = envelope.values[: lags + 1]
+    # nonzero walks the grid row by row: start times in order, lags within each
+    flags = tuple(
+        DominationFlag(
+            surface.start_times[ti], int(lag), float(est[ti, lag]), float(se[ti, lag]), float(bound[lag])
+        )
+        for ti, lag in zip(*np.nonzero(est - 3.0 * se > bound))
+    )
+    return DominationReport(flags=flags, checked_lags=lags)
 
 
 def return_floor(alpha_inf: float, beta_inf: float) -> float:
@@ -307,26 +309,16 @@ def return_floor(alpha_inf: float, beta_inf: float) -> float:
 
 
 @dataclass(frozen=True)
-class AnalyticProvenance:
-    floor: float
-    mean_bound: float
-
-
-@dataclass(frozen=True)
-class EmpiricalProvenance:
-    base_times: tuple[int, ...]
-    lags: tuple[int, ...]
-    n_paths: int
-    min_estimate: float
-
-
-@dataclass(frozen=True)
 class RegularityCertificate:
-    """A certified uniform lower bound on later in-target probability."""
+    """A certified uniform lower bound on later in-target probability.
+
+    ``provenance`` is the report tag of ``gamma``: ``"analytic"`` for the
+    floor certificate, ``"mc"`` for a regularity scan.
+    """
 
     gamma: float
     n0: int
-    provenance: AnalyticProvenance | EmpiricalProvenance
+    provenance: str
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -347,17 +339,17 @@ def regularity_from_floor(floor: float, mean_bound: float) -> RegularityCertific
     if mean_bound < 1.0:
         raise ValueError("mean_bound must be at least 1")
     gamma = floor ** (mean_bound / floor)
-    return RegularityCertificate(
-        gamma=gamma, n0=0, provenance=AnalyticProvenance(floor=floor, mean_bound=mean_bound)
-    )
+    return RegularityCertificate(gamma=gamma, n0=0, provenance="analytic")
 
 
 @dataclass(frozen=True)
 class RegularityPoint:
+    """One grid point; ``estimate`` and ``se`` are None when unobserved."""
+
     base_time: int
     lag: int
-    estimate: float
-    se: float
+    estimate: float | None
+    se: float | None
     n_conditioned: int
 
     @property
@@ -369,9 +361,10 @@ class RegularityPoint:
 class RegularityScan:
     """Grid of conditional in-target probabilities and the resulting bound.
 
-    ``gamma_hat`` is the minimum over observed grid points of the estimate
-    minus three standard errors (conservative).  Grid points whose
-    conditioning event never occurred are kept and flagged, never skipped.
+    ``gamma_hat`` is the minimum over the grid points of the estimate
+    minus three standard errors (conservative), floored at zero.  A grid
+    point whose conditioning event never occurred is kept and flagged, and
+    sets ``gamma_hat`` to zero: a point without evidence certifies nothing.
     """
 
     points: tuple[RegularityPoint, ...]
@@ -388,16 +381,7 @@ class RegularityScan:
         gamma = 0 (for example on periodic chains)."""
         if self.gamma_hat <= 0.0:
             return None
-        return RegularityCertificate(
-            gamma=self.gamma_hat,
-            n0=self.n0,
-            provenance=EmpiricalProvenance(
-                base_times=tuple(p.base_time for p in self.points if p.lag == 0) or (),
-                lags=tuple(sorted({p.lag for p in self.points})),
-                n_paths=self.n_paths,
-                min_estimate=self.gamma_hat,
-            ),
-        )
+        return RegularityCertificate(gamma=self.gamma_hat, n0=self.n0, provenance="mc")
 
 
 def estimate_regularity(
@@ -430,6 +414,8 @@ def estimate_regularity(
         raise ValueError("grids must be nonempty after applying n0")
     if min(bases) < 0 or min(lag_grid) < 0:
         raise ValueError("base times and lags must be nonnegative")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
     size = schedule.space.size
     init = np.full(size, 1.0 / size) if initial is None else np.asarray(initial, float)
@@ -454,7 +440,8 @@ def estimate_regularity(
         k = int(conditioned.sum())
         for lag in lag_grid:
             if k == 0:
-                points.append(RegularityPoint(b, lag, math.nan, math.nan, 0))
+                points.append(RegularityPoint(b, lag, None, None, 0))
+                gamma_hat = 0.0
                 continue
             p_hat = float(hits[b + lag, conditioned].mean())
             se = math.sqrt(p_hat * (1.0 - p_hat) / k)

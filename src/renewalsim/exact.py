@@ -47,10 +47,6 @@ class ExpectationBracket:
     def unbounded(self) -> bool:
         return math.isinf(self.high)
 
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
 
 def _tail_bracket(low: float, residual: float, tail_gamma: float | None) -> ExpectationBracket:
     if residual <= 0.0:

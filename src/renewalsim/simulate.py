@@ -132,10 +132,12 @@ def extract_renewals(path: Sequence[int], targets: Iterable[int]) -> tuple[list[
     """
     target = frozenset(targets)
     times = [t for t, x in enumerate(path) if int(x) in target]
-    if not times:
-        return [], []
-    gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
-    return gaps, times
+    return _gaps(times), times
+
+
+def _gaps(times: Sequence[int]) -> list[int]:
+    """Renewal gaps of renewal times: the first time, then consecutive differences."""
+    return [times[0]] + [b - a for a, b in zip(times, times[1:])] if times else []
 
 
 def simultaneous_renewal_time(tau1: Sequence[int], tau2: Sequence[int]) -> int | None:
@@ -242,13 +244,18 @@ def trial_sequence(
 class RenewalTrace:
     """Per-path renewal record for one chain pair."""
 
-    gaps1: tuple[int, ...]
-    gaps2: tuple[int, ...]
     renewals1: tuple[int, ...]
     renewals2: tuple[int, ...]
     meeting_time: int | None
     trials: TrialSequence
-    horizon: int
+
+    @property
+    def gaps1(self) -> tuple[int, ...]:
+        return tuple(_gaps(self.renewals1))
+
+    @property
+    def gaps2(self) -> tuple[int, ...]:
+        return tuple(_gaps(self.renewals2))
 
     @property
     def censored(self) -> bool:
@@ -364,19 +371,7 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
         if trials.first_success is not None:
             n_trials[offset] = trials.first_success
         if keep_traces:
-            gaps1 = tuple([r1[0]] + [b - a for a, b in zip(r1, r1[1:])]) if r1 else ()
-            gaps2 = tuple([r2[0]] + [b - a for a, b in zip(r2, r2[1:])]) if r2 else ()
-            traces.append(
-                RenewalTrace(
-                    gaps1=gaps1,
-                    gaps2=gaps2,
-                    renewals1=tuple(r1),
-                    renewals2=tuple(r2),
-                    meeting_time=t_meet,
-                    trials=trials,
-                    horizon=horizon,
-                )
-            )
+            traces.append(RenewalTrace(tuple(r1), tuple(r2), t_meet, trials))
     return start, meeting, hit1, hit2, n_trials, traces
 
 

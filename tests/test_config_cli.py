@@ -271,6 +271,73 @@ class TestCliExitCodes:
         assert report["results"]["gamma_grid"]
         assert (tmp_path / "t_gamma_grid.csv").exists()
 
+    def test_regularity_scan_without_paths_is_exit_1(self, tmp_path):
+        cfg = demo_config(regularity={"source": "empirical", "n_paths": 0})
+        path = write_config(tmp_path, cfg)
+        for sub in ("condition-check", "compare"):
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+            report = load_report(tmp_path, f"t_{sub}.json")
+            assert "n_paths must be at least 1" in report["results"]["error"]
+            assert "gamma" not in report["results"]
+
+    def test_renewal_tails_without_paths_is_exit_1(self, tmp_path):
+        path = write_config(tmp_path, demo_config(n_paths=0))
+        assert main(["condition-check", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        report = load_report(tmp_path, "t_condition-check.json")
+        assert "n_paths must be at least 1" in report["results"]["error"]
+        assert "domination_passed" not in report["results"]
+
+    def test_unobserved_grid_point_is_exit_2(self, tmp_path):
+        # the flip-flop chain started at 0 is never in the target set at odd times
+        flip = [[0.0, 1.0], [1.0, 0.0]]
+        cfg = demo_config(
+            chain1=explicit_chain(flip),
+            chain2=explicit_chain(flip),
+            regularity={"source": "empirical", "t_grid": [0, 1], "lag_grid": [0, 2],
+                        "n_paths": 300},
+            n_paths=200,
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["condition-check", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        text = (tmp_path / "t_condition-check.json").read_text()
+        assert "NaN" not in text
+        results = json.loads(text)["results"]
+        assert results["domination_passed"] is True
+        assert results["gamma_hat"]["value"] == 0.0
+        assert "gamma" not in results
+        unobserved = [pt for pt in results["gamma_grid"] if pt["base_time"] == 1]
+        assert unobserved == [
+            {"base_time": 1, "lag": lag, "estimate": None, "se": None, "n_conditioned": 0}
+            for lag in (0, 2)
+        ]
+
+    @pytest.mark.parametrize("sub", ["bound", "birth-death-demo"])
+    @pytest.mark.parametrize("override", [
+        {"regularity": {"source": "empirical", "n0": 3}},
+        {"target_set": [0, 1]},
+    ])
+    def test_bound_rejects_what_its_report_cannot_state(self, tmp_path, sub, override):
+        # the report tags gamma analytic and its schedules have target set {0}
+        path = write_config(tmp_path, demo_config(**override))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        report = load_report(tmp_path, f"t_{sub}.json")
+        assert "the bound pipeline" in report["results"]["error"]
+        assert "bound" not in report["results"]
+
+    @pytest.mark.parametrize("source, provenance", [("analytic", "analytic"), ("empirical", "mc")])
+    def test_condition_check_and_compare_share_gamma(self, tmp_path, source, provenance):
+        cfg = demo_config(n_paths=400, regularity={
+            "source": source, "t_grid": [0, 1, 2], "lag_grid": [0, 1, 2, 4], "n_paths": 2000,
+        })
+        path = write_config(tmp_path, cfg)
+        for sub in ("condition-check", "compare"):
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        checked = load_report(tmp_path, "t_condition-check.json")["results"]["gamma"]
+        compared = load_report(tmp_path, "t_compare.json")["results"]["gamma"]
+        assert checked["provenance"] == provenance
+        assert checked["value"] == compared
+        assert 0.0 < compared <= 1.0
+
     def test_compare_subcommand(self, tmp_path):
         cfg = demo_config(regularity={"source": "analytic", "gamma": 0.1})
         path = write_config(tmp_path, cfg)
@@ -278,6 +345,13 @@ class TestCliExitCodes:
         report = load_report(tmp_path, "t_compare.json")
         assert report["results"]["second_moment_bound"] == pytest.approx(570.0)
         assert report["results"]["first_moment_bound"] == pytest.approx(55.0)
+
+    def test_compare_gamma_too_small_is_exit_1(self, tmp_path):
+        # gamma^2 underflows to zero in the second-moment bound
+        cfg = demo_config(regularity={"source": "analytic", "gamma": 1e-200})
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "underflows" in load_report(tmp_path, "t_compare.json")["results"]["error"]
 
     def test_demo_runs_without_config(self, tmp_path):
         code = main(["birth-death-demo", "--out-dir", str(tmp_path), "--seed", "4"])

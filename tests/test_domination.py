@@ -226,6 +226,14 @@ class TestRenewalTailSurface:
         with pytest.raises(ValueError):
             estimate_renewal_tails(sched, [0], [1], max_lag=4, n_paths=10, seed=1)
 
+    def test_scans_need_a_path(self):
+        # with no paths every tail would be 0/0 and gamma_hat would have no evidence
+        sched = two_state(0.5, 0.5)
+        with pytest.raises(ValueError, match="n_paths"):
+            estimate_renewal_tails(sched, [0], [0], max_lag=4, n_paths=0, seed=1)
+        with pytest.raises(ValueError, match="n_paths"):
+            estimate_regularity(sched, n0=0, base_times=[0], lags=[1], n_paths=0, seed=1)
+
 
 class TestScansAgainstExactLaws:
     """Both scans on the condition-empirical chain (cap 50, down probability
@@ -292,6 +300,25 @@ class TestCheckDomination:
         env = DominatingSequence(values=np.ones(30), head_mass=30.0, tail_bound=None)
         assert check_domination(surf, env).passed
 
+    def test_flags_match_pointwise_scan(self):
+        # every (start time, lag) with est - 3 SE above the envelope, start times
+        # in order and lags in order within each, with the surface's floats
+        from renewalsim import birth_death_schedule, constant_birth_death
+
+        sched = birth_death_schedule(constant_birth_death(30, 0.6))
+        surf = estimate_renewal_tails(sched, [0, 2, 5], [0], max_lag=60, n_paths=500, seed=3)
+        for env in (walk_dominating_sequence(0.95, 40),
+                    DominatingSequence(values=np.linspace(0.5, 0.0, 100), head_mass=1.0, tail_bound=0.0)):
+            report = check_domination(surf, env)
+            expected = [
+                (t0, lag, float(surf.tails[i, lag]), float(surf.se[i, lag]), env.at(lag))
+                for i, t0 in enumerate(surf.start_times)
+                for lag in range(report.checked_lags + 1)
+                if surf.tails[i, lag] - 3.0 * surf.se[i, lag] > env.at(lag)
+            ]
+            assert expected
+            assert [(f.start_time, f.lag, f.estimate, f.se, f.bound) for f in report.flags] == expected
+
     def test_walk_envelope_dominates_birth_death(self):
         from renewalsim import birth_death_schedule, constant_birth_death
 
@@ -317,6 +344,7 @@ class TestRegularity:
         assert regularity_from_floor(1.0, 7.0).gamma == 1.0
         assert regularity_from_floor(0.6, 5.0).gamma == pytest.approx(0.6 ** (5 / 0.6), abs=1e-12)
         assert regularity_from_floor(0.5, 2.0).n0 == 0
+        assert regularity_from_floor(0.5, 2.0).provenance == "analytic"
 
     @given(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=1.0, max_value=10.0))
     @settings(max_examples=50)
@@ -331,6 +359,7 @@ class TestRegularity:
                                    initial=delta(2, 0))
         assert scan.gamma_hat == 1.0
         assert scan.certificate() is not None
+        assert scan.certificate().provenance == "mc"
 
     def test_iid_chain_scan_near_marginal(self):
         # both rows (0.3, 0.7): being in the target at a later lag is 0.3 regardless
@@ -352,6 +381,10 @@ class TestRegularity:
                                    n_paths=100, seed=9, initial=delta(2, 0))
         assert scan.flagged
         assert not scan.points[0].observed
+        assert (scan.points[0].estimate, scan.points[0].se) == (None, None)
+        # a point without evidence rejects the scan
+        assert scan.gamma_hat == 0.0
+        assert scan.certificate() is None
 
     def test_lag_reading_flag(self):
         sched = two_state(0.4, 0.6)
