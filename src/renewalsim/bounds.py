@@ -23,6 +23,7 @@ from . import exact
 from .domination import (
     DominatingSequence,
     RegularityCertificate,
+    _check_walk_parameter,
     domination_valid_for,
     regularity_from_floor,
     return_floor,
@@ -51,8 +52,7 @@ def expectation_bound(
     m1: float, m2: float, n0: int, head: float, mass: float, gamma: float
 ) -> float:
     """m1 + m2 + (n0 * head + mass) * (1 + gamma) / gamma."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
+    exact.check_unit_interval(gamma, "gamma")
     for name, value in (("m1", m1), ("m2", m2), ("n0", n0), ("head", head), ("mass", mass)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
@@ -61,8 +61,7 @@ def expectation_bound(
 
 def trial_tail_bound(gamma: float, n: int) -> float:
     """(1 - gamma)^n: certified tail of the number of landing trials."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
+    exact.check_unit_interval(gamma, "gamma")
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (1.0 - gamma) ** n
@@ -137,8 +136,7 @@ def _shifted(envelope: DominatingSequence, n0: int, length: int) -> np.ndarray:
 
 def walk_moment1(p: float) -> float:
     """First-moment constant of the dominating walk: 2/(2p-1) + 1."""
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"walk parameter p must lie in (0.5, 1), got {p}")
+    _check_walk_parameter(p)
     return 2.0 / (2.0 * p - 1.0) + 1.0
 
 
@@ -149,8 +147,7 @@ def walk_moment2(p: float) -> float:
     constant is reproduced verbatim because the comparison identity
     depends on it.
     """
-    if not 0.5 < p < 1.0:
-        raise ValueError(f"walk parameter p must lie in (0.5, 1), got {p}")
+    _check_walk_parameter(p)
     return (2.0 * p - 1.0) ** -1 * (2.0 + 8.0 * (1.0 - p) / (1.0 - 4.0 * p)) + 2.0 / (
         2.0 * p - 1.0
     ) + 1.0
@@ -158,8 +155,7 @@ def walk_moment2(p: float) -> float:
 
 def bound_via_second_moment(p: float, gamma: float) -> tuple[float, float, float]:
     """Legacy bound moment2/gamma + moment1/gamma^2; returns (bound, m1, m2)."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
+    exact.check_unit_interval(gamma, "gamma")
     if gamma**2 == 0.0:
         raise ValueError(f"gamma = {gamma:.6g} is too small: gamma^2 underflows to 0")
     m1 = walk_moment1(p)
@@ -169,8 +165,7 @@ def bound_via_second_moment(p: float, gamma: float) -> tuple[float, float, float
 
 def bound_via_first_moment(p: float, gamma: float) -> float:
     """First-moment bound moment1 * (1 + gamma) / gamma."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
+    exact.check_unit_interval(gamma, "gamma")
     return walk_moment1(p) * (1.0 + gamma) / gamma
 
 

@@ -205,7 +205,10 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
     domination = raw.get("domination", {})
     regularity = _parse_regularity(raw.get("regularity", {"source": "analytic"}))
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _integral(raw.get("seed", 0), "config.seed") if seed_override is None else int(seed_override)
+    tail_len = _integral(raw.get("tail_len", 200), "config.tail_len")
+    if tail_len < 0:
+        raise ConfigError(f"config.tail_len must be nonnegative, got {tail_len}")
     return Scenario(
         name=str(raw.get("name", "scenario")),
         raw=raw,
@@ -215,11 +218,11 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
         spec2=specs[1],
         initial1=initial1,
         initial2=initial2,
-        horizon=int(raw.get("horizon", 1000)),
-        n_paths=int(raw.get("n_paths", 10_000)),
+        horizon=_integral(raw.get("horizon", 1000), "config.horizon"),
+        n_paths=_integral(raw.get("n_paths", 10_000), "config.n_paths"),
         master_seed=seed,
-        tail_len=int(raw.get("tail_len", 200)),
+        tail_len=tail_len,
         domination_p=float(domination["p"]) if "p" in domination else None,
-        series_len=int(domination.get("series_len", 2000)),
+        series_len=_integral(domination.get("series_len", 2000), "config.domination.series_len"),
         regularity=regularity,
     )

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import KernelSchedule
+from .exact import check_unit_interval, suffix_tails
+from .kernel import KernelSchedule, _check_initial
 from .rng import stream_keys, uniforms
 from .simulate import _InverseCdf, _Sampler
 
@@ -156,7 +157,7 @@ def walk_dominating_sequence(p: float, n: int) -> DominatingSequence:
     # The mass past lag n is at most the geometric series of law[j + 2] <=
     # r * law[j], and at most one minus the stored mass, plus its rounding.
     beyond = min(law[n - n % 2] * r / (1.0 - r), 1.0 - law.sum() + n * np.finfo(float).eps)
-    tail_mass = np.append(np.cumsum(law[:0:-1])[::-1], 0.0) + beyond
+    tail_mass = suffix_tails(law, beyond)
     tail_mass[:2] = 1.0  # unit mass, and no return before lag 2
     values = tail_mass / p
     head_mass = float(values.sum())
@@ -321,8 +322,7 @@ class RegularityCertificate:
     provenance: str
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
+        check_unit_interval(self.gamma, "gamma")
         if self.n0 < 0:
             raise ValueError("n0 must be nonnegative")
 
@@ -334,8 +334,7 @@ def regularity_from_floor(floor: float, mean_bound: float) -> RegularityCertific
     at the floor state and ``mean_bound`` a first-moment constant of the
     dominating walk (callers usually pass ``walk_moment1(p)``).
     """
-    if not 0.0 < floor <= 1.0:
-        raise ValueError("floor must lie in (0, 1]")
+    check_unit_interval(floor, "floor")
     if mean_bound < 1.0:
         raise ValueError("mean_bound must be at least 1")
     gamma = floor ** (mean_bound / floor)
@@ -418,7 +417,7 @@ def estimate_regularity(
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
     size = schedule.space.size
-    init = np.full(size, 1.0 / size) if initial is None else np.asarray(initial, float)
+    init = np.full(size, 1.0 / size) if initial is None else _check_initial(initial, size)
     sampler = _Sampler(schedule)
     in_target = _target_mask(schedule)
     max_t = max(bases) + max(lag_grid)

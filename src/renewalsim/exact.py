@@ -14,10 +14,22 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernel import KernelSchedule
-from .simulate import _check_initial
+from .kernel import KernelSchedule, _check_initial
 
-MASS_TOL = 1e-10
+
+def check_unit_interval(value: float, name: str) -> None:
+    """Reject a decay rate or regularity constant outside (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1]")
+
+
+def suffix_tails(mass: np.ndarray, residual) -> np.ndarray:
+    """P{value > n} for n = 0..len(mass) - 1, given the mass beyond the last entry.
+
+    Suffix sums, never ``1 - cumsum(mass)``: deep tails keep their relative
+    precision, the last tail is exactly the residual, and counts stay exact.
+    """
+    return residual + np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +40,7 @@ class DistributionTable:
     residual: float
 
     def mass_defect(self) -> float:
-        """|1 - (total mass + residual)|; should stay below MASS_TOL."""
+        """|1 - (total mass + residual)|."""
         return abs(1.0 - (float(self.mass.sum()) + self.residual))
 
 
@@ -53,30 +65,50 @@ def _tail_bracket(low: float, residual: float, tail_gamma: float | None) -> Expe
         return ExpectationBracket(low, low)
     if tail_gamma is None:
         return ExpectationBracket(low, math.inf)
-    if not 0.0 < tail_gamma <= 1.0:
-        raise ValueError("tail_gamma must lie in (0, 1]")
+    check_unit_interval(tail_gamma, "tail_gamma")
     return ExpectationBracket(low, low + residual / tail_gamma)
-
-
-def _law(mass: np.ndarray, residual: float, tail_gamma: float | None):
-    """Table, tails P{value > n} and expectation bracket of a propagated law.
-
-    Tails are the residual plus suffix sums of the mass, never
-    ``1 - cumsum(mass)``, so deep tails keep their relative precision and
-    the tail at the horizon is exactly the residual.
-    """
-    tails = residual + np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
-    low = float(tails[:-1].sum())
-    return DistributionTable(mass=mass, residual=residual), tails, _tail_bracket(low, residual, tail_gamma)
 
 
 @dataclass(frozen=True, eq=False)
 class HittingResult:
-    """Exact law of the first hitting time of the target set."""
+    """Exact law of a first hitting time (the meeting time for the product
+    chain); ``conservation_error`` is the worst per-step defect of
+    absorbed-plus-live mass."""
 
     table: DistributionTable
     tails: np.ndarray
     expectation: ExpectationBracket
+    conservation_error: float
+
+
+def _absorb(law: np.ndarray, step, target: list[int], first: int, horizon: int,
+            tail_gamma: float | None) -> HittingResult:
+    """Law of the first step n >= ``first`` at which the propagated law sits on ``target``.
+
+    ``law`` is the state law at time 0 (a vector, or the product chain's
+    matrix) and is absorbed in place; ``step(t, law)`` returns the law one
+    step after time t, and ``target`` holds flat indices into the law.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    target = np.asarray(target, dtype=np.intp)
+    mass = np.zeros(horizon + 1)
+    absorbed = conservation_error = 0.0
+    for n in range(horizon + 1):
+        if n:
+            law = step(n - 1, law)
+        if n < first:
+            continue
+        flat = law.reshape(-1)
+        hit = float(flat[target].sum())
+        flat[target] = 0.0
+        mass[n] = hit
+        absorbed += hit
+        conservation_error = max(conservation_error, abs(1.0 - (absorbed + float(law.sum()))))
+    residual = float(law.sum())
+    tails = suffix_tails(mass, residual)
+    bracket = _tail_bracket(float(tails[:-1].sum()), residual, tail_gamma)
+    return HittingResult(DistributionTable(mass, residual), tails, bracket, conservation_error)
 
 
 def hitting_time_distribution(
@@ -96,30 +128,9 @@ def hitting_time_distribution(
     (the caller asserts that P{not hit within k more steps} decays like
     ``(1 - tail_gamma)^k``) and is infinite otherwise.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     init = _check_initial(initial, schedule.space.size)
     target = sorted(targets if targets is not None else schedule.space.target_set)
-
-    mass = np.zeros(horizon + 1)
-    q = init.copy()
-    mass[0] = q[target].sum()
-    q[target] = 0.0
-    for t in range(horizon):
-        q = q @ schedule.at(t)
-        mass[t + 1] = q[target].sum()
-        q[target] = 0.0
-    return HittingResult(*_law(mass, float(q.sum()), tail_gamma))
-
-
-@dataclass(frozen=True, eq=False)
-class MeetingResult:
-    """Exact law of the first simultaneous visit (counted from step 1)."""
-
-    table: DistributionTable
-    tails: np.ndarray
-    expectation: ExpectationBracket
-    conservation_error: float
+    return _absorb(init.copy(), lambda t, q: q @ schedule.at(t), target, 0, horizon, tail_gamma)
 
 
 def product_tail(
@@ -131,17 +142,15 @@ def product_tail(
     horizon: int = 1000,
     cap: int = 10_000,
     tail_gamma: float | None = None,
-) -> MeetingResult:
+) -> HittingResult:
     """Propagate the joint law of the independent pair with absorption.
 
-    The pair is absorbed the first time both coordinates sit in the target
-    set at the same step t >= 1; the meeting time is strictly positive by
-    definition, so both chains starting inside the set still yields mass
-    at step 1, not 0.  ``conservation_error`` tracks the worst per-step
-    defect of absorbed-plus-live mass.
+    The joint law is the matrix P{X1 = i, X2 = j}, stepped by
+    ``K1^T @ J @ K2``.  The pair is absorbed the first time both
+    coordinates sit in the target set at the same step t >= 1; the meeting
+    time is strictly positive by definition, so both chains starting
+    inside the set still yields mass at step 1, not 0.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     n1 = schedule1.space.size
     n2 = schedule2.space.size
     if n1 * n2 > cap:
@@ -151,22 +160,9 @@ def product_tail(
             raise ValueError("schedules disagree on the target set; pass targets explicitly")
         targets = schedule1.space.target_set
     target = sorted(targets)
+    block = [i * n2 + j for i in target for j in target]
 
-    init1 = _check_initial(initial1, n1)
-    init2 = _check_initial(initial2, n2)
-    joint = np.outer(init1, init2)
-    block = np.ix_(target, target)
-
-    mass = np.zeros(horizon + 1)
-    absorbed_total = 0.0
-    conservation_error = 0.0
-    for t in range(1, horizon + 1):
-        joint = schedule1.at(t - 1).T @ joint @ schedule2.at(t - 1)
-        absorbed = float(joint[block].sum())
-        mass[t] = absorbed
-        absorbed_total += absorbed
-        joint[block] = 0.0
-        conservation_error = max(
-            conservation_error, abs(1.0 - (absorbed_total + float(joint.sum())))
-        )
-    return MeetingResult(*_law(mass, float(joint.sum()), tail_gamma), conservation_error)
+    joint = np.outer(_check_initial(initial1, n1), _check_initial(initial2, n2))
+    return _absorb(
+        joint, lambda t, j: schedule1.at(t).T @ j @ schedule2.at(t), block, 1, horizon, tail_gamma
+    )

@@ -15,12 +15,25 @@ from typing import Iterable
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+INITIAL_SUM_TOL = 1e-12
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _check_initial(initial, size: int) -> np.ndarray:
+    """An initial law on ``size`` states as a float vector; raises ValueError otherwise."""
+    init = np.asarray(initial, dtype=float)
+    if init.shape != (size,):
+        raise ValueError(f"initial vector must have length {size}")
+    if (init < 0).any():
+        raise ValueError("initial vector has a negative entry")
+    if abs(float(init.sum()) - 1.0) > INITIAL_SUM_TOL:
+        raise ValueError(f"initial vector sums to {float(init.sum()):.12g}, not 1")
+    return init
 
 
 @dataclass(frozen=True)
@@ -51,9 +64,6 @@ class PeriodicTail:
             raise ValueError("periodic tail needs at least one entry")
         object.__setattr__(self, "values", tuple(_frozen_array(v) for v in self.values))
 
-    def at(self, t: int) -> np.ndarray:
-        return self.values[t % len(self.values)]
-
     @property
     def period(self) -> int:
         return len(self.values)
@@ -65,26 +75,31 @@ def ConstantTail(value) -> PeriodicTail:
 
 
 class _BodyThenTail:
-    """Per-step entries: ``body[t]`` for t < len(body), then ``tail.at(t)``."""
+    """Per-step entries: ``phases`` is the body, then one tail cycle, and
+    ``phase(t)`` (the one copy of the body/cycle rule) indexes it."""
 
     body: tuple[np.ndarray, ...]
     tail: PeriodicTail
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(_frozen_array(m) for m in self.body))
+        object.__setattr__(self, "phases", (*self.body, *self.tail.values))
+
+    def phase(self, t: int) -> int:
+        """Index into ``phases`` of the entry governing the step from time t."""
+        if t < 0:
+            raise ValueError("time index must be nonnegative")
+        n = len(self.body)
+        return t if t < n else n + t % self.tail.period
 
     def at(self, t: int) -> np.ndarray:
         """The entry governing the step from time t to time t + 1."""
-        if t < 0:
-            raise ValueError("time index must be nonnegative")
-        if t < len(self.body):
-            return self.body[t]
-        return self.tail.at(t)
+        return self.phases[self.phase(t)]
 
     def labeled(self) -> tuple[tuple[str, np.ndarray], ...]:
         """All distinct entries the schedule can produce, with labels."""
-        return tuple([(f"body[{i}]", m) for i, m in enumerate(self.body)]
-                     + [(f"tail[{i}]", m) for i, m in enumerate(self.tail.values)])
+        n = len(self.body)
+        return tuple((f"body[{i}]" if i < n else f"tail[{i - n}]", m) for i, m in enumerate(self.phases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +166,11 @@ class BirthDeathSpec(_BodyThenTail):
 
     def min_alpha_at_zero(self) -> float:
         """inf over t of the stay probability at state 0 (exact on this representation)."""
-        return min(float(r[0]) for _, r in self.labeled())
+        return min(float(r[0]) for r in self.phases)
 
     def sup_alpha_product(self) -> float:
         """sup over t, j of alpha(t, j) * (1 - alpha(t, j))."""
-        return max(float((r * (1.0 - r)).max()) for _, r in self.labeled())
+        return max(float((r * (1.0 - r)).max()) for r in self.phases)
 
     @property
     def size(self) -> int:

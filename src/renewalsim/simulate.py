@@ -18,52 +18,30 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernel import KernelSchedule
+from .exact import suffix_tails
+from .kernel import KernelSchedule, _check_initial
 from .rng import derive_stream, stream_keys, uniforms
-
-INITIAL_SUM_TOL = 1e-12
-
-
-def _check_initial(initial, size: int) -> np.ndarray:
-    init = np.asarray(initial, dtype=float)
-    if init.shape != (size,):
-        raise ValueError(f"initial vector must have length {size}")
-    if (init < 0).any():
-        raise ValueError("initial vector has a negative entry")
-    if abs(float(init.sum()) - 1.0) > INITIAL_SUM_TOL:
-        raise ValueError(f"initial vector sums to {float(init.sum()):.12g}, not 1")
-    return init
 
 
 class _Sampler:
-    """Cumulative-row tables for one schedule, built once and read many times.
+    """One cumulative table per schedule phase, picked by the schedule's ``phase(t)``:
+    Python rows for the scalar :func:`_draw` (``rows_at``) and an
+    :class:`_InverseCdf` for a batch of chains (:meth:`draw`)."""
 
-    ``rows_at`` serves the scalar :func:`_draw`; :meth:`draw` steps a whole
-    batch of chains at once.
-    """
-
-    __slots__ = ("body", "tail", "body_len", "period", "size", "tables")
+    __slots__ = ("phase", "size", "rows", "tables")
 
     def __init__(self, schedule: KernelSchedule):
-        def cum_rows(m: np.ndarray) -> list[list[float]]:
-            return [list(np.cumsum(row)) for row in m]
-
-        self.body = [cum_rows(m) for m in schedule.body]
-        self.tail = [cum_rows(m) for m in schedule.tail.values]
-        self.body_len = len(self.body)
-        self.period = len(self.tail)
+        self.phase = schedule.phase
         self.size = schedule.space.size
-        self.tables = [_InverseCdf(np.cumsum(m, axis=1)) for m in (*schedule.body, *schedule.tail.values)]
+        self.rows = [[list(np.cumsum(row)) for row in m] for m in schedule.phases]
+        self.tables = [_InverseCdf(np.cumsum(m, axis=1)) for m in schedule.phases]
 
     def rows_at(self, t: int) -> list[list[float]]:
-        if t < self.body_len:
-            return self.body[t]
-        return self.tail[t % self.period]
+        return self.rows[self.phase(t)]
 
     def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of chains at ``states`` for the step from t, given uniforms u."""
-        phase = t if t < self.body_len else self.body_len + t % self.period
-        return self.tables[phase](states, u)
+        return self.tables[self.phase(t)](states, u)
 
 
 def _draw(cum: list[float], u: float, size: int) -> int:
@@ -300,8 +278,8 @@ def _simulate_pair(sampler1, sampler2, cum_init1, cum_init2, targets, horizon, r
     """
     n1, n2 = sampler1.size, sampler2.size
     uniform = rng.random
-    rows1 = sampler1.rows_at
-    rows2 = sampler2.rows_at
+    phase1, rows1 = sampler1.phase, sampler1.rows
+    phase2, rows2 = sampler2.phase, sampler2.rows
     x1 = _draw(cum_init1, uniform(), n1)
     x2 = _draw(cum_init2, uniform(), n2)
     r1 = [0] if x1 in targets else []
@@ -310,9 +288,9 @@ def _simulate_pair(sampler1, sampler2, cum_init1, cum_init2, targets, horizon, r
     trials: TrialSequence | None = None
     t = 0
     while t < horizon:
-        s = bisect_right(rows1(t)[x1], uniform())
+        s = bisect_right(rows1[phase1(t)][x1], uniform())
         x1 = s if s < n1 else n1 - 1
-        s = bisect_right(rows2(t)[x2], uniform())
+        s = bisect_right(rows2[phase2(t)][x2], uniform())
         x2 = s if s < n2 else n2 - 1
         t += 1
         in1 = x1 in targets
@@ -372,7 +350,7 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
             n_trials[offset] = trials.first_success
         if keep_traces:
             traces.append(RenewalTrace(tuple(r1), tuple(r2), t_meet, trials))
-    return start, meeting, hit1, hit2, n_trials, traces
+    return meeting, hit1, hit2, n_trials, traces
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,8 +393,11 @@ def estimate_joint_renewal(
     ``workers`` value because every path draws from its own derived
     stream and aggregation runs in path order.
     """
+    if tail_len < 0:
+        raise ValueError("tail_len must be nonnegative")
     tail_len = min(tail_len, plan.horizon)
     ranges = _split_ranges(plan.n_paths, workers)
+    # both branches build parts in range order, so path order is kept
     if workers <= 1 or len(ranges) == 1:
         parts = [_simulate_range(plan, a, b, n0, trial_scan, keep_traces) for a, b in ranges]
     else:
@@ -426,15 +407,11 @@ def estimate_joint_renewal(
                 for a, b in ranges
             ]
             parts = [f.result() for f in futures]
-    parts.sort(key=lambda part: part[0])
 
-    meeting = np.concatenate([p[1] for p in parts])
-    hit1 = np.concatenate([p[2] for p in parts])
-    hit2 = np.concatenate([p[3] for p in parts])
-    n_trials = np.concatenate([p[4] for p in parts])
+    meeting, hit1, hit2, n_trials = (np.concatenate([p[i] for p in parts]) for i in range(4))
     traces: tuple[RenewalTrace, ...] | None = None
     if keep_traces:
-        traces = tuple(trace for p in parts for trace in p[5])
+        traces = tuple(trace for p in parts for trace in p[4])
 
     censored_mask = meeting < 0
     censored = int(censored_mask.sum())
@@ -442,9 +419,11 @@ def estimate_joint_renewal(
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(plan.n_paths)) if plan.n_paths > 1 else 0.0
 
+    # P{T > n} for n = 0..tail_len: the paths meeting at each lag, with
+    # censored paths and meetings past tail_len in the last bin
     effective = np.where(censored_mask, plan.horizon + 1, meeting)
-    lags = np.arange(tail_len + 1)
-    tail = (effective[None, :] > lags[:, None]).mean(axis=1)
+    counts = np.bincount(np.minimum(effective, tail_len + 1), minlength=tail_len + 2)
+    tail = suffix_tails(counts[:-1], counts[-1]) / plan.n_paths
     tail_se = np.sqrt(tail * (1.0 - tail) / plan.n_paths)
 
     return JointRenewalEstimate(

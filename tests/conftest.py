@@ -1,7 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from renewalsim import ConstantTail, KernelSchedule, PeriodicTail, StateSpace
+
+# Tier-1 draws the same examples on every run, so a pass or a failure
+# reproduces.  HYPOTHESIS_PROFILE=explore draws fresh random examples, for
+# hunting new cases by hand.  Per-test settings (max_examples, deadline)
+# apply on top of either profile.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 def two_state(p00: float, p10: float) -> KernelSchedule:

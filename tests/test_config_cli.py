@@ -121,11 +121,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="one entry"):
             load_scenario(demo_config(chain1=chain, initial1=[1.0, 0.0]))
 
-    @pytest.mark.parametrize("override", [{"horizon": "abc"}, {"regularity": "x"}])
+    @pytest.mark.parametrize("override", [
+        {"horizon": "abc"},
+        {"regularity": "x"},
+        {"horizon": 1.5},
+        {"n_paths": 2.5},
+        {"tail_len": 1.5},
+        {"tail_len": -5},
+        {"seed": 0.5},
+        {"seed": True},
+        {"domination": {"p": 0.75, "series_len": 400.5}},
+    ])
     def test_bad_value_is_exit_3(self, tmp_path, override):
         path = write_config(tmp_path, demo_config(**override))
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
         assert not (tmp_path / "t_simulate.json").exists()
+
+    @pytest.mark.parametrize("sub", ["simulate", "exact", "condition-check", "bound"])
+    def test_negative_tail_len_is_exit_3(self, tmp_path, sub):
+        path = write_config(tmp_path, demo_config(tail_len=-5))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / f"t_{sub}.json").exists()
+
+    def test_integral_counts_are_read_as_int(self):
+        scenario = load_scenario(demo_config(horizon=300.0, n_paths=800.0, seed=99.0, tail_len=40.0))
+        assert (scenario.horizon, scenario.n_paths, scenario.master_seed, scenario.tail_len) == (300, 800, 99, 40)
+        assert all(type(v) is int for v in (scenario.horizon, scenario.n_paths, scenario.master_seed,
+                                             scenario.tail_len, scenario.series_len))
 
     @pytest.mark.parametrize("sub, regularity", [
         ("compare", {"source": "analytic", "mu_hat": "x"}),
@@ -278,6 +300,17 @@ class TestCliExitCodes:
             assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
             report = load_report(tmp_path, f"t_{sub}.json")
             assert "n_paths must be at least 1" in report["results"]["error"]
+            assert "gamma" not in report["results"]
+
+    def test_regularity_scan_checks_its_initial_law(self, tmp_path):
+        # sums to 1 but has a negative entry; simulate and exact already refuse it
+        cfg = demo_config(initial1=[2, -1, 0, 0, 0, 0, 0, 0, 0],
+                          regularity={"source": "empirical", "n_paths": 300})
+        path = write_config(tmp_path, cfg)
+        for sub in ("condition-check", "compare", "simulate", "exact"):
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+            report = load_report(tmp_path, f"t_{sub}.json")
+            assert "initial vector has a negative entry" in report["results"]["error"]
             assert "gamma" not in report["results"]
 
     def test_renewal_tails_without_paths_is_exit_1(self, tmp_path):

@@ -8,8 +8,10 @@ from renewalsim import (
     KernelSchedule,
     SimulationPlan,
     StateSpace,
+    birth_death_schedule,
     estimate_joint_renewal,
     hitting_time_distribution,
+    periodic_birth_death,
     product_tail,
 )
 
@@ -64,6 +66,12 @@ class TestHittingTime:
         sched = two_state(0.42, 0.3)
         res = hitting_time_distribution(sched, [0.25, 0.75], horizon=300)
         assert res.table.mass_defect() < 1e-10
+
+    def test_conservation_error_stays_at_rounding_level(self):
+        schedule = birth_death_schedule(periodic_birth_death(20, [0.6, 0.55, 0.7]))
+        res = hitting_time_distribution(schedule, np.eye(21)[12], horizon=2000)
+        assert res.conservation_error < 1e-12
+        assert res.table.mass_defect() < 1e-12
 
     def test_agrees_with_linear_solve(self):
         for p00, p10 in [(0.3, 0.5), (0.9, 0.1), (0.5, 0.25)]:

@@ -84,6 +84,43 @@ class TestBatchedDraw:
         assert sampler.draw(1, np.array([4]), np.array([0.99999995])).tolist() == [5]
 
 
+class TestPhaseRule:
+    """``schedule.at``, ``_Sampler.rows_at`` and ``_Sampler.draw`` pick the same phase."""
+
+    @staticmethod
+    def _schedule():
+        # phase k sends every state to state k, so each step shows its phase:
+        # two body matrices, then a period-3 cycle
+        mats = [np.tile(np.eye(5)[k], (5, 1)) for k in range(5)]
+        return KernelSchedule(StateSpace(5, frozenset({0})), tuple(mats[:2]), PeriodicTail(tuple(mats[2:])))
+
+    @staticmethod
+    def _disagreements(schedule, sampler, steps=31):
+        states = np.arange(sampler.size)
+        out = []
+        for t in range(steps):
+            expected = t if t < 2 else 2 + t % 3
+            picked = {
+                "at": set(schedule.at(t).argmax(axis=1).tolist()),
+                "rows_at": {_draw(row, 0.5, sampler.size) for row in sampler.rows_at(t)},
+                "draw": set(sampler.draw(t, states, np.full(len(states), 0.5)).tolist()),
+            }
+            out += [(t, name) for name, got in picked.items() if got != {expected}]
+        return out
+
+    def test_every_reader_picks_the_schedule_phase(self):
+        schedule = self._schedule()
+        assert len(schedule.phases) == 5
+        assert [schedule.phase(t) for t in range(8)] == [0, 1, 4, 2, 3, 4, 2, 3]
+        assert self._disagreements(schedule, _Sampler(schedule)) == []
+
+    def test_tail_anchored_at_body_end_is_caught(self):
+        schedule = self._schedule()
+        wrong = _Sampler(schedule)
+        wrong.phase = lambda t: t if t < 2 else 2 + (t - 2) % 3
+        assert {name for _, name in self._disagreements(schedule, wrong)} == {"rows_at", "draw"}
+
+
 class TestExtractRenewals:
     def test_interior_visits(self):
         gaps, times = extract_renewals([1, 0, 0, 2, 0], {0})
@@ -228,6 +265,21 @@ class TestEstimateJointRenewal:
         for n in range(11):
             direct = np.mean([(t < 0 or t > n) for t in est.meeting_times])
             assert est.tail[n] == pytest.approx(direct)
+
+    def test_tail_counts_censored_paths_at_every_lag(self):
+        sched = two_state(0.5, 0.1)
+        plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 1),
+                              horizon=12, n_paths=500, master_seed=5)
+        est = estimate_joint_renewal(plan, tail_len=plan.horizon)
+        assert 0 < est.censored < plan.n_paths
+        effective = np.where(est.meeting_times < 0, plan.horizon + 1, est.meeting_times)
+        assert len(est.tail) == plan.horizon + 1
+        for n in range(plan.horizon + 1):
+            assert est.tail[n] == (effective > n).mean()
+        # a longer request stops at the horizon; a negative one is refused
+        assert np.array_equal(estimate_joint_renewal(plan, tail_len=50).tail, est.tail)
+        with pytest.raises(ValueError, match="tail_len"):
+            estimate_joint_renewal(plan, tail_len=-1)
 
     def test_mismatched_target_sets_rejected(self):
         a = two_state(0.5, 0.5)
