@@ -73,7 +73,7 @@ class TrialStats:
 
     ``table[k, j]`` estimates the probability that the k-th partial sum of
     the trial gaps equals j while the first success has not occurred
-    before trial k.  Built from traces where both chains start inside the
+    before trial k.  Built from paths where both chains start inside the
     target set.
     """
 
@@ -86,29 +86,22 @@ class TrialStats:
         return self.table.sum(axis=0)
 
 
-def trial_statistics(traces, max_sum: int, max_trials: int | None = None) -> TrialStats:
-    """Accumulate the trial-sum table from both-started-in-target traces."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    for trace in traces:
-        if trace.first_hit(1) != 0 or trace.first_hit(2) != 0:
-            raise ValueError("trial statistics require both chains to start in the target set")
+def trial_statistics(
+    estimate: JointRenewalEstimate, max_sum: int, max_trials: int | None = None
+) -> TrialStats:
+    """Accumulate the trial-sum table from an estimate whose chains both start in the target set."""
+    if (estimate.first_hit1 != 0).any() or (estimate.first_hit2 != 0).any():
+        raise ValueError("trial statistics require both chains to start in the target set")
     if max_trials is None:
-        max_trials = max(
-            (t.trials.first_success for t in traces if t.trials.first_success is not None),
-            default=0,
-        )
-    table = np.zeros((max_trials + 1, max_sum + 1))
-    for trace in traces:
-        trials = trace.trials
-        stop = trials.first_success
-        upto = len(trials.sums) - 1 if stop is None else stop
-        for k in range(min(upto, max_trials) + 1):
-            j = trials.sums[k]
-            if j <= max_sum:
-                table[k, j] += 1.0
-    return TrialStats(table=table / len(traces), n_traces=len(traces))
+        max_trials = int(estimate.trials_to_success.max(initial=0))
+    sums, lengths = estimate.trial_sums, estimate.trial_lengths
+    # trial k of each path: its position within that path's run of sums
+    k = np.arange(len(sums)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keep = (k <= max_trials) & (sums <= max_sum)
+    cells = (max_trials + 1) * (max_sum + 1)
+    counts = np.bincount(k[keep] * (max_sum + 1) + sums[keep], minlength=cells)
+    table = counts.reshape(max_trials + 1, max_sum + 1) / estimate.n_paths
+    return TrialStats(table=table, n_traces=estimate.n_paths)
 
 
 def meeting_tail_envelope(
@@ -318,9 +311,7 @@ def full_report(
         master_seed=master_seed,
     )
     starts_in_target = _starts_in_target(plan)
-    mc = estimate_joint_renewal(
-        plan, workers=workers, keep_traces=starts_in_target, tail_len=tail_len, n0=certificate.n0
-    )
+    mc = estimate_joint_renewal(plan, workers=workers, tail_len=tail_len, n0=certificate.n0)
 
     warnings: list[str] = []
     if mc.censoring_rate > 0:
@@ -342,8 +333,8 @@ def full_report(
             )
 
     tail_env = None
-    if starts_in_target and mc.traces:
-        stats = trial_statistics(mc.traces, max_sum=tail_len)
+    if starts_in_target:
+        stats = trial_statistics(mc, max_sum=tail_len)
         tail_env = meeting_tail_envelope(envelope, certificate.n0, stats, tail_len)
         # first-gap term of the decomposition: P(S_0 > n) <= envelope[n - n0]
         tail_env += _shifted(envelope, certificate.n0, tail_len)

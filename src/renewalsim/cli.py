@@ -4,7 +4,7 @@ Subcommands: validate, simulate, exact, condition-check, bound, compare,
 and birth-death-demo.  Every run writes one JSON report (and optional
 CSVs with --format csv) into --out-dir.  Exit codes: 0 success, 1
 validation failure, 2 statistical-check failure, 3 I/O or config error.
-Every subcommand validates both schedules before it runs.
+Every subcommand validates both schedules and initial laws before it runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__, bounds, domination, exact
 from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
-from .kernel import validate_schedule
+from .kernel import _check_initial, validate_schedule
 from .simulate import SimulationPlan, estimate_joint_renewal
 
 
@@ -340,6 +340,11 @@ def run(args: argparse.Namespace) -> int:
     report = _report_skeleton(scenario, args.subcommand)
     try:
         violations = validate_schedule(scenario.schedule1) + validate_schedule(scenario.schedule2)
+        for name, initial in (("initial1", scenario.initial1), ("initial2", scenario.initial2)):
+            try:
+                _check_initial(initial, len(initial))
+            except ValueError as err:
+                violations.append(f"config.{name}: {err}")
         if args.subcommand == "validate":
             report["results"].update(violations=violations, valid=not violations)
         if violations:

@@ -62,7 +62,7 @@ def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> Peri
 
 
 def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
-    cap = int(_require(obj, "cap", where))
+    cap = _integral(_require(obj, "cap", where), f"{where}.cap")
     body = tuple(_as_alpha_row(r, cap, f"{where}.alpha_table[{i}]")
                  for i, r in enumerate(obj.get("alpha_table", [])))
     tail = _parse_tail(obj, "alphas", lambda r, at: _as_alpha_row(r, cap, at), where, one_entry=True)
@@ -73,7 +73,7 @@ def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
 
 
 def _parse_explicit(obj: dict, target_set, where: str) -> KernelSchedule:
-    states = int(_require(obj, "states", where))
+    states = _integral(_require(obj, "states", where), f"{where}.states")
     body = tuple(np.asarray(m, dtype=float) for m in obj.get("body", []))
     tail = _parse_tail(obj, "matrices", lambda m, at: np.asarray(m, dtype=float), where, one_entry=False)
     try:
@@ -85,7 +85,7 @@ def _parse_explicit(obj: dict, target_set, where: str) -> KernelSchedule:
 
 def _parse_initial(value, size: int, where: str) -> np.ndarray:
     if isinstance(value, dict):
-        state = int(_require(value, "state", where))
+        state = _integral(_require(value, "state", where), f"{where}.state")
         if not 0 <= state < size:
             raise ConfigError(f"{where}: state {state} outside 0..{size - 1}")
         out = np.zeros(size)

@@ -239,10 +239,6 @@ class RenewalTrace:
     def censored(self) -> bool:
         return self.meeting_time is None
 
-    def first_hit(self, chain: int) -> int | None:
-        times = self.renewals1 if chain == 1 else self.renewals2
-        return times[0] if times else None
-
 
 @dataclass(frozen=True, eq=False)
 class SimulationPlan:
@@ -332,6 +328,8 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     hit1 = np.full(count, -1, dtype=np.int64)
     hit2 = np.full(count, -1, dtype=np.int64)
     n_trials = np.full(count, -1, dtype=np.int64)
+    sums: list[int] = []
+    lengths = np.empty(count, dtype=np.int64)
     traces: list[RenewalTrace] = []
 
     for offset in range(count):
@@ -348,14 +346,20 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
             hit2[offset] = r2[0]
         if trials.first_success is not None:
             n_trials[offset] = trials.first_success
+        sums.extend(trials.sums)
+        lengths[offset] = len(trials.sums)
         if keep_traces:
             traces.append(RenewalTrace(tuple(r1), tuple(r2), t_meet, trials))
-    return meeting, hit1, hit2, n_trials, traces
+    return meeting, hit1, hit2, n_trials, np.array(sums, dtype=np.int64), lengths, traces
 
 
 @dataclass(frozen=True, eq=False)
 class JointRenewalEstimate:
-    """Monte Carlo summary of the simultaneous renewal time over a plan."""
+    """Monte Carlo summary of the simultaneous renewal time over a plan.
+
+    ``trial_sums`` holds every path's landing-trial partial sums end to
+    end, in path order; path i contributes ``trial_lengths[i]`` of them.
+    """
 
     n_paths: int
     horizon: int
@@ -372,6 +376,8 @@ class JointRenewalEstimate:
     first_hit1: np.ndarray
     first_hit2: np.ndarray
     trials_to_success: np.ndarray
+    trial_sums: np.ndarray
+    trial_lengths: np.ndarray
     traces: tuple[RenewalTrace, ...] | None
 
 
@@ -408,10 +414,10 @@ def estimate_joint_renewal(
             ]
             parts = [f.result() for f in futures]
 
-    meeting, hit1, hit2, n_trials = (np.concatenate([p[i] for p in parts]) for i in range(4))
+    meeting, hit1, hit2, n_trials, sums, lengths = (np.concatenate([p[i] for p in parts]) for i in range(6))
     traces: tuple[RenewalTrace, ...] | None = None
     if keep_traces:
-        traces = tuple(trace for p in parts for trace in p[4])
+        traces = tuple(trace for p in parts for trace in p[6])
 
     censored_mask = meeting < 0
     censored = int(censored_mask.sum())
@@ -442,6 +448,8 @@ def estimate_joint_renewal(
         first_hit1=hit1,
         first_hit2=hit2,
         trials_to_success=n_trials,
+        trial_sums=sums,
+        trial_lengths=lengths,
         traces=traces,
     )
 

@@ -287,7 +287,7 @@ def test_criterion_7_tail_envelope_as_stated(showcase):
     # double sum, which covers the rest of the decomposition and is 0 at lag 0.
     est, _ = showcase
     envelope = walk_dominating_sequence(0.75, 2000)
-    stats = trial_statistics(est.traces, max_sum=200)
+    stats = trial_statistics(est, max_sum=200)
     s_hat = meeting_tail_envelope(envelope, 0, stats, 200)
     bound = s_hat + np.array([envelope.at(n) for n in range(201)])
     sched = birth_death_schedule(constant_birth_death(50, 0.75))
@@ -309,7 +309,7 @@ def test_criterion_7_tail_envelope_as_stated(showcase):
 def test_criterion_7_time_scan_with_first_gap_term(showcase_time_scan):
     est = showcase_time_scan
     envelope = walk_dominating_sequence(0.75, 2000)
-    stats = trial_statistics(est.traces, max_sum=200)
+    stats = trial_statistics(est, max_sum=200)
     s_hat = meeting_tail_envelope(envelope, 0, stats, 200)
     corrected = s_hat + np.array([envelope.at(n) for n in range(201)])
     tail, se = _trial_sum_tail(est, 200)

@@ -151,27 +151,69 @@ class TestMeetingTailEnvelope:
         assert out[1] == pytest.approx(4.0)
 
 
+def _reference_table(traces, max_sum, max_trials=None):
+    """The trial-sum table by a loop over kept traces, as trial_statistics once built it."""
+    traces = list(traces)
+    if max_trials is None:
+        max_trials = max(
+            (t.trials.first_success for t in traces if t.trials.first_success is not None),
+            default=0,
+        )
+    table = np.zeros((max_trials + 1, max_sum + 1))
+    for trace in traces:
+        trials = trace.trials
+        stop = trials.first_success
+        upto = len(trials.sums) - 1 if stop is None else stop
+        for k in range(min(upto, max_trials) + 1):
+            j = trials.sums[k]
+            if j <= max_sum:
+                table[k, j] += 1.0
+    return table / len(traces)
+
+
 class TestTrialStatistics:
-    def _traces(self):
+    def _estimate(self):
         sched = birth_death_schedule(constant_birth_death(10, 0.75))
         plan = SimulationPlan(sched, sched, delta(11, 0), delta(11, 0),
                               horizon=500, n_paths=400, master_seed=5)
-        return estimate_joint_renewal(plan, keep_traces=True).traces
+        return estimate_joint_renewal(plan)
 
     def test_table_masses_are_probabilities(self):
-        stats = trial_statistics(self._traces(), max_sum=50)
+        stats = trial_statistics(self._estimate(), max_sum=50)
         assert (stats.table >= 0).all()
         # row k mass equals P(scan alive at trial k with sum <= 50)
         assert stats.table[0].sum() == pytest.approx(1.0, abs=0.05)
         assert stats.table.sum(axis=1).max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("scan", ["printed", "time"])
+    @pytest.mark.parametrize("horizon, n0, max_sum, max_trials", [
+        (500, 0, 50, None),
+        (500, 0, 6, 2),
+        (500, 2, 200, 0),
+        (500, 2, 30, None),
+        (4, 0, 3, None),  # unresolved (censored) scans
+        (4, 1, 40, 1),
+    ])
+    def test_table_equals_the_traces_loop(self, scan, horizon, n0, max_sum, max_trials):
+        sched = birth_death_schedule(constant_birth_death(10, 0.75))
+        plan = SimulationPlan(sched, sched, delta(11, 0), delta(11, 0),
+                              horizon=horizon, n_paths=400, master_seed=5)
+        est = estimate_joint_renewal(plan, keep_traces=True, n0=n0, trial_scan=scan)
+        if horizon == 4:
+            assert (est.trials_to_success < 0).any()
+        stats = trial_statistics(est, max_sum=max_sum, max_trials=max_trials)
+        reference = _reference_table(est.traces, max_sum, max_trials)
+        assert stats.table.shape == reference.shape
+        assert (stats.table == reference).all()
+        assert stats.n_traces == plan.n_paths
+
     def test_requires_starts_in_target(self):
         sched = birth_death_schedule(constant_birth_death(10, 0.75))
         plan = SimulationPlan(sched, sched, delta(11, 1), delta(11, 0),
                               horizon=500, n_paths=50, master_seed=5)
-        traces = estimate_joint_renewal(plan, keep_traces=True).traces
+        est = estimate_joint_renewal(plan)
         with pytest.raises(ValueError):
-            trial_statistics(traces, max_sum=20)
+            trial_statistics(est, max_sum=20)
 
 
 class TestFullReport:
@@ -188,6 +230,7 @@ class TestFullReport:
         assert report.comparison.verdict == "first_moment_tighter"
         assert report.mc.mean + 3 * report.mc.se < report.bound
         assert report.tail_envelope is not None
+        assert report.mc.traces is None  # the table comes from the estimate's arrays
         sched = birth_death_schedule(spec)
         exact = product_tail(sched, sched, delta(31, 0), delta(31, 0), horizon=100).tails
         # the first-gap term keeps lag 0 at the head value 1/p, above P(T > 0) = 1

@@ -29,6 +29,10 @@ def demo_config(**overrides):
     return cfg
 
 
+def birth_death_chain(cap):
+    return {"birth_death": {"cap": cap, "tail": {"kind": "constant", "alphas": 0.75}}}
+
+
 def explicit_chain(matrix):
     return {"states": 2, "body": [], "tail": {"kind": "constant", "matrices": [matrix]}}
 
@@ -131,6 +135,14 @@ class TestConfig:
         {"seed": 0.5},
         {"seed": True},
         {"domination": {"p": 0.75, "series_len": 400.5}},
+        {"chain1": birth_death_chain(8.5)},
+        {"chain1": birth_death_chain(True)},
+        {"chain1": birth_death_chain("3")},
+        {"chain1": {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 2.5}, "initial1": [1.0, 0.0]},
+        {"chain1": {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": "2"}, "initial1": [1.0, 0.0]},
+        {"initial1": {"state": 0.5}},
+        {"initial1": {"state": True}},
+        {"initial2": {"state": "3"}},
     ])
     def test_bad_value_is_exit_3(self, tmp_path, override):
         path = write_config(tmp_path, demo_config(**override))
@@ -148,6 +160,13 @@ class TestConfig:
         assert (scenario.horizon, scenario.n_paths, scenario.master_seed, scenario.tail_len) == (300, 800, 99, 40)
         assert all(type(v) is int for v in (scenario.horizon, scenario.n_paths, scenario.master_seed,
                                              scenario.tail_len, scenario.series_len))
+
+    def test_integral_sizes_are_read_as_int(self):
+        scenario = load_scenario(demo_config(chain1=birth_death_chain(8.0), initial2={"state": 0.0}))
+        assert scenario.spec1.cap == 8 and type(scenario.spec1.cap) is int
+        assert scenario.initial2.tolist() == [1.0] + [0.0] * 8
+        chain = {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 2.0}
+        assert load_scenario(demo_config(chain1=chain, initial1=[1.0, 0.0])).schedule1.space.size == 2
 
     @pytest.mark.parametrize("sub, regularity", [
         ("compare", {"source": "analytic", "mu_hat": "x"}),
@@ -312,6 +331,18 @@ class TestCliExitCodes:
             report = load_report(tmp_path, f"t_{sub}.json")
             assert "initial vector has a negative entry" in report["results"]["error"]
             assert "gamma" not in report["results"]
+
+    @pytest.mark.parametrize("key, initial, message", [
+        ("initial1", [2, -1, 0, 0, 0, 0, 0, 0, 0], "initial vector has a negative entry"),
+        ("initial2", [0.5, 0.2, 0, 0, 0, 0, 0, 0, 0], "initial vector sums to 0.7, not 1"),
+    ])
+    def test_invalid_initial_law_fails_validate(self, tmp_path, key, initial, message):
+        path = write_config(tmp_path, demo_config(**{key: initial}))
+        for sub in ("validate", "simulate"):
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+            report = load_report(tmp_path, f"t_{sub}.json")
+            assert f"config.{key}: {message}" in report["results"]["error"]
+        assert load_report(tmp_path, "t_validate.json")["results"]["valid"] is False
 
     def test_renewal_tails_without_paths_is_exit_1(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_paths=0))

@@ -64,3 +64,31 @@ def test_every_count_extractor_reads_a_real_call(tracing):
         assert counts, span_name
         for key, value in counts.items():
             assert isinstance(value, numbers.Real) and np.isfinite(value), (span_name, key, value)
+
+
+def test_traced_pass_path_invariants_hold(monkeypatch):
+    # perfbench's traced pass requires one derived stream per path and at
+    # least one trial scan per path that meets; it checks them only under
+    # --trace 1, so tier-1 keeps them true here.
+    import renewalsim.simulate as simulate
+
+    calls = {"derive_stream": 0, "trial_sequence": 0}
+
+    def counting(name):
+        original = getattr(simulate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counting(name))
+    schedule = birth_death_schedule(periodic_birth_death(6, [0.75, 0.7]))
+    start = np.eye(7)[0]
+    plan = SimulationPlan(schedule, schedule, start, start, horizon=5, n_paths=200, master_seed=4)
+    est = simulate.estimate_joint_renewal(plan, workers=1)
+    assert 0 < est.censored < plan.n_paths
+    assert calls["derive_stream"] == plan.n_paths
+    assert calls["trial_sequence"] >= plan.n_paths - est.censored

@@ -257,6 +257,23 @@ class TestEstimateJointRenewal:
         assert np.array_equal(serial.tail, parallel.tail)
         assert serial.traces == parallel.traces
 
+    @pytest.mark.parametrize("scan", ["printed", "time"])
+    @pytest.mark.parametrize("n0", [0, 2])
+    def test_flat_trial_arrays_equal_the_traces(self, scan, n0):
+        # the short horizon leaves some paths censored, some scans unresolved
+        sched = two_state(0.5, 0.1)
+        plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
+                              horizon=12, n_paths=300, master_seed=41)
+        serial = estimate_joint_renewal(plan, workers=1, keep_traces=True, n0=n0, trial_scan=scan)
+        parallel = estimate_joint_renewal(plan, workers=4, n0=n0, trial_scan=scan)
+        assert 0 < serial.censored < plan.n_paths
+        assert any(t.trials.censored and t.trials.sums for t in serial.traces)
+        sums = [s for trace in serial.traces for s in trace.trials.sums]
+        lengths = [len(trace.trials.sums) for trace in serial.traces]
+        for est in (serial, parallel):
+            assert est.trial_sums.tolist() == sums
+            assert est.trial_lengths.tolist() == lengths
+
     def test_tail_curve_matches_meeting_times(self):
         sched = two_state(0.5, 0.5)
         plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 1),
