@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernel import KernelSchedule, _check_initial
+from .kernel import ConstantTail, KernelSchedule, StateSpace, _check_initial, _target_states
 
 
 def check_unit_interval(value: float, name: str) -> None:
@@ -72,8 +72,8 @@ def _tail_bracket(low: float, residual: float, tail_gamma: float | None) -> Expe
 @dataclass(frozen=True, eq=False)
 class HittingResult:
     """Exact law of a first hitting time (the meeting time for the product
-    chain); ``conservation_error`` is the worst per-step defect of
-    absorbed-plus-live mass."""
+    chain); ``conservation_error`` is the worst defect of absorbed-plus-live
+    mass after any block or single step."""
 
     table: DistributionTable
     tails: np.ndarray
@@ -81,34 +81,91 @@ class HittingResult:
     conservation_error: float
 
 
-def _absorb(law: np.ndarray, step, target: list[int], first: int, horizon: int,
-            tail_gamma: float | None) -> HittingResult:
-    """Law of the first step n >= ``first`` at which the propagated law sits on ``target``.
+BLOCK_STEPS = 32
+BLOCK_TARGET_PAIRS = 16  # |C1| |C2| <= 16: at most 512 unknowns in a block's solve
+_POINT = KernelSchedule(StateSpace(1, frozenset({0})), (), ConstantTail([[1.0]]))  # hitting-law partner
 
-    ``law`` is the state law at time 0 (a vector, or the product chain's
-    matrix) and is absorbed in place; ``step(t, law)`` returns the law one
-    step after time t, and ``target`` holds flat indices into the law.
+
+def _block_step(side1, side2, start: int, span: int):
+    """``advance(J) -> (J', m)``: ``span`` steps from a time start + k * span.
+
+    Per side, K_i = K(start + i), P_r = K_0···K_{r-1} and C is the target.
+    The unabsorbed target mass U_r = P1_r[:, C1]^T J P2_r[:, C2] and the
+    first meetings h_r (m_r is their sum) solve U = (I + G) h, G holding
+    kron(B1^T, B2^T) of the returns B_{q,r} = (K_q···K_{r-1})[C, C]; (I + G)^-1
+    holds first-passage probabilities.  J' = P1_span^T J P2_span less
+    sum_{q<span} R1_q^T h_q R2_q, R_q = (K_q···K_{span-1})[C, :]; h, J' >= 0 by clipping.
+    """
+    sides = []
+    for schedule, target in (side1, side2):
+        n, c = schedule.space.size, len(target)
+        product, rows = np.eye(n), np.empty((0, n))
+        cols, back = np.empty((span, n, c)), np.zeros((span, span, c, c))
+        for r in range(span):
+            k = schedule.at(start + r)
+            rows = np.vstack([rows, np.eye(n)[target]]) @ k  # rows C of K_q···K_r, q = 0..r
+            back[r, :r] = rows[c:, target].reshape(r, c, c)
+            product = product @ k
+            cols[r] = product[:, target]
+        sides.append((cols, product, rows[c:].reshape(span - 1, c, n), back))
+    (cols1, full1, rows1, back1), (cols2, full2, rows2, back2) = sides
+    shape = (span, cols1.shape[2], cols2.shape[2])
+    g = np.einsum("rqai,rqbj->rijqab", back1, back2).reshape(np.prod(shape), -1)
+    inverse = np.linalg.inv(np.eye(len(g)) + g)
+    lead, carry = cols1.transpose(0, 2, 1), rows1.reshape(-1, len(full1)).T
+
+    def advance(law):
+        hits = (inverse @ (lead @ (law @ cols2)).reshape(-1)).reshape(shape)
+        law = full1.T @ law @ full2 - carry @ (hits[:-1] @ rows2).reshape(-1, law.shape[1])
+        return np.maximum(law, 0.0), np.maximum(hits, 0.0).sum(axis=(1, 2))
+
+    return advance
+
+
+def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
+            tail_gamma: float | None) -> HittingResult:
+    """Law of the first step n >= ``first`` at which both sides sit in their targets.
+
+    ``law`` is the joint law P{X1 = i, X2 = j} at time 0, stepped as
+    ``K1^T @ J @ K2``; a side is a (schedule, sorted target) pair.  Past both
+    bodies, blocks of S steps (``_block_step``; S is BLOCK_STEPS rounded down
+    to a multiple of the joint period) share one set of operators.  Single
+    steps run for body steps, the last stretch shorter than S, every step if
+    S is 0 or |C1| |C2| > BLOCK_TARGET_PAIRS, and the S steps of a block that
+    keeps under half its live mass.  The loop stops when the live law is 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    target = np.asarray(target, dtype=np.intp)
+    (schedule1, target1), (schedule2, target2) = side1, side2
+    period = math.lcm(schedule1.tail.period, schedule2.tail.period)
+    span = BLOCK_STEPS // period * period if len(target1) * len(target2) <= BLOCK_TARGET_PAIRS else 0
+    start = max(len(schedule1.body), len(schedule2.body))
+    block = np.ix_(target1, target2)
     mass = np.zeros(horizon + 1)
-    absorbed = conservation_error = 0.0
-    for n in range(horizon + 1):
-        if n:
-            law = step(n - 1, law)
-        if n < first:
-            continue
-        flat = law.reshape(-1)
-        hit = float(flat[target].sum())
-        flat[target] = 0.0
-        mass[n] = hit
-        absorbed += hit
-        conservation_error = max(conservation_error, abs(1.0 - (absorbed + float(law.sum()))))
-    residual = float(law.sum())
-    tails = suffix_tails(mass, residual)
-    bracket = _tail_bracket(float(tails[:-1].sum()), residual, tail_gamma)
-    return HittingResult(DistributionTable(mass, residual), tails, bracket, conservation_error)
+    if first == 0:
+        mass[0] = law[block].sum()
+        law[block] = 0.0
+    absorbed, live, conservation_error = mass[0], float(law.sum()), 0.0
+    t, advance = 0, None
+    while t < horizon and live > 0.0:
+        ahead = None
+        if span and t >= start and (t - start) % span == 0 and t + span <= horizon:
+            advance = advance or _block_step(side1, side2, start, span)
+            ahead, hits = advance(law)
+            ahead[block] = 0.0
+        if ahead is None or ahead.sum() < 0.5 * live:
+            ahead = schedule1.at(t).T @ law @ schedule2.at(t)
+            hits = np.array([ahead[block].sum()])
+            ahead[block] = 0.0
+        law = ahead
+        mass[t + 1:t + 1 + len(hits)] = hits
+        t += len(hits)
+        absorbed += hits.sum()
+        live = float(law.sum())
+        conservation_error = max(conservation_error, abs(1.0 - (absorbed + live)))
+    tails = suffix_tails(mass, live)
+    bracket = _tail_bracket(float(tails[:-1].sum()), live, tail_gamma)
+    return HittingResult(DistributionTable(mass, live), tails, bracket, float(conservation_error))
 
 
 def hitting_time_distribution(
@@ -128,9 +185,10 @@ def hitting_time_distribution(
     (the caller asserts that P{not hit within k more steps} decays like
     ``(1 - tail_gamma)^k``) and is infinite otherwise.
     """
-    init = _check_initial(initial, schedule.space.size)
-    target = sorted(targets if targets is not None else schedule.space.target_set)
-    return _absorb(init.copy(), lambda t, q: q @ schedule.at(t), target, 0, horizon, tail_gamma)
+    n = schedule.space.size
+    init = _check_initial(initial, n)
+    target = _target_states(targets if targets is not None else schedule.space.target_set, n)
+    return _absorb(init[:, None].copy(), (schedule, target), (_POINT, [0]), 0, horizon, tail_gamma)
 
 
 def product_tail(
@@ -151,18 +209,13 @@ def product_tail(
     time is strictly positive by definition, so both chains starting
     inside the set still yields mass at step 1, not 0.
     """
-    n1 = schedule1.space.size
-    n2 = schedule2.space.size
+    n1, n2 = schedule1.space.size, schedule2.space.size
     if n1 * n2 > cap:
         raise ValueError(f"product state count {n1 * n2} exceeds cap {cap}")
     if targets is None:
         if schedule1.space.target_set != schedule2.space.target_set:
             raise ValueError("schedules disagree on the target set; pass targets explicitly")
         targets = schedule1.space.target_set
-    target = sorted(targets)
-    block = [i * n2 + j for i in target for j in target]
-
+    target = _target_states(targets, min(n1, n2))
     joint = np.outer(_check_initial(initial1, n1), _check_initial(initial2, n2))
-    return _absorb(
-        joint, lambda t, j: schedule1.at(t).T @ j @ schedule2.at(t), block, 1, horizon, tail_gamma
-    )
+    return _absorb(joint, (schedule1, target), (schedule2, target), 1, horizon, tail_gamma)

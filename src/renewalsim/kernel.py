@@ -9,6 +9,7 @@ specs index their per-step down probabilities by the same rule.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -36,6 +37,16 @@ def _check_initial(initial, size: int) -> np.ndarray:
     return init
 
 
+def _target_states(targets: Iterable[int], size: int) -> list[int]:
+    """Sorted target states; ValueError unless a nonempty set of integers in 0..size-1."""
+    target = sorted(set(targets))
+    if not target:
+        raise ValueError("target set must be nonempty")
+    if not all(isinstance(s, numbers.Integral) and 0 <= s < size for s in target):
+        raise ValueError("target set must be a subset of {0..size-1}")
+    return target
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """States labeled 0..size-1 together with the nonempty target set."""
@@ -47,10 +58,7 @@ class StateSpace:
         object.__setattr__(self, "target_set", frozenset(self.target_set))
         if self.size < 1:
             raise ValueError("state space needs at least one state")
-        if not self.target_set:
-            raise ValueError("target set must be nonempty")
-        if not all(0 <= s < self.size for s in self.target_set):
-            raise ValueError("target set must be a subset of {0..size-1}")
+        _target_states(self.target_set, self.size)
 
 
 @dataclass(frozen=True, eq=False)

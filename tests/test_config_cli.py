@@ -143,6 +143,7 @@ class TestConfig:
         {"initial1": {"state": 0.5}},
         {"initial1": {"state": True}},
         {"initial2": {"state": "3"}},
+        {"target_set": [0.5]},
     ])
     def test_bad_value_is_exit_3(self, tmp_path, override):
         path = write_config(tmp_path, demo_config(**override))

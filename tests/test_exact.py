@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
     ConstantTail,
     KernelSchedule,
+    PeriodicTail,
     SimulationPlan,
     StateSpace,
     birth_death_schedule,
@@ -181,3 +183,143 @@ class TestTailPrecision:
             live.append(q.sum())
         assert live[-1] < 1e-20
         np.testing.assert_allclose(res.tails, live, rtol=1e-12, atol=0)
+
+
+def _reference_pair(schedule1, schedule2, initial1, initial2, targets, horizon):
+    """Plain per-step absorbing loop: P{T > n}, n = 0..horizon, for the first
+    step T >= 1 with both chains in ``targets``."""
+    law = np.outer(initial1, initial2)
+    block = np.ix_(targets, targets)
+    tails = np.empty(horizon + 1)
+    tails[0] = law.sum()
+    for n in range(1, horizon + 1):
+        law = schedule1.at(n - 1).T @ law @ schedule2.at(n - 1)
+        law[block] = 0.0
+        tails[n] = law.sum()
+    return tails
+
+
+def _reference_hitting(schedule, initial, targets, horizon):
+    """Plain per-step vector loop: P{T > n}, n = 0..horizon, for the first
+    step T >= 0 in ``targets``."""
+    q = np.array(initial, dtype=float)
+    tails = np.empty(horizon + 1)
+    for n in range(horizon + 1):
+        if n:
+            q = q @ schedule.at(n - 1)
+        q[targets] = 0.0
+        tails[n] = q.sum()
+    return tails
+
+
+def _assert_tails_match(res, ref_tails):
+    """Within 1e-12 relative where the reference exceeds 1e-280, in [0, 1e-280]
+    elsewhere; masses nonnegative and tails nonincreasing."""
+    live = ref_tails > 1e-280
+    np.testing.assert_allclose(res.tails[live], ref_tails[live], rtol=1e-12, atol=0)
+    assert ((res.tails[~live] >= 0) & (res.tails[~live] <= 1e-280)).all()
+    assert (res.table.mass >= 0).all()
+    assert (np.diff(res.tails) <= 0).all()
+
+
+@st.composite
+def _kernel(draw, n):
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=n, max_size=n))
+    m = np.array(rows)
+    empty = m.sum(axis=1) == 0
+    m[empty] = np.eye(n)[empty]  # an all-zero draw becomes an absorbing state
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _schedule(draw, n, targets):
+    body = draw(st.lists(_kernel(n), max_size=4))
+    tail = draw(st.lists(_kernel(n), min_size=1, max_size=3))
+    return KernelSchedule(StateSpace(n, frozenset(targets)), tuple(body), PeriodicTail(tuple(tail)))
+
+
+class TestBlockedAbsorption:
+    """Block propagation against the plain per-step loop ``_reference``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_per_step_reference(self, data):
+        n1, n2 = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+        targets = sorted(data.draw(
+            st.lists(st.integers(0, min(n1, n2) - 1), min_size=1, max_size=2, unique=True)))
+        s1, s2 = data.draw(_schedule(n1, targets)), data.draw(_schedule(n2, targets))
+        i1 = np.eye(n1)[data.draw(st.integers(0, n1 - 1))]
+        i2 = np.full(n2, 1.0 / n2)
+        horizon = data.draw(st.integers(1, 400))
+        res = product_tail(s1, s2, i1, i2, horizon=horizon)
+        _assert_tails_match(res, _reference_pair(s1, s2, i1, i2, targets, horizon))
+        u1 = np.full(n1, 1.0 / n1)
+        hit = hitting_time_distribution(s1, u1, horizon=horizon)
+        _assert_tails_match(hit, _reference_hitting(s1, u1, targets, horizon))
+
+    @pytest.mark.parametrize("periods, targets", [((5, 7), [0]), ((1, 1), [0, 1, 2, 3, 4])])
+    def test_single_steps_only(self, monkeypatch, periods, targets):
+        """A joint period above 32, or more than 16 target pairs, builds no block."""
+        from renewalsim import exact
+
+        monkeypatch.setattr(exact, "_block_step", lambda *a: pytest.fail("block step built"))
+        rng = np.random.default_rng(5)
+        s1, s2 = (
+            KernelSchedule(StateSpace(6, frozenset(targets)), (),
+                           PeriodicTail(tuple(rng.dirichlet(np.ones(6), 6) for _ in range(p))))
+            for p in periods
+        )
+        start = delta(6, 5)
+        res = product_tail(s1, s2, start, start, horizon=300)
+        _assert_tails_match(res, _reference_pair(s1, s2, start, start, targets, 300))
+
+    def test_fast_absorption_keeps_relative_precision(self):
+        """Blocks that would absorb most of their live mass rerun as single steps."""
+        sched = two_state(0.5, 0.5)
+        start = delta(2, 1)
+        res = product_tail(sched, sched, start, start, horizon=400)
+        _assert_tails_match(res, _reference_pair(sched, sched, start, start, [0], 400))
+        hit = hitting_time_distribution(sched, start, horizon=400)
+        _assert_tails_match(hit, _reference_hitting(sched, start, [0], 400))
+
+    def test_impossible_first_meetings_get_no_negative_mass(self):
+        """Arrivals at 0 come only at even steps and 0 only holds or leaves for
+        good, so no first meeting falls on an odd step although the pair can
+        sit in (0, 0) then: the block solve's rounding there is clipped at 0."""
+        kernel = [[0.3, 0, 0, 0.7], [0, 0, 1, 0], [0.13, 0.87, 0, 0], [0, 0, 0, 1]]
+        sched = KernelSchedule(StateSpace(4, frozenset({0})), (), ConstantTail(kernel))
+        start = delta(4, 1)
+        res = product_tail(sched, sched, start, start, horizon=400)
+        _assert_tails_match(res, _reference_pair(sched, sched, start, start, [0], 400))
+        assert res.table.mass[1::2].max() < 1e-18
+
+    def test_exact_slowmix_matches_reference(self):
+        """perfbench's exact-slowmix pair over its 12,000 steps."""
+        from renewalsim import constant_birth_death
+
+        s1 = birth_death_schedule(periodic_birth_death(99, [0.54, 0.52]))
+        s2 = birth_death_schedule(constant_birth_death(99, 0.53))
+        i1, i2 = delta(100, 60), delta(100, 40)
+        res = product_tail(s1, s2, i1, i2, horizon=12_000)
+        tails = _reference_pair(s1, s2, i1, i2, [0], 12_000)
+        np.testing.assert_allclose(res.tails, tails, rtol=1e-12, atol=0)
+        assert res.table.residual == pytest.approx(tails[-1], rel=1e-12, abs=0)
+        assert res.conservation_error < 1e-12
+
+
+class TestTargetsChecked:
+    @pytest.mark.parametrize("targets, message", [
+        ((-1,), "subset"), ((2,), "subset"), ((5,), "subset"), ((0.5,), "subset"), ((), "nonempty"),
+    ])
+    def test_bad_targets_raise(self, targets, message):
+        sched = two_state(0.5, 0.5)
+        with pytest.raises(ValueError, match=message):
+            hitting_time_distribution(sched, [0.0, 1.0], targets=targets, horizon=10)
+        with pytest.raises(ValueError, match=message):
+            product_tail(sched, sched, [0.0, 1.0], [0.0, 1.0], targets=targets, horizon=10)
+
+    def test_targets_checked_against_the_smaller_chain(self):
+        small = two_state(0.5, 0.5)
+        big = KernelSchedule(StateSpace(3, frozenset({0})), (), ConstantTail(np.full((3, 3), 1 / 3)))
+        with pytest.raises(ValueError, match="subset"):
+            product_tail(big, small, delta(3, 0), delta(2, 0), targets=(2,), horizon=10)

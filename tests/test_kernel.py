@@ -33,6 +33,10 @@ class TestStateSpace:
         with pytest.raises(ValueError):
             StateSpace(3, frozenset({3}))
 
+    def test_rejects_non_integer_target(self):
+        with pytest.raises(ValueError, match="subset"):
+            StateSpace(3, frozenset({0.5}))
+
 
 class TestValidate:
     def test_identity_schedule_is_valid(self):
