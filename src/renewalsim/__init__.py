@@ -34,7 +34,6 @@ from .domination import (
     estimate_regularity,
     estimate_renewal_tails,
     first_return_coefficients,
-    first_return_series,
     regularity_from_floor,
     return_floor,
     walk_dominating_sequence,
@@ -64,9 +63,7 @@ from .simulate import (
     SimulationPlan,
     TrialSequence,
     estimate_joint_renewal,
-    extract_renewals,
     sample_path,
-    simultaneous_renewal_time,
     trial_sequence,
 )
 
@@ -102,9 +99,7 @@ __all__ = [
     "estimate_regularity",
     "estimate_renewal_tails",
     "expectation_bound",
-    "extract_renewals",
     "first_return_coefficients",
-    "first_return_series",
     "full_report",
     "hitting_time_distribution",
     "meeting_tail_envelope",
@@ -113,7 +108,6 @@ __all__ = [
     "regularity_from_floor",
     "return_floor",
     "sample_path",
-    "simultaneous_renewal_time",
     "trial_sequence",
     "trial_statistics",
     "trial_tail_bound",

@@ -14,7 +14,6 @@ pipeline report for a birth-death pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ from .domination import (
 )
 from .kernel import BirthDeathSpec, birth_death_schedule
 from .simulate import JointRenewalEstimate, SimulationPlan, estimate_joint_renewal
-
-GOLDEN_GAMMA = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def quantity(value, provenance: str, se=None) -> dict:

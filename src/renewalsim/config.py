@@ -209,8 +209,11 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
     tail_len = _integral(raw.get("tail_len", 200), "config.tail_len")
     if tail_len < 0:
         raise ConfigError(f"config.tail_len must be nonnegative, got {tail_len}")
+    name = str(raw.get("name", "scenario"))
+    if "/" in name or "\0" in name or len(name.encode()) > 200:  # it prefixes report file names
+        raise ConfigError(f"config.name must be at most 200 bytes with no '/' or NUL, got {name!r}")
     return Scenario(
-        name=str(raw.get("name", "scenario")),
+        name=name,
         raw=raw,
         schedule1=chains[0],
         schedule2=chains[1],

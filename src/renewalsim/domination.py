@@ -57,29 +57,6 @@ def first_return_coefficients(p: float, n: int) -> np.ndarray:
     return out
 
 
-def first_return_series(p: float, n: int) -> np.ndarray:
-    """Same coefficients via the binomial series of sqrt(1 - 4p(1-p)s^2).
-
-    ``1 - sqrt(1 - u)`` expands with generic half-integer binomial
-    coefficients, computed here by their own recurrence; this is the
-    independent cross-check for :func:`first_return_coefficients`.
-    """
-    _check_walk_parameter(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    u = -4.0 * p * (1.0 - p)
-    out = np.zeros(n + 1)
-    binom = 1.0  # C(1/2, k), starting at k = 0
-    power = 1.0  # u^k
-    k = 1
-    while 2 * k <= n:
-        binom *= (0.5 - (k - 1)) / k
-        power *= u
-        out[2 * k] = -binom * power
-        k += 1
-    return out
-
-
 def walk_return_law(p: float, n: int) -> np.ndarray:
     """Unit-mass return-time law of the walk reflected at its floor.
 

@@ -39,10 +39,6 @@ class DistributionTable:
     mass: np.ndarray
     residual: float
 
-    def mass_defect(self) -> float:
-        """|1 - (total mass + residual)|."""
-        return abs(1.0 - (float(self.mass.sum()) + self.residual))
-
 
 @dataclass(frozen=True)
 class ExpectationBracket:
@@ -131,15 +127,20 @@ def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
     bodies, blocks of S steps (``_block_step``; S is BLOCK_STEPS rounded down
     to a multiple of the joint period) share one set of operators.  Single
     steps run for body steps, the last stretch shorter than S, every step if
-    S is 0 or |C1| |C2| > BLOCK_TARGET_PAIRS, and the S steps of a block that
-    keeps under half its live mass.  The loop stops when the live law is 0.
+    S is 0, |C1| |C2| > BLOCK_TARGET_PAIRS or building the operators
+    (S (n1^3 + n2^3)) costs no less than single-stepping the steps past the
+    bodies (n1 n2 (n1 + n2) each), and the S steps of a block that keeps
+    under half its live mass.  The loop stops when the live law is 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     (schedule1, target1), (schedule2, target2) = side1, side2
+    n1, n2 = law.shape
     period = math.lcm(schedule1.tail.period, schedule2.tail.period)
     span = BLOCK_STEPS // period * period if len(target1) * len(target2) <= BLOCK_TARGET_PAIRS else 0
     start = max(len(schedule1.body), len(schedule2.body))
+    if span * (n1**3 + n2**3) >= (horizon - start) * n1 * n2 * (n1 + n2):
+        span = 0
     block = np.ix_(target1, target2)
     mass = np.zeros(horizon + 1)
     if first == 0:

@@ -1,4 +1,4 @@
-"""Path sampling, renewal extraction, and the joint renewal estimator.
+"""Path sampling and the joint renewal estimator.
 
 The estimator samples independent pairs of chains and records, per path,
 the renewal times of each chain, the first simultaneous visit to the
@@ -11,10 +11,11 @@ estimates do not depend on worker count or execution order.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,29 +100,6 @@ def sample_path(schedule: KernelSchedule, initial, seed: int, horizon: int) -> n
         x = _draw(sampler.rows_at(t)[x], draws[t + 1], n)
         out[t + 1] = x
     return out
-
-
-def extract_renewals(path: Sequence[int], targets: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Renewal gaps and cumulative renewal times of one path.
-
-    The first gap is the first hitting time of the target set (zero when
-    the path starts inside it); later gaps separate consecutive visits.
-    Returns ``([], [])`` when the path never visits the target set.
-    """
-    target = frozenset(targets)
-    times = [t for t, x in enumerate(path) if int(x) in target]
-    return _gaps(times), times
-
-
-def _gaps(times: Sequence[int]) -> list[int]:
-    """Renewal gaps of renewal times: the first time, then consecutive differences."""
-    return [times[0]] + [b - a for a, b in zip(times, times[1:])] if times else []
-
-
-def simultaneous_renewal_time(tau1: Sequence[int], tau2: Sequence[int]) -> int | None:
-    """First strictly positive time present in both renewal sequences."""
-    common = {t for t in tau1 if t > 0} & {t for t in tau2 if t > 0}
-    return min(common) if common else None
 
 
 @dataclass(frozen=True)
@@ -228,14 +206,6 @@ class RenewalTrace:
     trials: TrialSequence
 
     @property
-    def gaps1(self) -> tuple[int, ...]:
-        return tuple(_gaps(self.renewals1))
-
-    @property
-    def gaps2(self) -> tuple[int, ...]:
-        return tuple(_gaps(self.renewals2))
-
-    @property
     def censored(self) -> bool:
         return self.meeting_time is None
 
@@ -267,61 +237,21 @@ class SimulationPlan:
         return self.schedule1.space.target_set
 
 
-def _simulate_pair(sampler1, sampler2, cum_init1, cum_init2, targets, horizon, rng, n0, scan):
-    """Step both chains until the meeting time and trial scan are resolved.
-
-    Both chains draw alternately from the single per-path stream.
-    """
-    n1, n2 = sampler1.size, sampler2.size
-    uniform = rng.random
-    phase1, rows1 = sampler1.phase, sampler1.rows
-    phase2, rows2 = sampler2.phase, sampler2.rows
-    x1 = _draw(cum_init1, uniform(), n1)
-    x2 = _draw(cum_init2, uniform(), n2)
-    r1 = [0] if x1 in targets else []
-    r2 = [0] if x2 in targets else []
-    meeting: int | None = None
-    trials: TrialSequence | None = None
-    t = 0
-    while t < horizon:
-        s = bisect_right(rows1[phase1(t)][x1], uniform())
-        x1 = s if s < n1 else n1 - 1
-        s = bisect_right(rows2[phase2(t)][x2], uniform())
-        x2 = s if s < n2 else n2 - 1
-        t += 1
-        in1 = x1 in targets
-        in2 = x2 in targets
-        if in1:
-            r1.append(t)
-        if in2:
-            r2.append(t)
-        if meeting is None:
-            if in1 and in2:
-                meeting = t
-                trials = trial_sequence(r1, r2, n0, scan)
-                if trials.first_success is not None:
-                    break
-        elif in1 or in2:
-            # The printed scan can need renewals past the meeting time
-            # (always when the meeting is chain 1's first-ever visit,
-            # and with n0 > 0 in general); keep stepping until it
-            # resolves.
-            trials = trial_sequence(r1, r2, n0, scan)
-            if trials.first_success is not None:
-                break
-    if trials is None:
-        trials = trial_sequence(r1, r2, n0, scan)
-    return r1, r2, meeting, trials
-
-
 def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: str, keep_traces: bool):
-    """Simulate paths [start, stop); used as the per-worker unit of work."""
-    sampler1 = _Sampler(plan.schedule1)
-    sampler2 = _Sampler(plan.schedule2)
-    cum1 = list(np.cumsum(plan.initial1))
-    cum2 = list(np.cumsum(plan.initial2))
-    targets = plan.targets
-    horizon = plan.horizon
+    """Simulate paths [start, stop); used as the per-worker unit of work.
+
+    Path i draws from ``derive_stream(master_seed, i)``: the two initial
+    states, then chain 1 and chain 2 at every step.  From the meeting on,
+    the trial scan is rebuilt at every renewal of either chain until it
+    succeeds (the printed scan can need renewals past the meeting time:
+    always when the meeting is chain 1's first-ever visit, and with n0 > 0
+    in general).  A path that never meets builds it once at the horizon.
+    """
+    sampler1, sampler2 = _Sampler(plan.schedule1), _Sampler(plan.schedule2)
+    n1, phase1, rows1 = sampler1.size, sampler1.phase, sampler1.rows
+    n2, phase2, rows2 = sampler2.size, sampler2.phase, sampler2.rows
+    cum1, cum2 = list(np.cumsum(plan.initial1)), list(np.cumsum(plan.initial2))
+    targets, horizon = plan.targets, plan.horizon
 
     count = stop - start
     meeting = np.full(count, -1, dtype=np.int64)
@@ -333,11 +263,35 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     traces: list[RenewalTrace] = []
 
     for offset in range(count):
-        path_index = start + offset
-        rng = derive_stream(plan.master_seed, path_index)
-        r1, r2, t_meet, trials = _simulate_pair(
-            sampler1, sampler2, cum1, cum2, targets, horizon, rng, n0, scan
-        )
+        uniform = derive_stream(plan.master_seed, start + offset).random
+        x1 = _draw(cum1, uniform(), n1)
+        x2 = _draw(cum2, uniform(), n2)
+        r1 = [0] if x1 in targets else []
+        r2 = [0] if x2 in targets else []
+        t_meet: int | None = None
+        trials: TrialSequence | None = None
+        t = 0
+        while t < horizon:
+            s = bisect_right(rows1[phase1(t)][x1], uniform())
+            x1 = s if s < n1 else n1 - 1
+            s = bisect_right(rows2[phase2(t)][x2], uniform())
+            x2 = s if s < n2 else n2 - 1
+            t += 1
+            in1, in2 = x1 in targets, x2 in targets
+            if in1 or in2:
+                if in1:
+                    r1.append(t)
+                if in2:
+                    r2.append(t)
+                if t_meet is None and in1 and in2:
+                    t_meet = t
+                if t_meet is not None:
+                    trials = trial_sequence(r1, r2, n0, scan)
+                    if trials.first_success is not None:
+                        break
+        if trials is None:
+            trials = trial_sequence(r1, r2, n0, scan)
+
         if t_meet is not None:
             meeting[offset] = t_meet
         if r1:
@@ -397,7 +351,8 @@ def estimate_joint_renewal(
     to the horizon, and make the reported mean a lower bound (censored
     paths contribute the horizon).  Results are bit-identical for any
     ``workers`` value because every path draws from its own derived
-    stream and aggregation runs in path order.
+    stream and aggregation runs in path order.  The pool starts at most
+    one process per CPU, whatever ``workers`` asks for.
     """
     if tail_len < 0:
         raise ValueError("tail_len must be nonnegative")
@@ -407,7 +362,7 @@ def estimate_joint_renewal(
     if workers <= 1 or len(ranges) == 1:
         parts = [_simulate_range(plan, a, b, n0, trial_scan, keep_traces) for a, b in ranges]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_simulate_range, plan, a, b, n0, trial_scan, keep_traces)
                 for a, b in ranges

@@ -34,7 +34,6 @@ from renewalsim import (
     estimate_renewal_tails,
     expectation_bound,
     first_return_coefficients,
-    first_return_series,
     hitting_time_distribution,
     meeting_tail_envelope,
     periodic_birth_death,
@@ -50,6 +49,7 @@ from renewalsim import (
 from renewalsim.cli import main as cli_main
 
 from conftest import delta, periodic_two_state, two_state
+from oracles import first_return_series
 
 N_PATHS = 100_000
 

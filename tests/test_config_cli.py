@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renewalsim.cli import main
+from renewalsim.cli import COMMANDS, main
 from renewalsim.config import ConfigError, load_scenario
 
 
@@ -69,6 +69,36 @@ JSON_LEAVES = st.one_of(
     st.lists(st.integers(min_value=-2, max_value=5), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(min_value=-2, max_value=5), max_size=2),
 )
+
+SCHEMA_KEYS = (
+    "version", "name", "target_set", "chain1", "chain2", "birth_death", "cap", "alpha_table",
+    "tail", "kind", "alphas", "states", "body", "matrices", "initial1", "initial2", "state",
+    "horizon", "n_paths", "seed", "tail_len", "domination", "p", "series_len", "regularity",
+    "source", "t_grid", "lag_grid", "n0", "mu_hat", "gamma", "n0_applies_to",
+)
+# Any JSON value, with object keys and some text from the schema so that some of it parses.
+ANY_JSON = st.recursive(
+    JSON_LEAVES | st.sampled_from(["constant", "periodic", "analytic", "empirical"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS), children, max_size=5),
+    max_leaves=16,
+)
+
+
+@st.composite
+def any_config(draw):
+    """A small valid config with one leaf set to a JSON leaf value or to any
+    JSON value, or any JSON value."""
+    replacement = draw(st.sampled_from([JSON_LEAVES, ANY_JSON, None]))
+    if replacement is None:
+        return draw(ANY_JSON)
+    cfg = demo_config(horizon=60, n_paths=40, tail_len=10, domination={"p": 0.75, "series_len": 100})
+    path = draw(st.sampled_from(list(_leaf_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(replacement)
+    return cfg
 
 
 def write_config(tmp_path: Path, cfg, name="cfg.json") -> Path:
@@ -180,6 +210,13 @@ class TestConfig:
         assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 3
         assert not (tmp_path / f"t_{sub}.json").exists()
 
+    @pytest.mark.parametrize("name", ["sub/t", "t\0", "t" * 201])
+    def test_name_unfit_for_a_file_name_is_exit_3(self, tmp_path, name):
+        path = write_config(tmp_path, demo_config(name=name))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(path), "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_any_leaf_mutation_is_config_error_or_loads(self, data):
@@ -197,6 +234,18 @@ class TestConfig:
 
 
 class TestCliExitCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(any_config())
+    def test_any_json_config_exits_cleanly(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = write_config(Path(tmp), value)
+            for sub in COMMANDS:
+                out = Path(tmp) / sub
+                code = main([sub, "--config", str(cfg_path), "--out-dir", str(out)])
+                assert code in (0, 1, 2, 3)
+                if code == 3:
+                    assert not any(out.glob("*"))
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_regularity_mutation_exits_cleanly(self, data):

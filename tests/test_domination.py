@@ -14,7 +14,6 @@ from renewalsim import (
     estimate_regularity,
     estimate_renewal_tails,
     first_return_coefficients,
-    first_return_series,
     hitting_time_distribution,
     periodic_birth_death,
     regularity_from_floor,
@@ -24,6 +23,7 @@ from renewalsim import (
 )
 
 from conftest import delta, periodic_two_state, two_state
+from oracles import first_return_series
 
 walk_p = st.floats(min_value=0.51, max_value=0.99)
 

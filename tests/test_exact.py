@@ -18,6 +18,7 @@ from renewalsim import (
 )
 
 from conftest import delta, two_state
+from oracles import mass_defect
 
 
 def solve_expected_hit(matrix, targets, initial):
@@ -67,13 +68,13 @@ class TestHittingTime:
     def test_mass_conservation(self):
         sched = two_state(0.42, 0.3)
         res = hitting_time_distribution(sched, [0.25, 0.75], horizon=300)
-        assert res.table.mass_defect() < 1e-10
+        assert mass_defect(res.table) < 1e-10
 
     def test_conservation_error_stays_at_rounding_level(self):
         schedule = birth_death_schedule(periodic_birth_death(20, [0.6, 0.55, 0.7]))
         res = hitting_time_distribution(schedule, np.eye(21)[12], horizon=2000)
         assert res.conservation_error < 1e-12
-        assert res.table.mass_defect() < 1e-12
+        assert mass_defect(res.table) < 1e-12
 
     def test_agrees_with_linear_solve(self):
         for p00, p10 in [(0.3, 0.5), (0.9, 0.1), (0.5, 0.25)]:
@@ -111,7 +112,7 @@ class TestProductTail:
         s2 = two_state(0.8, 0.15)
         res = product_tail(s1, s2, [0.4, 0.6], [0.2, 0.8], horizon=500)
         assert res.conservation_error < 1e-10
-        assert res.table.mass_defect() < 1e-10
+        assert mass_defect(res.table) < 1e-10
 
     def test_product_cap_enforced(self):
         sched = two_state(0.5, 0.5)
@@ -272,6 +273,29 @@ class TestBlockedAbsorption:
         start = delta(6, 5)
         res = product_tail(s1, s2, start, start, horizon=300)
         _assert_tails_match(res, _reference_pair(s1, s2, start, start, targets, 300))
+
+    def test_blocks_only_where_they_pay(self, monkeypatch):
+        """Blocks are built only where S (n1^3 + n2^3) is below the single-step
+        cost of the steps past the bodies: not for a cap-1000 chain over 2,000
+        steps, but for each of exact-slowmix's laws over its 12,000 steps."""
+        from renewalsim import constant_birth_death, exact
+
+        built = []
+        block_step = exact._block_step
+        monkeypatch.setattr(exact, "_block_step", lambda *a: built.append(a[3]) or block_step(*a))
+        big = birth_death_schedule(constant_birth_death(1000, 0.75))
+        hitting_time_distribution(big, delta(1001, 0), targets=(1000,), horizon=2000)
+        assert built == []
+
+        s1 = birth_death_schedule(periodic_birth_death(99, [0.54, 0.52]))
+        s2 = birth_death_schedule(constant_birth_death(99, 0.53))
+        i1, i2 = delta(100, 60), delta(100, 40)
+        for law in (lambda: product_tail(s1, s2, i1, i2, horizon=12_000),
+                    lambda: hitting_time_distribution(s1, i1, horizon=12_000),
+                    lambda: hitting_time_distribution(s2, i2, horizon=12_000)):
+            built.clear()
+            law()
+            assert built == [32]
 
     def test_fast_absorption_keeps_relative_precision(self):
         """Blocks that would absorb most of their live mass rerun as single steps."""

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +11,14 @@ from renewalsim import (
     StateSpace,
     birth_death_schedule,
     estimate_joint_renewal,
-    extract_renewals,
     periodic_birth_death,
     sample_path,
-    simultaneous_renewal_time,
     trial_sequence,
 )
 from renewalsim.simulate import _draw, _Sampler
 
 from conftest import delta, two_state
+from oracles import extract_renewals, renewal_gaps, simultaneous_renewal_time
 
 
 class TestSamplePath:
@@ -208,8 +209,8 @@ class TestTrialSequence:
 
 
 def _structural_checks(trace):
-    for gaps, times in ((trace.gaps1, trace.renewals1), (trace.gaps2, trace.renewals2)):
-        assert list(np.cumsum(gaps)) == list(times)
+    for times in (trace.renewals1, trace.renewals2):
+        assert list(np.cumsum(renewal_gaps(times))) == list(times)
     trials = trace.trials
     assert all(b >= 0 for b in trials.gaps)
     assert list(np.cumsum(trials.gaps)) == list(trials.sums)
@@ -256,6 +257,41 @@ class TestEstimateJointRenewal:
         assert np.array_equal(serial.meeting_times, parallel.meeting_times)
         assert np.array_equal(serial.tail, parallel.tail)
         assert serial.traces == parallel.traces
+
+    def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch):
+        """No process is started: a stand-in pool records its size and runs inline."""
+        from concurrent.futures import Future
+
+        from renewalsim import simulate
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        sched = two_state(0.5, 0.5)
+        plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
+                              horizon=50, n_paths=30, master_seed=13)
+        serial = estimate_joint_renewal(plan, workers=1, keep_traces=True)
+        pooled = estimate_joint_renewal(plan, workers=10_000, keep_traces=True)
+        assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+        for name in ("meeting_times", "first_hit1", "first_hit2", "trials_to_success",
+                     "trial_sums", "trial_lengths", "tail"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+        assert serial.traces == pooled.traces
 
     @pytest.mark.parametrize("scan", ["printed", "time"])
     @pytest.mark.parametrize("n0", [0, 2])
