@@ -81,19 +81,19 @@ def _certificate(
     when the scan is consistent with gamma = 0.
     """
     reg = scenario.regularity
-    if reg.get("source", "analytic") == "analytic":
+    if reg["source"] == "analytic":
         if scenario.spec1 is None or scenario.spec2 is None:
             raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
         return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), None
     scan = domination.estimate_regularity(
         scenario.schedule1,
-        n0=reg.get("n0", 0),
-        base_times=reg.get("t_grid", [0, 1, 2, 3]),
-        lags=reg.get("lag_grid", [0, 1, 2, 3, 4]),
-        n_paths=reg.get("n_paths", 5000),
+        n0=reg["n0"],
+        base_times=reg["t_grid"],
+        lags=reg["lag_grid"],
+        n_paths=reg["n_paths"],
         seed=scenario.master_seed,
         initial=scenario.initial1,
-        n0_applies_to=reg.get("n0_applies_to", "base"),
+        n0_applies_to=reg["n0_applies_to"],
     )
     return scan.certificate(), scan
 
@@ -179,7 +179,7 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
     targets = sorted(scenario.schedule1.space.target_set)
     surface = domination.estimate_renewal_tails(
         scenario.schedule1,
-        start_times=scenario.regularity.get("t_grid", [0, 1, 2, 3]),
+        start_times=scenario.regularity["t_grid"],
         start_states=targets,
         max_lag=min(scenario.tail_len, envelope.length - 1),
         n_paths=min(scenario.n_paths, 5000),
@@ -243,7 +243,7 @@ def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
         raise ValidationFailure("the bound pipeline needs birth-death chains on both sides")
     # the report tags gamma and the bound analytic, and full_report builds
     # both schedules with target set {0}
-    if scenario.regularity.get("source", "analytic") != "analytic":
+    if scenario.regularity["source"] != "analytic":
         raise ValidationFailure("the bound pipeline takes analytic regularity only")
     if scenario.schedule1.space.target_set != {0}:
         raise ValidationFailure("the bound pipeline needs target_set [0]")
@@ -338,31 +338,35 @@ def run(args: argparse.Namespace) -> int:
         return 3
 
     report = _report_skeleton(scenario, args.subcommand)
+    code = 0
     try:
-        violations = validate_schedule(scenario.schedule1) + validate_schedule(scenario.schedule2)
-        for name, initial in (("initial1", scenario.initial1), ("initial2", scenario.initial2)):
-            try:
-                _check_initial(initial, len(initial))
-            except ValueError as err:
-                violations.append(f"config.{name}: {err}")
-        if args.subcommand == "validate":
-            report["results"].update(violations=violations, valid=not violations)
-        if violations:
-            raise ValidationFailure("; ".join(violations))
-        COMMANDS[args.subcommand](scenario, report, args)
-    except (StatisticalCheckFailure, ValueError) as err:
-        statistical = isinstance(err, StatisticalCheckFailure)
-        report["results"]["error"] = str(err)
-        _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")
-        print(f"{'statistical check' if statistical else 'validation'} failure: {err}", file=sys.stderr)
-        return 2 if statistical else 1
+        try:
+            violations = validate_schedule(scenario.schedule1) + validate_schedule(scenario.schedule2)
+            for name, initial in (("initial1", scenario.initial1), ("initial2", scenario.initial2)):
+                try:
+                    _check_initial(initial, len(initial))
+                except ValueError as err:
+                    violations.append(f"config.{name}: {err}")
+            if args.subcommand == "validate":
+                report["results"].update(violations=violations, valid=not violations)
+            if violations:
+                raise ValidationFailure("; ".join(violations))
+            COMMANDS[args.subcommand](scenario, report, args)
+        except (StatisticalCheckFailure, ValueError, MemoryError) as err:
+            # MemoryError: a count too big to allocate fails like any other bad value
+            code = 2 if isinstance(err, StatisticalCheckFailure) else 1
+            report["results"]["error"] = str(err)
+        path = _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3
 
-    path = _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")
-    print(f"wrote {path}")
-    return 0
+    if code == 0:
+        print(f"wrote {path}")
+    else:
+        kind = "statistical check" if code == 2 else "validation"
+        print(f"{kind} failure: {report['results']['error']}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

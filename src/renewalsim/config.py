@@ -103,8 +103,12 @@ def _integral(value, where: str) -> int:
     return int(value)
 
 
+REGULARITY_DEFAULTS = {"source": "analytic", "t_grid": [0, 1, 2, 3], "lag_grid": [0, 1, 2, 3, 4],
+                       "n0": 0, "n_paths": 5000, "n0_applies_to": "base"}
+
+
 def _parse_regularity(reg) -> dict:
-    """The ``regularity`` object, each key the subcommands read type-checked.
+    """The ``regularity`` object over its defaults, each key the subcommands read type-checked.
 
     Counts and grid entries must be integral numbers and come back as
     ``int``; ``mu_hat`` and ``gamma`` are numbers or null and
@@ -114,22 +118,20 @@ def _parse_regularity(reg) -> dict:
     where = "config.regularity"
     if not isinstance(reg, dict):
         raise ConfigError(f"{where} must be an object")
-    if reg.get("source", "analytic") not in ("analytic", "empirical"):
+    out = {**REGULARITY_DEFAULTS, **reg}
+    if out["source"] not in ("analytic", "empirical"):
         raise ConfigError(f"{where}.source must be 'analytic' or 'empirical'")
-    out = dict(reg)
     for key in ("n0", "n_paths"):
-        if key in reg:
-            out[key] = _integral(reg[key], f"{where}.{key}")
+        out[key] = _integral(out[key], f"{where}.{key}")
     for key in ("t_grid", "lag_grid"):
-        if key in reg:
-            if not isinstance(reg[key], (list, tuple)):
-                raise ConfigError(f"{where}.{key} must be a list of integers")
-            out[key] = [_integral(v, f"{where}.{key}[{i}]") for i, v in enumerate(reg[key])]
+        if not isinstance(out[key], (list, tuple)):
+            raise ConfigError(f"{where}.{key} must be a list of integers")
+        out[key] = [_integral(v, f"{where}.{key}[{i}]") for i, v in enumerate(out[key])]
     for key in ("mu_hat", "gamma"):
         value = reg.get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"{where}.{key} must be a number or null, got {value!r}")
-    if not isinstance(reg.get("n0_applies_to", "base"), str):
+    if not isinstance(out["n0_applies_to"], str):
         raise ConfigError(f"{where}.n0_applies_to must be a string")
     return out
 
@@ -203,7 +205,7 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
     initial2 = _parse_initial(_require(raw, "initial2", "config"), chains[1].space.size, "config.initial2")
 
     domination = raw.get("domination", {})
-    regularity = _parse_regularity(raw.get("regularity", {"source": "analytic"}))
+    regularity = _parse_regularity(raw.get("regularity", {}))
 
     seed = _integral(raw.get("seed", 0), "config.seed") if seed_override is None else int(seed_override)
     tail_len = _integral(raw.get("tail_len", 200), "config.tail_len")

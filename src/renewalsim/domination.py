@@ -26,7 +26,7 @@ import numpy as np
 from .exact import check_unit_interval, suffix_tails
 from .kernel import KernelSchedule, _check_initial
 from .rng import stream_keys, uniforms
-from .simulate import _InverseCdf, _Sampler
+from .simulate import _counter_paths, _Sampler
 
 
 def _check_walk_parameter(p: float) -> None:
@@ -395,19 +395,13 @@ def estimate_regularity(
 
     size = schedule.space.size
     init = np.full(size, 1.0 / size) if initial is None else _check_initial(initial, size)
-    sampler = _Sampler(schedule)
     in_target = _target_mask(schedule)
     max_t = max(bases) + max(lag_grid)
 
-    # hits[t, i]: path i is in the target set at time t.  Path i draws X_t
-    # from draw t of stream i.
-    keys = stream_keys(seed, count=n_paths)
-    x = _InverseCdf(np.cumsum(init)[None, :])(np.zeros(n_paths, dtype=np.int64), uniforms(keys, 0))
+    # hits[t, i]: path i (counter stream i) is in the target set at time t
     hits = np.empty((max_t + 1, n_paths), dtype=bool)
-    hits[0] = in_target[x]
-    for t in range(max_t):
-        x = sampler.draw(t, x, uniforms(keys, t + 1))
-        hits[t + 1] = in_target[x]
+    for t, x in enumerate(_counter_paths(schedule, init, stream_keys(seed, count=n_paths), max_t)):
+        hits[t] = in_target[x]
 
     points = []
     gamma_hat = 1.0

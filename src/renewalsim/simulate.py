@@ -26,8 +26,8 @@ from .rng import derive_stream, stream_keys, uniforms
 
 class _Sampler:
     """One cumulative table per schedule phase, picked by the schedule's ``phase(t)``:
-    Python rows for the scalar :func:`_draw` (``rows_at``) and an
-    :class:`_InverseCdf` for a batch of chains (:meth:`draw`)."""
+    Python ``rows`` for the scalar :func:`_draw` and an :class:`_InverseCdf`
+    for a batch of chains (:meth:`draw`)."""
 
     __slots__ = ("phase", "size", "rows", "tables")
 
@@ -36,9 +36,6 @@ class _Sampler:
         self.size = schedule.space.size
         self.rows = [[list(np.cumsum(row)) for row in m] for m in schedule.phases]
         self.tables = [_InverseCdf(np.cumsum(m, axis=1)) for m in schedule.phases]
-
-    def rows_at(self, t: int) -> list[list[float]]:
-        return self.rows[self.phase(t)]
 
     def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of chains at ``states`` for the step from t, given uniforms u."""
@@ -79,26 +76,26 @@ class _InverseCdf:
         return np.minimum(s, self.size - 1, out=s)
 
 
-def sample_path(schedule: KernelSchedule, initial, seed: int, horizon: int) -> np.ndarray:
-    """Sample one trajectory X_0..X_horizon.
+def _counter_paths(schedule: KernelSchedule, init: np.ndarray, keys: np.ndarray, steps: int):
+    """X_0..X_steps per counter stream: draw 0 against ``init``, then draw t + 1 for the step from t."""
+    sampler = _Sampler(schedule)
+    x = _InverseCdf(np.cumsum(init)[None, :])(np.zeros(len(keys), dtype=np.int64), uniforms(keys, 0))
+    yield x
+    for t in range(steps):
+        x = sampler.draw(t, x, uniforms(keys, t + 1))
+        yield x
 
-    X_0 follows ``initial`` and the step from t to t + 1 uses the row of
-    ``schedule.at(t)`` for the current state.  Draw k comes from the
-    counter stream ``stream_keys(seed, count=1)``, so the output is a pure
-    function of ``(schedule, initial, seed, horizon)``.
-    """
+
+def sample_path(schedule: KernelSchedule, initial, seed: int, horizon: int) -> np.ndarray:
+    """Sample one trajectory X_0..X_horizon, X_0 from ``initial`` and the step
+    from t by ``schedule.at(t)``, on the counter stream ``stream_keys(seed, count=1)``:
+    a pure function of ``(schedule, initial, seed, horizon)``."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     init = _check_initial(initial, schedule.space.size)
-    draws = uniforms(stream_keys(seed, count=1), np.arange(horizon + 1)).tolist()
-    sampler = _Sampler(schedule)
-    n = sampler.size
     out = np.empty(horizon + 1, dtype=np.int64)
-    x = _draw(list(np.cumsum(init)), draws[0], n)
-    out[0] = x
-    for t in range(horizon):
-        x = _draw(sampler.rows_at(t)[x], draws[t + 1], n)
-        out[t + 1] = x
+    for t, x in enumerate(_counter_paths(schedule, init, stream_keys(seed, count=1), horizon)):
+        out[t] = x[0]
     return out
 
 
@@ -241,11 +238,14 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     """Simulate paths [start, stop); used as the per-worker unit of work.
 
     Path i draws from ``derive_stream(master_seed, i)``: the two initial
-    states, then chain 1 and chain 2 at every step.  From the meeting on,
-    the trial scan is rebuilt at every renewal of either chain until it
-    succeeds (the printed scan can need renewals past the meeting time:
-    always when the meeting is chain 1's first-ever visit, and with n0 > 0
-    in general).  A path that never meets builds it once at the horizon.
+    states, then chain 1 and chain 2 at every step.  The trial scan runs
+    at every joint renewal t >= 1 (the first is the meeting time) until
+    it succeeds, and once more on the full renewal lists if it never ran
+    or is unresolved at the horizon.  No other step needs it: a scan that
+    succeeds on data cut at t ends at a renewal S <= t of both chains and
+    reads nothing past S, so it gives the same result on data cut at S or
+    on all the data.  The first success thus falls at S, with the same
+    draws and renewal lists as a scan at every step.
     """
     sampler1, sampler2 = _Sampler(plan.schedule1), _Sampler(plan.schedule2)
     n1, phase1, rows1 = sampler1.size, sampler1.phase, sampler1.rows
@@ -277,19 +277,18 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
             s = bisect_right(rows2[phase2(t)][x2], uniform())
             x2 = s if s < n2 else n2 - 1
             t += 1
-            in1, in2 = x1 in targets, x2 in targets
-            if in1 or in2:
-                if in1:
-                    r1.append(t)
-                if in2:
+            if x1 in targets:
+                r1.append(t)
+                if x2 in targets:
                     r2.append(t)
-                if t_meet is None and in1 and in2:
-                    t_meet = t
-                if t_meet is not None:
+                    if trials is None:
+                        t_meet = t
                     trials = trial_sequence(r1, r2, n0, scan)
                     if trials.first_success is not None:
                         break
-        if trials is None:
+            elif x2 in targets:
+                r2.append(t)
+        if trials is None or trials.censored:
             trials = trial_sequence(r1, r2, n0, scan)
 
         if t_meet is not None:

@@ -301,6 +301,24 @@ class TestCliExitCodes:
                 assert "row 0" in report["results"]["error"]
                 assert bool(report["results"].get("violations")) == (sub == "validate")
 
+    @pytest.mark.parametrize("sub, n_paths", [("validate", 800), ("simulate", 0)])
+    def test_unwritable_out_dir_is_exit_3(self, tmp_path, capsys, sub, n_paths):
+        # with no paths simulate fails, so there the error report is what cannot be written
+        (tmp_path / "afile").write_text("")
+        path = write_config(tmp_path, demo_config(n_paths=n_paths))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path / "afile" / "sub")]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "Traceback" not in err
+
+    def test_count_too_big_to_allocate_is_exit_1(self, tmp_path, capsys):
+        # 10**18 float64 entries are 6.94 EiB, beyond any 64-bit address
+        # space, so the allocation fails before any memory is touched
+        path = write_config(tmp_path, demo_config(horizon=10**18))
+        assert main(["exact", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "allocate" in load_report(tmp_path, "t_exact.json")["results"]["error"]
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "Traceback" not in err
+
     def test_valid_schedule_validates(self, tmp_path):
         path = write_config(tmp_path, demo_config())
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0

@@ -59,7 +59,7 @@ class TestBatchedDraw:
     def _check(self, schedule, steps):
         sampler = _Sampler(schedule)
         for t in range(steps):
-            rows = sampler.rows_at(t)
+            rows = sampler.rows[sampler.phase(t)]
             states, us = [], []
             for x in range(sampler.size):
                 edge = self._edge_uniforms(np.asarray(rows[x]))
@@ -86,7 +86,7 @@ class TestBatchedDraw:
 
 
 class TestPhaseRule:
-    """``schedule.at``, ``_Sampler.rows_at`` and ``_Sampler.draw`` pick the same phase."""
+    """``schedule.at``, ``_Sampler.rows`` and ``_Sampler.draw`` pick the same phase."""
 
     @staticmethod
     def _schedule():
@@ -103,7 +103,7 @@ class TestPhaseRule:
             expected = t if t < 2 else 2 + t % 3
             picked = {
                 "at": set(schedule.at(t).argmax(axis=1).tolist()),
-                "rows_at": {_draw(row, 0.5, sampler.size) for row in sampler.rows_at(t)},
+                "rows": {_draw(row, 0.5, sampler.size) for row in sampler.rows[sampler.phase(t)]},
                 "draw": set(sampler.draw(t, states, np.full(len(states), 0.5)).tolist()),
             }
             out += [(t, name) for name, got in picked.items() if got != {expected}]
@@ -119,7 +119,7 @@ class TestPhaseRule:
         schedule = self._schedule()
         wrong = _Sampler(schedule)
         wrong.phase = lambda t: t if t < 2 else 2 + (t - 2) % 3
-        assert {name for _, name in self._disagreements(schedule, wrong)} == {"rows_at", "draw"}
+        assert {name for _, name in self._disagreements(schedule, wrong)} == {"rows", "draw"}
 
 
 class TestExtractRenewals:
@@ -206,6 +206,28 @@ class TestTrialSequence:
     def test_scan_name_validated(self):
         with pytest.raises(ValueError):
             trial_sequence([0, 1], [0, 1], 0, scan="bogus")
+
+    renewal_times = st.builds(
+        lambda start, gaps: np.cumsum([start, *gaps]).tolist(),
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.integers(min_value=1, max_value=4), max_size=12),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(renewal_times, renewal_times, st.integers(min_value=0, max_value=3),
+           st.sampled_from(["printed", "time"]))
+    def test_success_on_a_prefix_is_the_full_scans_success(self, tau1, tau2, n0, scan):
+        """Why the estimator scans only at joint renewals: a scan on the
+        renewals up to t succeeds exactly when the full scan succeeds by t,
+        with the same result, landing on a renewal of both chains."""
+        full = trial_sequence(tau1, tau2, n0, scan)
+        for t in range(max(tau1[-1], tau2[-1]) + 2):
+            cut = trial_sequence([x for x in tau1 if x <= t], [x for x in tau2 if x <= t], n0, scan)
+            by_t = not full.censored and full.sums[full.first_success] <= t
+            assert (not cut.censored) == by_t
+            if by_t:
+                assert cut == full
+                assert cut.sums[cut.first_success] in set(tau1) & set(tau2)
 
 
 def _structural_checks(trace):
@@ -309,6 +331,31 @@ class TestEstimateJointRenewal:
         for est in (serial, parallel):
             assert est.trial_sums.tolist() == sums
             assert est.trial_lengths.tolist() == lengths
+
+    @pytest.mark.parametrize("scan", ["printed", "time"])
+    @pytest.mark.parametrize("n0", [0, 2])
+    def test_scans_run_at_joint_renewals_only(self, monkeypatch, scan, n0):
+        """One scan per joint renewal t >= 1 up to the first success, plus one
+        at the horizon for each path left unresolved."""
+        from renewalsim import simulate
+
+        calls = []
+        original = simulate.trial_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "trial_sequence", counting)
+        sched = two_state(0.5, 0.1)
+        plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
+                              horizon=12, n_paths=300, master_seed=41)
+        est = estimate_joint_renewal(plan, keep_traces=True, n0=n0, trial_scan=scan)
+        assert 0 < est.censored < plan.n_paths
+        assert any(t.trials.censored and not t.censored for t in est.traces)
+        joint = sum(len({t for t in trace.renewals1 if t >= 1} & set(trace.renewals2)) for trace in est.traces)
+        unresolved = sum(trace.trials.censored for trace in est.traces)
+        assert len(calls) == joint + unresolved
 
     def test_tail_curve_matches_meeting_times(self):
         sched = two_state(0.5, 0.5)
