@@ -272,16 +272,16 @@ def full_report(
 ) -> BoundReport:
     """Run the whole pipeline on a birth-death pair.
 
-    Rejects the plan before any simulation when the walk parameter does
-    not dominate the chains' per-step products.  The mean-bound exponent
-    defaults to the walk's first-moment constant and can be overridden
-    with ``mu_hat``.
+    Rejects the plan before any simulation when a down probability of
+    either chain, at any step and state, is below the walk parameter.  The
+    mean-bound exponent defaults to the walk's first-moment constant and can
+    be overridden with ``mu_hat``.
     """
-    sup_product = max(spec1.sup_alpha_product(), spec2.sup_alpha_product())
-    if not domination_valid_for(p, sup_product):
+    inf_alpha = min(spec1.inf_alpha(), spec2.inf_alpha())
+    if not domination_valid_for(p, inf_alpha):
         raise ValueError(
-            f"walk parameter p={p} gives p(1-p)={p * (1 - p):.6g} below the chains' "
-            f"sup alpha(1-alpha)={sup_product:.6g}; the envelope does not apply"
+            f"walk parameter p={p} exceeds the chains' inf alpha={inf_alpha:.6g}; "
+            "the envelope does not apply"
         )
 
     schedule1 = birth_death_schedule(spec1)

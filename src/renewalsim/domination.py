@@ -143,13 +143,14 @@ def walk_dominating_sequence(p: float, n: int) -> DominatingSequence:
     return DominatingSequence(values=values, head_mass=head_mass, tail_bound=tail_bound)
 
 
-def domination_valid_for(p: float, alpha_sup_product: float) -> bool:
-    """Whether the walk envelope applies: p(1-p) must dominate the chains'
-    worst per-step product sup alpha(1-alpha)."""
+def domination_valid_for(p: float, inf_alpha: float) -> bool:
+    """Whether the walk envelope applies: inf alpha >= p over every step and
+    state, so the chains return to 0 at least as fast as the walk.  (The
+    test p(1-p) >= alpha(1-alpha) also passes alpha <= 1 - p, which drifts up.)"""
     _check_walk_parameter(p)
-    if not 0.0 < alpha_sup_product <= 0.25:
-        raise ValueError("alpha_sup_product must lie in (0, 1/4]")
-    return p * (1.0 - p) >= alpha_sup_product
+    if not 0.0 < inf_alpha < 1.0:
+        raise ValueError("inf_alpha must lie in (0, 1)")
+    return inf_alpha >= p
 
 
 def _target_mask(schedule: KernelSchedule) -> np.ndarray:

@@ -8,6 +8,7 @@ simultaneous visit of an independent pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -77,43 +78,57 @@ class HittingResult:
     conservation_error: float
 
 
-BLOCK_STEPS = 32
-BLOCK_TARGET_PAIRS = 16  # |C1| |C2| <= 16: at most 512 unknowns in a block's solve
+BLOCK_STEPS = (64, 32)  # tried in turn, each rounded down to a multiple of the joint period
+BLOCK_UNKNOWNS = 512  # at most S |C1| |C2| unknowns in a block's solve
 _POINT = KernelSchedule(StateSpace(1, frozenset({0})), (), ConstantTail([[1.0]]))  # hitting-law partner
+
+
+@functools.lru_cache(maxsize=4)
+def _side(schedule: KernelSchedule, target: tuple[int, ...], start: int, span: int):
+    """One chain's read-only block operators, shared by every law on this side
+    (keyed on the schedule object).  With K_i = K(start + i), P_r = K_0···K_{r-1}
+    and C the target: cols[r] = P_{r+1}[:, C], product = P_span,
+    rows[q] = (K_{q+1}···K_{span-1})[C, :], back[r, q] = (K_{q+1}···K_r)[C, C]."""
+    n, c = schedule.space.size, len(target)
+    product, rows = np.eye(n), np.empty((span * c, n))
+    cols, back = np.empty((span, n, c)), np.zeros((span, span, c, c))
+    for r in range(span):
+        k = schedule.at(start + r)
+        rows[:r * c] = rows[:r * c] @ k  # rows C of K_q···K_r, q = 0..r
+        rows[r * c:(r + 1) * c] = k[target, :]
+        back[r, :r] = rows[c:(r + 1) * c, target].reshape(r, c, c)
+        product = product @ k
+        cols[r] = product[:, target]
+    operators = (cols, product, rows[c:].reshape(span - 1, c, n), back)
+    for a in operators:
+        a.flags.writeable = False
+    return operators
 
 
 def _block_step(side1, side2, start: int, span: int):
     """``advance(J) -> (J', m)``: ``span`` steps from a time start + k * span.
 
-    Per side, K_i = K(start + i), P_r = K_0···K_{r-1} and C is the target.
-    The unabsorbed target mass U_r = P1_r[:, C1]^T J P2_r[:, C2] and the
-    first meetings h_r (m_r is their sum) solve U = (I + G) h, G holding
-    kron(B1^T, B2^T) of the returns B_{q,r} = (K_q···K_{r-1})[C, C]; (I + G)^-1
-    holds first-passage probabilities.  J' = P1_span^T J P2_span less
-    sum_{q<span} R1_q^T h_q R2_q, R_q = (K_q···K_{span-1})[C, :]; h, J' >= 0 by clipping.
+    The unabsorbed target masses U_r = cols1[r]^T J cols2[r] (one ``lead @ J``
+    product, then r-slice by r-slice) and the first meetings h_r (m_r is their
+    sum) solve U = (I + G) h, G holding kron(B1^T, B2^T) of the returns
+    B = ``back``; (I + G)^-1 holds first-passage probabilities.  J' =
+    P1_span^T J P2_span less the meetings carried to the end through ``rows``;
+    h, J' >= 0 by clipping.  The side operators come from ``_side``'s cache.
     """
-    sides = []
-    for schedule, target in (side1, side2):
-        n, c = schedule.space.size, len(target)
-        product, rows = np.eye(n), np.empty((0, n))
-        cols, back = np.empty((span, n, c)), np.zeros((span, span, c, c))
-        for r in range(span):
-            k = schedule.at(start + r)
-            rows = np.vstack([rows, np.eye(n)[target]]) @ k  # rows C of K_q···K_r, q = 0..r
-            back[r, :r] = rows[c:, target].reshape(r, c, c)
-            product = product @ k
-            cols[r] = product[:, target]
-        sides.append((cols, product, rows[c:].reshape(span - 1, c, n), back))
-    (cols1, full1, rows1, back1), (cols2, full2, rows2, back2) = sides
-    shape = (span, cols1.shape[2], cols2.shape[2])
-    g = np.einsum("rqai,rqbj->rijqab", back1, back2).reshape(np.prod(shape), -1)
+    (cols1, full1, rows1, back1), (cols2, full2, rows2, back2) = (
+        _side(schedule, tuple(target), start, span) for schedule, target in (side1, side2))
+    n1, c1, c2 = len(full1), cols1.shape[2], cols2.shape[2]
+    g = np.einsum("rqai,rqbj->rijqab", back1, back2).reshape(span * c1 * c2, -1)
     inverse = np.linalg.inv(np.eye(len(g)) + g)
-    lead, carry = cols1.transpose(0, 2, 1), rows1.reshape(-1, len(full1)).T
+    lead, carry = cols1.transpose(0, 2, 1).reshape(-1, n1), rows1.reshape(-1, n1).T
+    head = np.ascontiguousarray(full1.T)
 
     def advance(law):
-        hits = (inverse @ (lead @ (law @ cols2)).reshape(-1)).reshape(shape)
-        law = full1.T @ law @ full2 - carry @ (hits[:-1] @ rows2).reshape(-1, law.shape[1])
-        return np.maximum(law, 0.0), np.maximum(hits, 0.0).sum(axis=(1, 2))
+        u = (lead @ law).reshape(span, c1, -1) @ cols2
+        hits = (inverse @ u.reshape(-1)).reshape(span, c1, c2)
+        ahead = head @ law @ full2
+        ahead -= carry @ np.einsum("qab,qbn->qan", hits[:-1], rows2).reshape(-1, ahead.shape[1])
+        return np.maximum(ahead, 0.0, out=ahead), np.maximum(hits, 0.0, out=hits).sum(axis=(1, 2))
 
     return advance
 
@@ -124,23 +139,24 @@ def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
 
     ``law`` is the joint law P{X1 = i, X2 = j} at time 0, stepped as
     ``K1^T @ J @ K2``; a side is a (schedule, sorted target) pair.  Past both
-    bodies, blocks of S steps (``_block_step``; S is BLOCK_STEPS rounded down
-    to a multiple of the joint period) share one set of operators.  Single
-    steps run for body steps, the last stretch shorter than S, every step if
-    S is 0, |C1| |C2| > BLOCK_TARGET_PAIRS or building the operators
-    (S (n1^3 + n2^3)) costs no less than single-stepping the steps past the
-    bodies (n1 n2 (n1 + n2) each), and the S steps of a block that keeps
-    under half its live mass.  The loop stops when the live law is 0.
+    bodies, blocks of S steps (``_block_step``) share one set of operators.
+    S is the first of BLOCK_STEPS, rounded down to a multiple of the joint
+    period, with at most BLOCK_UNKNOWNS unknowns S |C1| |C2| and operators
+    (S (n1^3 + n2^3)) cheaper than single-stepping past the bodies
+    (n1 n2 (n1 + n2) a step), else 0: a joint period above 64 single-steps.
+    Single steps run for body steps, the last stretch shorter than S, every
+    step if S is 0, and the S steps of a block that keeps under half its
+    live mass.  The loop stops when the live law is 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     (schedule1, target1), (schedule2, target2) = side1, side2
     n1, n2 = law.shape
     period = math.lcm(schedule1.tail.period, schedule2.tail.period)
-    span = BLOCK_STEPS // period * period if len(target1) * len(target2) <= BLOCK_TARGET_PAIRS else 0
     start = max(len(schedule1.body), len(schedule2.body))
-    if span * (n1**3 + n2**3) >= (horizon - start) * n1 * n2 * (n1 + n2):
-        span = 0
+    spans = (steps // period * period for steps in BLOCK_STEPS)
+    span = next((s for s in spans if s and s * len(target1) * len(target2) <= BLOCK_UNKNOWNS
+                 and s * (n1**3 + n2**3) < (horizon - start) * n1 * n2 * (n1 + n2)), 0)
     block = np.ix_(target1, target2)
     mass = np.zeros(horizon + 1)
     if first == 0:
@@ -154,15 +170,15 @@ def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
             advance = advance or _block_step(side1, side2, start, span)
             ahead, hits = advance(law)
             ahead[block] = 0.0
-        if ahead is None or ahead.sum() < 0.5 * live:
+        if ahead is None or (left := float(ahead.sum())) < 0.5 * live:
             ahead = schedule1.at(t).T @ law @ schedule2.at(t)
             hits = np.array([ahead[block].sum()])
             ahead[block] = 0.0
-        law = ahead
+            left = float(ahead.sum())
+        law, live = ahead, left
         mass[t + 1:t + 1 + len(hits)] = hits
         t += len(hits)
         absorbed += hits.sum()
-        live = float(law.sum())
         conservation_error = max(conservation_error, abs(1.0 - (absorbed + live)))
     tails = suffix_tails(mass, live)
     bracket = _tail_bracket(float(tails[:-1].sum()), live, tail_gamma)

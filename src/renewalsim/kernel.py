@@ -176,9 +176,9 @@ class BirthDeathSpec(_BodyThenTail):
         """inf over t of the stay probability at state 0 (exact on this representation)."""
         return min(float(r[0]) for r in self.phases)
 
-    def sup_alpha_product(self) -> float:
-        """sup over t, j of alpha(t, j) * (1 - alpha(t, j))."""
-        return max(float((r * (1.0 - r)).max()) for r in self.phases)
+    def inf_alpha(self) -> float:
+        """inf over t, j of the down probability alpha(t, j)."""
+        return min(float(r.min()) for r in self.phases)
 
     @property
     def size(self) -> int:

@@ -215,8 +215,7 @@ def test_criterion_4_expectation_bound_soundness():
         _bound_instance_homogeneous(),
         _bound_instance_periodic(),
     ):
-        sup = max(spec1.sup_alpha_product(), spec2.sup_alpha_product())
-        assert p * (1 - p) >= sup
+        assert min(spec1.inf_alpha(), spec2.inf_alpha()) >= p
         floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
         cert = regularity_from_floor(floor, walk_moment1(p))
         envelope = walk_dominating_sequence(p, 2000)

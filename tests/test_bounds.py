@@ -250,10 +250,17 @@ class TestFullReport:
         assert report.bound_holds
 
     def test_invalid_walk_parameter_rejected_before_simulation(self):
-        spec = constant_birth_death(10, 0.7)  # sup product 0.21
+        spec = constant_birth_death(10, 0.7)  # inf alpha 0.7
         with pytest.raises(ValueError, match="does not apply"):
             full_report(spec, spec, delta(11, 0), delta(11, 0),
                         p=0.9, horizon=100, n_paths=10, master_seed=1)
+
+    def test_upward_drift_side_rejected(self):
+        """alpha = 1 - p passed the old p(1-p) >= alpha(1-alpha) test."""
+        low = constant_birth_death(10, 0.18)
+        with pytest.raises(ValueError, match="does not apply"):
+            full_report(low, low, delta(11, 0), delta(11, 0),
+                        p=0.82, horizon=100, n_paths=10, master_seed=1)
 
     def test_tight_cap_triggers_truncation_warning(self):
         spec = constant_birth_death(4, 0.6)

@@ -331,6 +331,17 @@ class TestCliExitCodes:
         report = load_report(tmp_path, "t_bound.json")
         assert "p must lie in (0.5, 1)" in report["results"]["error"]
 
+    def test_upward_drift_pair_is_exit_1(self, tmp_path):
+        """alpha = 0.15 on both chains drifts away from 0 and p = 0.82: the
+        envelope does not dominate (P(T > 11) is about 0.95), so no bound."""
+        drift = {"birth_death": {"cap": 10, "tail": {"kind": "constant", "alphas": 0.15}}}
+        cfg = demo_config(chain1=drift, chain2=drift, domination={"p": 0.82, "series_len": 400})
+        path = write_config(tmp_path, cfg)
+        assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        report = load_report(tmp_path, "t_bound.json")
+        assert "does not apply" in report["results"]["error"]
+        assert "bound" not in report["results"]
+
     def test_bound_pipeline_ok(self, tmp_path):
         path = write_config(tmp_path, demo_config())
         assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 0

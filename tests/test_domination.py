@@ -170,20 +170,62 @@ class TestDominatingSequence:
 
 
 class TestDominationValidity:
+    """The envelope applies when every down probability alpha is at least p."""
+
     def test_equality_counts(self):
-        assert domination_valid_for(0.75, 0.1875)
+        assert domination_valid_for(0.75, 0.75)
 
     def test_small_product_fails(self):
-        assert not domination_valid_for(0.9, 0.2)
+        assert not domination_valid_for(0.9, 0.8)
 
     def test_matching_product(self):
-        assert domination_valid_for(0.6, 0.24)
+        # alpha = 1 - p has alpha(1 - alpha) = p(1 - p) but drifts away from 0
+        assert not domination_valid_for(0.6, 0.4)
+        assert domination_valid_for(0.6, 0.95)
+
+    @pytest.mark.parametrize("p", [0.51, 0.6, 0.75, 0.82, 0.99])
+    def test_alpha_equal_to_p_is_accepted(self, p):
+        assert domination_valid_for(p, p)
+
+    @pytest.mark.parametrize("p", [0.51, 0.6, 0.75, 0.82, 0.99])
+    def test_alpha_equal_to_one_minus_p_is_rejected(self, p):
+        assert not domination_valid_for(p, 1.0 - p)
 
     def test_bad_inputs_rejected(self):
+        for inf_alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                domination_valid_for(0.75, inf_alpha)
         with pytest.raises(ValueError):
-            domination_valid_for(0.75, 0.3)
-        with pytest.raises(ValueError):
-            domination_valid_for(0.4, 0.2)
+            domination_valid_for(0.4, 0.7)
+
+
+ENVELOPE_LAGS = 300
+
+
+class TestExactEnvelope:
+    """The walk envelope dominates the exact renewal tails of every chain the
+    pre-check accepts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_renewal_tails_stay_below_the_envelope(self, data):
+        p = data.draw(st.floats(0.51, 0.95), label="p")
+        cap = data.draw(st.integers(3, 40), label="cap")
+        phases = data.draw(st.integers(1, 3), label="phases")
+        alpha = st.floats(p, 0.999)
+        rows = [np.array(data.draw(st.lists(alpha, min_size=cap, max_size=cap))) for _ in range(phases)]
+        spec = periodic_birth_death(cap, rows)
+        assert domination_valid_for(p, spec.inf_alpha())
+        envelope = walk_dominating_sequence(p, ENVELOPE_LAGS).values
+        kernels = birth_death_schedule(spec)
+        for phase in range(phases):
+            # a renewal at time phase: one step by that phase's row 0, then
+            # the first hit of 0 under the phases that follow
+            after = birth_death_schedule(periodic_birth_death(cap, rows[phase + 1:] + rows[:phase + 1]))
+            hit = hitting_time_distribution(after, kernels.at(phase)[0], horizon=ENVELOPE_LAGS - 1)
+            tails = np.append(1.0, hit.tails)  # P{gap > k}, k = 0..ENVELOPE_LAGS
+            excess = tails - envelope
+            assert excess.max() <= 1e-12, (phase, int(excess.argmax()), excess.max())
 
 
 class TestRenewalTailSurface:

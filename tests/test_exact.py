@@ -258,9 +258,10 @@ class TestBlockedAbsorption:
         hit = hitting_time_distribution(s1, u1, horizon=horizon)
         _assert_tails_match(hit, _reference_hitting(s1, u1, targets, horizon))
 
-    @pytest.mark.parametrize("periods, targets", [((5, 7), [0]), ((1, 1), [0, 1, 2, 3, 4])])
+    @pytest.mark.parametrize("periods, targets", [((5, 13), [0]), ((1, 1), [0, 1, 2, 3, 4])])
     def test_single_steps_only(self, monkeypatch, periods, targets):
-        """A joint period above 32, or more than 16 target pairs, builds no block."""
+        """A joint period above 64, or 25 target pairs (800 unknowns even at
+        S = 32, above the 512 cap), builds no block."""
         from renewalsim import exact
 
         monkeypatch.setattr(exact, "_block_step", lambda *a: pytest.fail("block step built"))
@@ -277,7 +278,9 @@ class TestBlockedAbsorption:
     def test_blocks_only_where_they_pay(self, monkeypatch):
         """Blocks are built only where S (n1^3 + n2^3) is below the single-step
         cost of the steps past the bodies: not for a cap-1000 chain over 2,000
-        steps, but for each of exact-slowmix's laws over its 12,000 steps."""
+        steps, 32 steps for a cap-50 chain over 2,000 steps, where 64 would
+        not pay, and 64 steps for each of exact-slowmix's laws over its 12,000
+        steps."""
         from renewalsim import constant_birth_death, exact
 
         built = []
@@ -287,6 +290,10 @@ class TestBlockedAbsorption:
         hitting_time_distribution(big, delta(1001, 0), targets=(1000,), horizon=2000)
         assert built == []
 
+        cap50 = birth_death_schedule(constant_birth_death(50, 0.75))
+        hitting_time_distribution(cap50, delta(51, 0), targets=(50,), horizon=2000)
+        assert built == [32]
+
         s1 = birth_death_schedule(periodic_birth_death(99, [0.54, 0.52]))
         s2 = birth_death_schedule(constant_birth_death(99, 0.53))
         i1, i2 = delta(100, 60), delta(100, 40)
@@ -295,7 +302,7 @@ class TestBlockedAbsorption:
                     lambda: hitting_time_distribution(s2, i2, horizon=12_000)):
             built.clear()
             law()
-            assert built == [32]
+            assert built == [64]
 
     def test_fast_absorption_keeps_relative_precision(self):
         """Blocks that would absorb most of their live mass rerun as single steps."""
@@ -329,6 +336,60 @@ class TestBlockedAbsorption:
         np.testing.assert_allclose(res.tails, tails, rtol=1e-12, atol=0)
         assert res.table.residual == pytest.approx(tails[-1], rel=1e-12, abs=0)
         assert res.conservation_error < 1e-12
+
+
+class TestSharedSides:
+    """The per-side block operators are cached on the schedule object."""
+
+    def test_law_after_a_law_on_another_schedule_of_the_same_shape(self):
+        """Same size, target, start and span, other kernels: every law still
+        matches the per-step loop, and each schedule gets its own build."""
+        from renewalsim import constant_birth_death, exact
+
+        pairs = [[birth_death_schedule(constant_birth_death(7, a), (7,)) for a in alphas]
+                 for alphas in ((0.7, 0.72), (0.75, 0.65))]
+        start = delta(8, 0)
+        exact._side.cache_clear()
+        for s1, s2 in pairs:
+            res = product_tail(s1, s2, start, start, horizon=600)
+            _assert_tails_match(res, _reference_pair(s1, s2, start, start, [7], 600))
+            hit = hitting_time_distribution(s1, start, horizon=600)
+            _assert_tails_match(hit, _reference_hitting(s1, start, [7], 600))
+        # four chain sides and the hitting law's one-state partner
+        assert exact._side.cache_info().misses == 5
+
+    def test_cached_operators_are_read_only(self):
+        from renewalsim import exact
+
+        sched = birth_death_schedule(periodic_birth_death(9, [0.6, 0.7]))
+        for operator in exact._side(sched, (0,), 0, 32):
+            with pytest.raises(ValueError, match="read-only"):
+                operator[...] = 0.0
+
+    def test_exact_builds_each_side_once(self, monkeypatch, tmp_path):
+        """``exact`` on exact-slowmix's pair: its product law and both hitting
+        laws share one build per chain (and one for the one-state partner)."""
+        import functools
+        import json
+
+        from renewalsim import exact
+        from renewalsim.cli import main
+
+        built = []
+        build = exact._side.__wrapped__
+        monkeypatch.setattr(exact, "_side", functools.lru_cache(maxsize=4)(
+            lambda *a: built.append(a[0]) or build(*a)))
+        chain = lambda alphas: {"birth_death": {"cap": 99, "tail": {
+            "kind": "periodic" if isinstance(alphas, list) else "constant", "alphas": alphas}}}
+        config = {"version": 1, "name": "exact-slowmix", "target_set": [0],
+                  "chain1": chain([0.54, 0.52]), "chain2": chain(0.53),
+                  "initial1": {"state": 60}, "initial2": {"state": 40},
+                  "seed": 1, "horizon": 12_000, "tail_len": 200}
+        path = tmp_path / "exact-slowmix.json"
+        path.write_text(json.dumps(config))
+        assert main(["exact", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert sorted(s.space.size for s in built) == [1, 100, 100]
+        assert len({id(s) for s in built}) == 3
 
 
 class TestTargetsChecked:

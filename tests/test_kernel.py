@@ -135,7 +135,7 @@ class TestBirthDeath:
             tail=PeriodicTail((np.array([0.7, 0.75, 0.8]), np.array([0.8, 0.72, 0.9]))),
         )
         assert spec.min_alpha_at_zero() == 0.7
-        assert spec.sup_alpha_product() == pytest.approx(0.7 * 0.3)
+        assert spec.inf_alpha() == 0.7
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.integers(min_value=2, max_value=12))
     def test_generated_rows_always_validate(self, alpha, cap):
