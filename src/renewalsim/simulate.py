@@ -27,7 +27,11 @@ from .rng import derive_stream, stream_keys, uniforms
 class _Sampler:
     """One cumulative table per schedule phase, picked by the schedule's ``phase(t)``:
     Python ``rows`` for the scalar :func:`_draw` and an :class:`_InverseCdf`
-    for a batch of chains (:meth:`draw`)."""
+    for a batch of chains (:meth:`draw`).  Both map a uniform u to the first
+    state whose cumulative row sum exceeds u, or to the last state when u is
+    at or above a short row's total, with the same float comparisons, so
+    they agree bit for bit.  A kernel with a non-finite or negative entry
+    raises ValueError naming its phase label and row."""
 
     __slots__ = ("phase", "size", "rows", "tables")
 
@@ -35,7 +39,7 @@ class _Sampler:
         self.phase = schedule.phase
         self.size = schedule.space.size
         self.rows = [[list(np.cumsum(row)) for row in m] for m in schedule.phases]
-        self.tables = [_InverseCdf(np.cumsum(m, axis=1)) for m in schedule.phases]
+        self.tables = [_InverseCdf(m, label) for label, m in schedule.labeled()]
 
     def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of chains at ``states`` for the step from t, given uniforms u."""
@@ -48,38 +52,53 @@ def _draw(cum: list[float], u: float, size: int) -> int:
 
 
 class _InverseCdf:
-    """:func:`_draw` for a batch of (row, uniform) pairs of one cumulative table.
+    """:func:`_draw` for a batch of (row, uniform) pairs of one kernel.
 
-    With ``bounds`` all cumulative values sorted, entry j of row x gets the
-    key ``x * width + (number of bounds below it)``; for a valid kernel the
-    rows are nondecreasing, so the keys are sorted.  An entry is at most u
-    exactly when its count of smaller bounds is below the number of bounds
-    at most u.  The number of row-x entries at most u is then the number of
-    keys below ``x * width + (number of bounds at most u)``, less the
-    x * size keys of earlier rows: two ``searchsorted`` calls, with no
-    batch-by-size array and the same float comparisons as ``bisect_right``.
+    For u >= 0 the first cumulative value above u sits in a column with a
+    positive entry (a zero entry repeats the value before it), so each row
+    keeps only those columns' cumulative values, padded with ``+inf`` to
+    ``width``, the smallest power of two above the longest row.  The number
+    of kept values at most u then indexes ``states``: the column of the next
+    kept value, or ``size - 1`` past the last one, which is :func:`_draw`'s
+    clamp for short rows.  A draw counts them by branchless bisection over
+    the flat table, log2(width) rounds of one ``take`` and one comparison
+    each.  It and :func:`_draw` need finite, nondecreasing rows, so a
+    non-finite or negative entry raises ValueError naming ``name`` and the row.
     """
 
-    __slots__ = ("bounds", "keys", "width", "size")
+    __slots__ = ("width", "states", "probes")
 
-    def __init__(self, cum: np.ndarray):
-        self.bounds = np.sort(cum, axis=None)
-        self.width = len(self.bounds)
-        self.size = cum.shape[1]
-        self.keys = (np.arange(len(cum))[:, None] * self.width + np.searchsorted(self.bounds, cum)).ravel()
+    def __init__(self, kernel: np.ndarray, name: str):
+        bad = ~(np.isfinite(kernel) & (kernel >= 0))
+        if bad.any():
+            x, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"{name}, row {x}: entry {j} is {float(kernel[x, j])}; entries must be finite and nonnegative"
+            )
+        n, size = kernel.shape
+        kept = kernel > 0
+        self.width = 1 << int(kept.sum(axis=1).max()).bit_length()
+        rows, cols = np.nonzero(kept)
+        at = rows * self.width + np.cumsum(kept, axis=1)[kept] - 1
+        values = np.full(n * self.width, np.inf)
+        values[at] = np.cumsum(kernel, axis=1)[kept]
+        self.states = np.full(n * self.width, size - 1, dtype=np.int64)
+        self.states[at] = cols
+        # round with step s compares u against values[at + s - 1]
+        steps = [self.width >> r for r in range(1, self.width.bit_length())]
+        self.probes = [(s, values[s - 1:]) for s in steps]
 
     def __call__(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        query = np.searchsorted(self.bounds, u, side="right")
-        query += rows * self.width
-        s = np.searchsorted(self.keys, query)
-        s -= rows * self.size
-        return np.minimum(s, self.size - 1, out=s)
+        at = rows * self.width
+        for step, values in self.probes:
+            at += step * (u >= values.take(at))
+        return self.states.take(at)
 
 
 def _counter_paths(schedule: KernelSchedule, init: np.ndarray, keys: np.ndarray, steps: int):
     """X_0..X_steps per counter stream: draw 0 against ``init``, then draw t + 1 for the step from t."""
     sampler = _Sampler(schedule)
-    x = _InverseCdf(np.cumsum(init)[None, :])(np.zeros(len(keys), dtype=np.int64), uniforms(keys, 0))
+    x = _InverseCdf(init[None, :], "initial law")(np.zeros(len(keys), dtype=np.int64), uniforms(keys, 0))
     yield x
     for t in range(steps):
         x = sampler.draw(t, x, uniforms(keys, t + 1))

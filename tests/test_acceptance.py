@@ -21,6 +21,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
     SimulationPlan,
@@ -46,6 +47,7 @@ from renewalsim import (
     walk_moment1,
     walk_return_law,
 )
+from renewalsim.bounds import analytic_certificate
 from renewalsim.cli import main as cli_main
 
 from conftest import delta, periodic_two_state, two_state
@@ -235,6 +237,46 @@ def test_criterion_4_expectation_bound_soundness():
     ok = ok and elapsed < 120.0
     report("criterion 4", ok, f"{'; '.join(lines)}; {elapsed:.1f}s")
     assert ok
+
+
+def test_criterion_4_bound_exceeds_the_exact_mean():
+    """The bound, built as ``full_report`` builds it, is at least the exact
+    E[T] lower bound of the product chain on random accepted pairs."""
+    start = time.perf_counter()
+    ratios = []
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.floats(0.55, 0.95), label="p")
+        cap = data.draw(st.integers(3, 30), label="cap")
+        alpha = st.floats(p, 0.999)
+        specs = [
+            periodic_birth_death(cap, [
+                np.array(data.draw(st.lists(alpha, min_size=cap, max_size=cap)))
+                for _ in range(data.draw(st.integers(1, 3), label=f"phases{c}"))
+            ])
+            for c in (1, 2)
+        ]
+        assert min(s.inf_alpha() for s in specs) >= p
+        starts = [delta(cap + 1, data.draw(st.integers(0, cap), label=f"start{c}")) for c in (1, 2)]
+        s1, s2 = (birth_death_schedule(s) for s in specs)
+        cert = analytic_certificate(*specs, p)
+        envelope = walk_dominating_sequence(p, 2000)
+        m1, m2 = (hitting_time_distribution(s, i, horizon=2000, tail_gamma=cert.gamma)
+                  for s, i in zip((s1, s2), starts))
+        bound = expectation_bound(m1.expectation.high, m2.expectation.high,
+                                  cert.n0, envelope.head, envelope.total_mass, cert.gamma)
+        low = product_tail(s1, s2, *starts, horizon=2000).expectation.low
+        assert bound >= low, (p, cap, bound, low)
+        ratios.append((bound / low, p, cap))
+
+    check()
+    tightest = min(ratios)
+    elapsed = time.perf_counter() - start
+    report("criterion 4, exact", True,
+           f"{len(ratios)} pairs; tightest bound/E[T] {tightest[0]:.3f} "
+           f"at p = {tightest[1]:.3f}, cap {tightest[2]}; {elapsed:.1f}s")
 
 
 def test_criterion_5_pathwise_inequality(showcase):

@@ -15,7 +15,7 @@ from renewalsim import (
     sample_path,
     trial_sequence,
 )
-from renewalsim.simulate import _draw, _Sampler
+from renewalsim.simulate import _draw, _InverseCdf, _Sampler
 
 from conftest import delta, two_state
 from oracles import extract_renewals, renewal_gaps, simultaneous_renewal_time
@@ -83,6 +83,66 @@ class TestBatchedDraw:
         self._check(schedule, steps=3)
         sampler = _Sampler(schedule)
         assert sampler.draw(1, np.array([4]), np.array([0.99999995])).tolist() == [5]
+
+    @staticmethod
+    def _random_rows(rng, shape, zero_frac, short_frac):
+        """Rows with zero runs mid-row (each entry zero w.p. ``zero_frac``) and
+        at the row end (past a random cut); a ``short_frac`` share sums below 1."""
+        weights = rng.random(shape) * (rng.random(shape) >= zero_frac)
+        size = shape[-1]
+        cut = rng.integers(1, size + 1, size=shape[:-1])
+        weights[np.arange(size) >= cut[..., None]] = 0.0
+        empty = weights.sum(axis=-1) == 0.0
+        weights[..., 0][empty] = 1.0
+        rows = weights / weights.sum(axis=-1, keepdims=True)
+        short = rng.random(shape[:-1]) < short_frac
+        rows[short] *= rng.uniform(0.5, 1.0, size=(int(short.sum()), 1))
+        return rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 30),
+        phases=st.integers(1, 3),
+        zero_frac=st.floats(0.0, 0.9),
+        short_frac=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_kernels_match_the_scalar_draw(self, size, phases, zero_frac, short_frac, seed):
+        rng = np.random.default_rng(seed)
+        mats = self._random_rows(rng, (phases, size, size), zero_frac, short_frac)
+        self._check(KernelSchedule(StateSpace(size, frozenset({0})), (), PeriodicTail(tuple(mats))), phases)
+        init = self._random_rows(rng, (1, size), zero_frac, short_frac)
+        cum = np.cumsum(init[0])
+        us = self._edge_uniforms(cum)
+        got = _InverseCdf(init, "initial law")(np.zeros(len(us), dtype=np.int64), np.array(us))
+        assert got.tolist() == [_draw(list(cum), u, size) for u in us]
+
+
+class TestInvalidKernel:
+    """A non-finite or negative kernel or initial-law entry is rejected before any draw."""
+
+    @staticmethod
+    def _schedule(bad_row):
+        good = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 1.0, 0.0]]
+        bad = [good[0], bad_row, good[2]]
+        return KernelSchedule(StateSpace(3, frozenset({0})), (np.array(good),), PeriodicTail((np.array(bad),)))
+
+    @pytest.mark.parametrize("bad_row", [[1.2, -0.2, 0.0], [np.nan, 0.5, 0.5], [0.5, np.inf, 0.0]])
+    def test_every_sampler_rejects_it(self, bad_row):
+        schedule = self._schedule(bad_row)
+        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
+            sample_path(schedule, delta(3, 0), seed=1, horizon=10)
+        plan = SimulationPlan(schedule, schedule, delta(3, 0), delta(3, 0), horizon=10, n_paths=2, master_seed=1)
+        with pytest.raises(ValueError, match=r"tail\[0\], row 1"):
+            estimate_joint_renewal(plan)
+
+    def test_nan_initial_law_rejected(self):
+        with pytest.raises(ValueError, match=r"initial law, row 0: entry 0 is nan"):
+            sample_path(two_state(0.5, 0.5), [np.nan, 1.0], seed=1, horizon=5)
+
+    def test_valid_kernel_accepted(self):
+        path = sample_path(self._schedule([0.25, 0.5, 0.25]), delta(3, 0), seed=1, horizon=10)
+        assert path.shape == (11,)
 
 
 class TestPhaseRule:
