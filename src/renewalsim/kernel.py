@@ -25,6 +25,15 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_entries(matrix: np.ndarray, name: str) -> None:
+    """ValueError naming ``name``, the row and the entry unless every entry is finite and nonnegative."""
+    bad = np.argwhere(~(np.isfinite(matrix) & (matrix >= 0)))
+    if len(bad):
+        x, j = bad[0]
+        raise ValueError(f"{name}, row {x}: entry {j} is {float(matrix[x, j])}; "
+                         "entries must be finite and nonnegative")
+
+
 def _check_initial(initial, size: int) -> np.ndarray:
     """An initial law on ``size`` states as a float vector; raises ValueError otherwise."""
     init = np.asarray(initial, dtype=float)
@@ -32,6 +41,7 @@ def _check_initial(initial, size: int) -> np.ndarray:
         raise ValueError(f"initial vector must have length {size}")
     if (init < 0).any():
         raise ValueError("initial vector has a negative entry")
+    _check_entries(init[None, :], "initial law")
     if abs(float(init.sum()) - 1.0) > INITIAL_SUM_TOL:
         raise ValueError(f"initial vector sums to {float(init.sum()):.12g}, not 1")
     return init

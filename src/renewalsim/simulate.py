@@ -20,25 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .exact import suffix_tails
-from .kernel import KernelSchedule, _check_initial
+from .kernel import KernelSchedule, _check_entries, _check_initial
 from .rng import derive_stream, stream_keys, uniforms
 
 
 class _Sampler:
-    """One cumulative table per schedule phase, picked by the schedule's ``phase(t)``:
-    Python ``rows`` for the scalar :func:`_draw` and an :class:`_InverseCdf`
-    for a batch of chains (:meth:`draw`).  Both map a uniform u to the first
-    state whose cumulative row sum exceeds u, or to the last state when u is
-    at or above a short row's total, with the same float comparisons, so
-    they agree bit for bit.  A kernel with a non-finite or negative entry
-    raises ValueError naming its phase label and row."""
+    """One :class:`_InverseCdf` per schedule phase, picked by the schedule's ``phase(t)``;
+    a kernel with a non-finite or negative entry raises ValueError naming its phase label and row."""
 
-    __slots__ = ("phase", "size", "rows", "tables")
+    __slots__ = ("phase", "tables")
 
     def __init__(self, schedule: KernelSchedule):
         self.phase = schedule.phase
-        self.size = schedule.space.size
-        self.rows = [[list(np.cumsum(row)) for row in m] for m in schedule.phases]
         self.tables = [_InverseCdf(m, label) for label, m in schedule.labeled()]
 
     def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -46,53 +39,49 @@ class _Sampler:
         return self.tables[self.phase(t)](states, u)
 
 
-def _draw(cum: list[float], u: float, size: int) -> int:
-    s = bisect_right(cum, u)
-    return s if s < size else size - 1
-
-
 class _InverseCdf:
-    """:func:`_draw` for a batch of (row, uniform) pairs of one kernel.
+    """Every row of one kernel maps a uniform u to the first state whose
+    cumulative row sum exceeds u, or to the last state when u is at or
+    above a short row's total.
 
     For u >= 0 the first cumulative value above u sits in a column with a
     positive entry (a zero entry repeats the value before it), so each row
-    keeps only those columns' cumulative values, padded with ``+inf`` to
-    ``width``, the smallest power of two above the longest row.  The number
-    of kept values at most u then indexes ``states``: the column of the next
-    kept value, or ``size - 1`` past the last one, which is :func:`_draw`'s
-    clamp for short rows.  A draw counts them by branchless bisection over
-    the flat table, log2(width) rounds of one ``take`` and one comparison
-    each.  It and :func:`_draw` need finite, nondecreasing rows, so a
-    non-finite or negative entry raises ValueError naming ``name`` and the row.
+    keeps only those columns' cumulative values in ``values``, padded with
+    ``+inf`` to ``width``, the smallest power of two above the longest row.
+    The number of kept values at most u then indexes ``states``: the column
+    of the next kept value, or ``size - 1`` past the last one.  A batch of
+    draws counts them by branchless bisection (the call), log2(width)
+    rounds of one ``take`` and one comparison each; one draw counts them
+    by ``bisect`` over :meth:`lists`.  Both need finite, nondecreasing rows,
+    so a non-finite or negative entry raises ValueError naming ``name`` and the row.
     """
 
-    __slots__ = ("width", "states", "probes")
+    __slots__ = ("width", "values", "states", "probes")
 
     def __init__(self, kernel: np.ndarray, name: str):
-        bad = ~(np.isfinite(kernel) & (kernel >= 0))
-        if bad.any():
-            x, j = np.argwhere(bad)[0]
-            raise ValueError(
-                f"{name}, row {x}: entry {j} is {float(kernel[x, j])}; entries must be finite and nonnegative"
-            )
+        _check_entries(kernel, name)
         n, size = kernel.shape
         kept = kernel > 0
         self.width = 1 << int(kept.sum(axis=1).max()).bit_length()
         rows, cols = np.nonzero(kept)
         at = rows * self.width + np.cumsum(kept, axis=1)[kept] - 1
-        values = np.full(n * self.width, np.inf)
-        values[at] = np.cumsum(kernel, axis=1)[kept]
+        self.values = np.full(n * self.width, np.inf)
+        self.values[at] = np.cumsum(kernel, axis=1)[kept]
         self.states = np.full(n * self.width, size - 1, dtype=np.int64)
         self.states[at] = cols
         # round with step s compares u against values[at + s - 1]
         steps = [self.width >> r for r in range(1, self.width.bit_length())]
-        self.probes = [(s, values[s - 1:]) for s in steps]
+        self.probes = [(s, self.values[s - 1:]) for s in steps]
 
     def __call__(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         at = rows * self.width
         for step, values in self.probes:
             at += step * (u >= values.take(at))
         return self.states.take(at)
+
+    def lists(self) -> tuple[list[float], list[int], int]:
+        """As lists; row x at u goes to ``states[bisect_right(values, u, x * width, (x + 1) * width)]``."""
+        return self.values.tolist(), self.states.tolist(), self.width
 
 
 def _counter_paths(schedule: KernelSchedule, init: np.ndarray, keys: np.ndarray, steps: int):
@@ -165,15 +154,13 @@ def trial_sequence(
         raise ValueError("n0 must be nonnegative")
     if scan not in ("printed", "time"):
         raise ValueError("scan must be 'printed' or 'time'")
-    seqs = (list(tau1), list(tau2))
-
-    first = seqs[0]
+    seqs = (tau1, tau2)
     j = 1
-    while j < len(first) and first[j] <= n0:
+    while j < len(tau1) and tau1[j] <= n0:
         j += 1
-    if j >= len(first):
+    if j >= len(tau1):
         return TrialSequence((), (), (), None)
-    anchor = first[j]
+    anchor = tau1[j]
     indices = [j]
     gaps = [anchor]
     sums = [anchor]
@@ -267,9 +254,11 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     draws and renewal lists as a scan at every step.
     """
     sampler1, sampler2 = _Sampler(plan.schedule1), _Sampler(plan.schedule2)
-    n1, phase1, rows1 = sampler1.size, sampler1.phase, sampler1.rows
-    n2, phase2, rows2 = sampler2.size, sampler2.phase, sampler2.rows
-    cum1, cum2 = list(np.cumsum(plan.initial1)), list(np.cumsum(plan.initial2))
+    phase1, tables1 = sampler1.phase, [table.lists() for table in sampler1.tables]
+    phase2, tables2 = sampler2.phase, [table.lists() for table in sampler2.tables]
+    (values1, states1, _), (values2, states2, _) = (
+        _InverseCdf(init[None, :], "initial law").lists() for init in (plan.initial1, plan.initial2)
+    )
     targets, horizon = plan.targets, plan.horizon
 
     count = stop - start
@@ -283,18 +272,18 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
 
     for offset in range(count):
         uniform = derive_stream(plan.master_seed, start + offset).random
-        x1 = _draw(cum1, uniform(), n1)
-        x2 = _draw(cum2, uniform(), n2)
+        x1 = states1[bisect_right(values1, uniform())]
+        x2 = states2[bisect_right(values2, uniform())]
         r1 = [0] if x1 in targets else []
         r2 = [0] if x2 in targets else []
         t_meet: int | None = None
         trials: TrialSequence | None = None
         t = 0
         while t < horizon:
-            s = bisect_right(rows1[phase1(t)][x1], uniform())
-            x1 = s if s < n1 else n1 - 1
-            s = bisect_right(rows2[phase2(t)][x2], uniform())
-            x2 = s if s < n2 else n2 - 1
+            values, states, width = tables1[phase1(t)]
+            x1 = states[bisect_right(values, uniform(), x1 * width, (x1 + 1) * width)]
+            values, states, width = tables2[phase2(t)]
+            x2 = states[bisect_right(values, uniform(), x2 * width, (x2 + 1) * width)]
             t += 1
             if x1 in targets:
                 r1.append(t)

@@ -3,16 +3,21 @@
 Each one recomputes, by a different or more direct route, something the
 package computes on its hot path: the walk's first-return coefficients by
 the binomial series, renewal times and gaps straight from a path, the
-first simultaneous renewal as a set intersection, and the mass defect of a
-distribution table.
+first simultaneous renewal as a set intersection, the mass defect of a
+distribution table, and the joint estimator's meeting times and first hits
+drawn one cumulative row at a time.
 """
 
+import random
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from renewalsim import SimulationPlan
 from renewalsim.domination import _check_walk_parameter
 from renewalsim.exact import DistributionTable
+from renewalsim.rng import mix
 
 
 def first_return_series(p: float, n: int) -> np.ndarray:
@@ -64,3 +69,44 @@ def simultaneous_renewal_time(tau1: Sequence[int], tau2: Sequence[int]) -> int |
 def mass_defect(table: DistributionTable) -> float:
     """|1 - (total mass + residual)| of a distribution table."""
     return abs(1.0 - (float(table.mass.sum()) + table.residual))
+
+
+def _draw(cum: Sequence[float], u: float, size: int) -> int:
+    """The first state whose cumulative row sum ``cum`` exceeds u, or the
+    last state when u is at or above the total of a short row."""
+    s = bisect_right(cum, u)
+    return s if s < size else size - 1
+
+
+def joint_renewal_times(plan: SimulationPlan) -> tuple[list[int], list[int], list[int]]:
+    """Meeting time and first hit of each chain, per path, -1 where none falls within the horizon.
+
+    Path i draws from ``random.Random(mix(seed, i))``: the initial states
+    of chain 1 and chain 2, then chain 1 and chain 2 at every step, each by
+    :func:`_draw` on ``np.cumsum`` of the row of ``schedule.at(t)``.  The
+    meeting time is the first step t >= 1 with both chains in the target
+    set; a first hit counts t = 0.
+    """
+    targets, n1, n2 = plan.targets, plan.schedule1.space.size, plan.schedule2.space.size
+    meeting, hit1, hit2 = [], [], []
+    for i in range(plan.n_paths):
+        uniform = random.Random(mix(plan.master_seed, i)).random
+        x1 = _draw(np.cumsum(plan.initial1), uniform(), n1)
+        x2 = _draw(np.cumsum(plan.initial2), uniform(), n2)
+        first1 = 0 if x1 in targets else -1
+        first2 = 0 if x2 in targets else -1
+        met = -1
+        for t in range(1, plan.horizon + 1):
+            x1 = _draw(np.cumsum(plan.schedule1.at(t - 1)[x1]), uniform(), n1)
+            x2 = _draw(np.cumsum(plan.schedule2.at(t - 1)[x2]), uniform(), n2)
+            if first1 < 0 and x1 in targets:
+                first1 = t
+            if first2 < 0 and x2 in targets:
+                first2 = t
+            if x1 in targets and x2 in targets:
+                met = t
+                break
+        meeting.append(met)
+        hit1.append(first1)
+        hit2.append(first2)
+    return meeting, hit1, hit2

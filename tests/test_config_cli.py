@@ -423,6 +423,14 @@ class TestCliExitCodes:
             assert f"config.{key}: {message}" in report["results"]["error"]
         assert load_report(tmp_path, "t_validate.json")["results"]["valid"] is False
 
+    @pytest.mark.parametrize("sub", sorted(COMMANDS))
+    def test_nan_initial_law_is_exit_1(self, tmp_path, sub):
+        path = write_config(tmp_path, demo_config(initial1=[float("nan"), 1.0] + [0.0] * 7))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        results = load_report(tmp_path, f"t_{sub}.json")["results"]
+        assert "config.initial1: initial law, row 0: entry 0 is nan" in results["error"]
+        assert sub != "validate" or results["valid"] is False
+
     def test_renewal_tails_without_paths_is_exit_1(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_paths=0))
         assert main(["condition-check", "--config", str(path), "--out-dir", str(tmp_path)]) == 1

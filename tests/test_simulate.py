@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,15 +12,17 @@ from renewalsim import (
     SimulationPlan,
     StateSpace,
     birth_death_schedule,
+    constant_birth_death,
     estimate_joint_renewal,
+    hitting_time_distribution,
     periodic_birth_death,
     sample_path,
     trial_sequence,
 )
-from renewalsim.simulate import _draw, _InverseCdf, _Sampler
+from renewalsim.simulate import _InverseCdf, _Sampler
 
 from conftest import delta, two_state
-from oracles import extract_renewals, renewal_gaps, simultaneous_renewal_time
+from oracles import _draw, extract_renewals, joint_renewal_times, renewal_gaps, simultaneous_renewal_time
 
 
 class TestSamplePath:
@@ -47,8 +51,15 @@ class TestSamplePath:
             sample_path(sched, [-0.1, 1.1], seed=1, horizon=5)
 
 
+def _scalar_reader(table):
+    """The joint estimator's draw: one ``bisect`` over row x's slice of the table's flat lists."""
+    values, states, width = table.lists()
+    return lambda x, u: states[bisect_right(values, u, x * width, (x + 1) * width)]
+
+
 class TestBatchedDraw:
-    """``_Sampler.draw`` must return what the scalar ``_draw`` returns, state by state."""
+    """Both readers of a table, the batch call and the scalar bisect, return
+    what the oracle ``_draw`` returns on the row's cumulative sums, state by state."""
 
     @staticmethod
     def _edge_uniforms(cum):
@@ -56,17 +67,23 @@ class TestBatchedDraw:
         us = [0.0, *cum, *np.nextafter(cum, -1.0), *np.linspace(0.0, 1.0, 7, endpoint=False)]
         return [u for u in us if 0.0 <= u < 1.0]
 
+    def _check_table(self, table, kernel):
+        size = kernel.shape[1]
+        states, us, expected = [], [], []
+        for x, row in enumerate(kernel):
+            cum = np.cumsum(row)
+            edge = self._edge_uniforms(cum)
+            states += [x] * len(edge)
+            us += edge
+            expected += [_draw(cum, u, size) for u in edge]
+        assert table(np.array(states, dtype=np.int64), np.array(us)).tolist() == expected
+        scalar = _scalar_reader(table)
+        assert [scalar(x, u) for x, u in zip(states, us)] == expected
+
     def _check(self, schedule, steps):
         sampler = _Sampler(schedule)
         for t in range(steps):
-            rows = sampler.rows[sampler.phase(t)]
-            states, us = [], []
-            for x in range(sampler.size):
-                edge = self._edge_uniforms(np.asarray(rows[x]))
-                states += [x] * len(edge)
-                us += edge
-            got = sampler.draw(t, np.array(states), np.array(us))
-            assert got.tolist() == [_draw(rows[x], u, sampler.size) for x, u in zip(states, us)]
+            self._check_table(sampler.tables[sampler.phase(t)], schedule.at(t))
 
     def test_birth_death_schedule(self):
         spec = periodic_birth_death(12, [0.75, np.linspace(0.55, 0.9, 12)])
@@ -77,12 +94,13 @@ class TestBatchedDraw:
         dense = rng.random((3, 6, 6))
         dense /= dense.sum(axis=2, keepdims=True)
         short = dense[2].copy()
-        short[4] = [0.1, 0.2, 0.0, 0.3, 0.2, 0.1999999]  # sums below 1: the clamp applies
+        short[4] = [0.1, 0.2, 0.0, 0.3, 0.2, 0.1999999]  # sums below 1: the last state takes the rest
         schedule = KernelSchedule(StateSpace(6, frozenset({0, 3})), (dense[0],),
                                   PeriodicTail((dense[1], short)))
         self._check(schedule, steps=3)
         sampler = _Sampler(schedule)
         assert sampler.draw(1, np.array([4]), np.array([0.99999995])).tolist() == [5]
+        assert _scalar_reader(sampler.tables[sampler.phase(1)])(4, 0.99999995) == 5
 
     @staticmethod
     def _random_rows(rng, shape, zero_frac, short_frac):
@@ -112,10 +130,53 @@ class TestBatchedDraw:
         mats = self._random_rows(rng, (phases, size, size), zero_frac, short_frac)
         self._check(KernelSchedule(StateSpace(size, frozenset({0})), (), PeriodicTail(tuple(mats))), phases)
         init = self._random_rows(rng, (1, size), zero_frac, short_frac)
-        cum = np.cumsum(init[0])
-        us = self._edge_uniforms(cum)
-        got = _InverseCdf(init, "initial law")(np.zeros(len(us), dtype=np.int64), np.array(us))
-        assert got.tolist() == [_draw(list(cum), u, size) for u in us]
+        self._check_table(_InverseCdf(init, "initial law"), init)
+
+    def test_sampler_holds_no_per_row_lists(self):
+        schedule = birth_death_schedule(constant_birth_death(1000, 0.75))
+        tracemalloc.start()
+        try:
+            sampler = _Sampler(schedule)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sampler.tables) == 1
+        assert held < 2**20
+
+
+class TestJointOracle:
+    """``estimate_joint_renewal`` gives the oracle's meeting times and first
+    hits path by path: the same stream per path, drawn one cumulative row at a time."""
+
+    @staticmethod
+    def _check(plan):
+        est = estimate_joint_renewal(plan)
+        meeting, hit1, hit2 = joint_renewal_times(plan)
+        assert est.meeting_times.tolist() == meeting
+        assert est.first_hit1.tolist() == hit1
+        assert est.first_hit2.tolist() == hit2
+        assert 0 < est.censored < plan.n_paths  # both outcomes occur
+
+    def test_period_two_birth_death_pair(self):
+        schedule1 = birth_death_schedule(periodic_birth_death(6, [0.8, 0.55]))
+        schedule2 = birth_death_schedule(periodic_birth_death(6, [0.6, np.linspace(0.5, 0.9, 6)]))
+        spread = np.array([0.1, 0.0, 0.2, 0.3, 0.0, 0.15, 0.25])
+        self._check(SimulationPlan(schedule1, schedule2, delta(7, 3), spread,
+                                   horizon=12, n_paths=400, master_seed=11))
+
+    def test_dense_kernels_with_zero_entries_and_a_short_row(self):
+        rng = np.random.default_rng(8)
+        mats = rng.random((3, 5, 5))
+        mats[:, :, 2] *= rng.random((3, 5)) < 0.5  # zeros mid-row
+        mats[:, :, 4] *= rng.random((3, 5)) < 0.5  # zeros at the row end
+        mats /= mats.sum(axis=2, keepdims=True)
+        mats[1, 3] *= 1.0 - 1e-13  # one short row
+        space = StateSpace(5, frozenset({0, 3}))
+        schedule1 = KernelSchedule(space, (mats[0],), PeriodicTail((mats[1], mats[2])))
+        schedule2 = KernelSchedule(space, (mats[2], mats[1]), PeriodicTail((mats[0],)))
+        spread = np.array([0.0, 0.35, 0.25, 0.0, 0.4])
+        self._check(SimulationPlan(schedule1, schedule2, spread, spread[::-1].copy(),
+                                   horizon=6, n_paths=400, master_seed=5))
 
 
 class TestInvalidKernel:
@@ -140,13 +201,22 @@ class TestInvalidKernel:
         with pytest.raises(ValueError, match=r"initial law, row 0: entry 0 is nan"):
             sample_path(two_state(0.5, 0.5), [np.nan, 1.0], seed=1, horizon=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_law_rejected_before_any_work(self, bad):
+        schedule = two_state(0.5, 0.5)
+        message = rf"initial law, row 0: entry 1 is {bad}"
+        with pytest.raises(ValueError, match=message):
+            SimulationPlan(schedule, schedule, delta(2, 0), [0.0, bad], horizon=5, n_paths=2, master_seed=1)
+        with pytest.raises(ValueError, match=message):
+            hitting_time_distribution(schedule, [0.0, bad], horizon=5)
+
     def test_valid_kernel_accepted(self):
         path = sample_path(self._schedule([0.25, 0.5, 0.25]), delta(3, 0), seed=1, horizon=10)
         assert path.shape == (11,)
 
 
 class TestPhaseRule:
-    """``schedule.at``, ``_Sampler.rows`` and ``_Sampler.draw`` pick the same phase."""
+    """``schedule.at`` with the oracle ``_draw``, and both readers of ``_Sampler``, pick the same phase."""
 
     @staticmethod
     def _schedule():
@@ -157,13 +227,14 @@ class TestPhaseRule:
 
     @staticmethod
     def _disagreements(schedule, sampler, steps=31):
-        states = np.arange(sampler.size)
+        states = np.arange(schedule.space.size)
         out = []
         for t in range(steps):
             expected = t if t < 2 else 2 + t % 3
+            scalar = _scalar_reader(sampler.tables[sampler.phase(t)])
             picked = {
-                "at": set(schedule.at(t).argmax(axis=1).tolist()),
-                "rows": {_draw(row, 0.5, sampler.size) for row in sampler.rows[sampler.phase(t)]},
+                "at": {_draw(np.cumsum(row), 0.5, len(row)) for row in schedule.at(t)},
+                "scalar": {scalar(x, 0.5) for x in states.tolist()},
                 "draw": set(sampler.draw(t, states, np.full(len(states), 0.5)).tolist()),
             }
             out += [(t, name) for name, got in picked.items() if got != {expected}]
@@ -179,7 +250,7 @@ class TestPhaseRule:
         schedule = self._schedule()
         wrong = _Sampler(schedule)
         wrong.phase = lambda t: t if t < 2 else 2 + (t - 2) % 3
-        assert {name for _, name in self._disagreements(schedule, wrong)} == {"rows", "draw"}
+        assert {name for _, name in self._disagreements(schedule, wrong)} == {"scalar", "draw"}
 
 
 class TestExtractRenewals:
