@@ -67,35 +67,42 @@ def _require_p(scenario: Scenario) -> float:
     return scenario.domination_p
 
 
-SCAN_REJECTED = (
-    "empirical regularity scan is consistent with gamma = 0 (gamma_hat = {:.6g}); certificate rejected"
-)
+def _rejection(scans: tuple[domination.RegularityScan, ...]) -> str:
+    """Why the regularity grids certify gamma = 0, naming the first chain and point at zero."""
+    chain, pt = next((chain, pt) for chain, scan in enumerate(scans, 1) for pt in scan.points
+                     if not pt.observed or pt.estimate <= 0.0)
+    why = "the chain is never in the target set at the base time" if not pt.observed else "estimate 0"
+    return (f"exact regularity grid of chain {chain} gives gamma = 0 at base time {pt.base_time}, "
+            f"lag {pt.lag} ({why}); certificate rejected")
 
 
 def _certificate(
     scenario: Scenario, p: float
-) -> tuple[domination.RegularityCertificate | None, domination.RegularityScan | None]:
-    """The regularity certificate of the configured source, and the scan behind it.
+) -> tuple[domination.RegularityCertificate | None, tuple[domination.RegularityScan, ...]]:
+    """The regularity certificate of the configured source, and the grids behind it.
 
-    The analytic source has no scan.  The empirical certificate is None
-    when the scan is consistent with gamma = 0.
+    The analytic source has no grid.  The empirical source reads the exact
+    grid of each chain from its own initial law, and gamma is the smaller
+    grid minimum; its certificate is None when that minimum is 0.
     """
     reg = scenario.regularity
     if reg["source"] == "analytic":
         if scenario.spec1 is None or scenario.spec2 is None:
             raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
-        return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), None
-    scan = domination.estimate_regularity(
-        scenario.schedule1,
-        n0=reg["n0"],
-        base_times=reg["t_grid"],
-        lags=reg["lag_grid"],
-        n_paths=reg["n_paths"],
-        seed=scenario.master_seed,
-        initial=scenario.initial1,
-        n0_applies_to=reg["n0_applies_to"],
+        return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), ()
+    scans = tuple(
+        domination.exact_regularity(
+            schedule,
+            n0=reg["n0"],
+            base_times=reg["t_grid"],
+            lags=reg["lag_grid"],
+            initial=initial,
+            n0_applies_to=reg["n0_applies_to"],
+        )
+        for schedule, initial in ((scenario.schedule1, scenario.initial1),
+                                  (scenario.schedule2, scenario.initial2))
     )
-    return scan.certificate(), scan
+    return min(scans, key=lambda scan: scan.gamma_hat).certificate(), scans
 
 
 def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
@@ -194,14 +201,16 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         for f in dom_report.flags
     ]
 
-    certificate, scan = _certificate(scenario, p)
-    if scan is not None:
+    certificate, scans = _certificate(scenario, p)
+    grid = [(chain, pt) for chain, scan in enumerate(scans, 1) for pt in scan.points]
+    if scans:
         report["results"]["gamma_grid"] = [
-            {"base_time": pt.base_time, "lag": pt.lag, "estimate": pt.estimate,
+            {"chain": chain, "base_time": pt.base_time, "lag": pt.lag, "estimate": pt.estimate,
              "se": pt.se, "n_conditioned": pt.n_conditioned}
-            for pt in scan.points
+            for chain, pt in grid
         ]
-        report["results"]["gamma_hat"] = quantity(scan.gamma_hat, "mc")
+        lowest = min(scans, key=lambda scan: scan.gamma_hat)
+        report["results"]["gamma_hat"] = quantity(lowest.gamma_hat, lowest.provenance)
     if certificate is not None:
         report["results"]["gamma"] = quantity(certificate.gamma, certificate.provenance)
         report["results"]["n0"] = certificate.n0
@@ -219,13 +228,13 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
             rows,
         )
         report["results"]["csv"] = path.name
-        if scan is not None:
+        if scans:
             grid_path = _write_csv(
                 args.out_dir,
                 f"{scenario.name}_gamma_grid",
-                ["base_time", "lag", "estimate", "se", "n_conditioned"],
-                [(pt.base_time, pt.lag, pt.estimate, pt.se, pt.n_conditioned)
-                 for pt in scan.points],
+                ["chain", "base_time", "lag", "estimate", "se", "n_conditioned"],
+                [(chain, pt.base_time, pt.lag, pt.estimate, pt.se, pt.n_conditioned)
+                 for chain, pt in grid],
             )
             report["results"]["gamma_csv"] = grid_path.name
 
@@ -234,7 +243,7 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
             f"{len(dom_report.flags)} grid point(s) exceed the envelope by more than 3 SE"
         )
     if certificate is None:
-        raise StatisticalCheckFailure(SCAN_REJECTED.format(scan.gamma_hat))
+        raise StatisticalCheckFailure(_rejection(scans))
 
 
 def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
@@ -273,9 +282,9 @@ def _cmd_compare(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     gamma = scenario.regularity.get("gamma")
     if gamma is None:
-        certificate, scan = _certificate(scenario, p)
+        certificate, scans = _certificate(scenario, p)
         if certificate is None:
-            raise StatisticalCheckFailure(SCAN_REJECTED.format(scan.gamma_hat))
+            raise StatisticalCheckFailure(_rejection(scans))
         gamma = certificate.gamma
     report["results"].update(asdict(bounds.compare_bounds(p, float(gamma))))
 
@@ -352,8 +361,9 @@ def run(args: argparse.Namespace) -> int:
             if violations:
                 raise ValidationFailure("; ".join(violations))
             COMMANDS[args.subcommand](scenario, report, args)
-        except (StatisticalCheckFailure, ValueError, MemoryError) as err:
-            # MemoryError: a count too big to allocate fails like any other bad value
+        except (StatisticalCheckFailure, ValueError, MemoryError, OverflowError) as err:
+            # MemoryError, OverflowError: a count too big to allocate or to fit
+            # a machine integer fails like any other bad value
             code = 2 if isinstance(err, StatisticalCheckFailure) else 1
             report["results"]["error"] = str(err)
         path = _write_report(report, args.out_dir, f"{scenario.name}_{args.subcommand}")

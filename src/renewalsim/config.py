@@ -177,7 +177,8 @@ def load_scenario(source: str | Path | dict, seed_override: int | None = None) -
             raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
     try:
         return _resolve(raw, seed_override)
-    except (TypeError, ValueError, AttributeError, OverflowError) as err:
+    except (TypeError, ValueError, AttributeError, OverflowError, MemoryError) as err:
+        # MemoryError: a cap or state count too big for its matrices
         raise ConfigError(f"invalid config value: {err}") from err
 
 

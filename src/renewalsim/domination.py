@@ -11,12 +11,14 @@ Two validity conditions underpin the expectation bound:
 
 For nearest-neighbour chains the envelope comes from a +-1 random walk
 with down probability ``p > 1/2``; this module computes the walk's
-first-return coefficients, builds the envelope, and provides Monte Carlo
-checkers for both conditions on arbitrary schedules.
+first-return coefficients, builds the envelope, and provides checkers for
+both conditions on arbitrary schedules: Monte Carlo for the renewal tails,
+and both Monte Carlo and exact forward propagation for regularity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import check_unit_interval, suffix_tails
-from .kernel import KernelSchedule, _check_initial
+from .kernel import KernelSchedule, _check_entries, _check_initial
 from .rng import stream_keys, uniforms
 from .simulate import _counter_paths, _Sampler
 
@@ -292,7 +294,8 @@ class RegularityCertificate:
     """A certified uniform lower bound on later in-target probability.
 
     ``provenance`` is the report tag of ``gamma``: ``"analytic"`` for the
-    floor certificate, ``"mc"`` for a regularity scan.
+    floor certificate, ``"mc"`` for a sampled regularity scan and
+    ``"exact"`` for a grid read off the kernels.
     """
 
     gamma: float
@@ -321,7 +324,12 @@ def regularity_from_floor(floor: float, mean_bound: float) -> RegularityCertific
 
 @dataclass(frozen=True)
 class RegularityPoint:
-    """One grid point; ``estimate`` and ``se`` are None when unobserved."""
+    """One grid point; ``estimate`` and ``se`` are None when unobserved.
+
+    On an exact grid ``se`` is 0.0 (no sampling error) and ``n_conditioned``
+    counts conditioning laws: 1 when pi_b(C) > 0, 0 when the chain cannot be
+    in the target set at the base time.
+    """
 
     base_time: int
     lag: int
@@ -342,23 +350,44 @@ class RegularityScan:
     minus three standard errors (conservative), floored at zero.  A grid
     point whose conditioning event never occurred is kept and flagged, and
     sets ``gamma_hat`` to zero: a point without evidence certifies nothing.
+    ``provenance`` tags ``gamma_hat``: ``"mc"`` for a sampled scan (with
+    ``n_paths`` paths), ``"exact"`` for a grid read off the kernels
+    (``n_paths`` 0).
     """
 
     points: tuple[RegularityPoint, ...]
     n0: int
     n_paths: int
     gamma_hat: float
+    provenance: str = "mc"
 
     @property
     def flagged(self) -> tuple[RegularityPoint, ...]:
         return tuple(p for p in self.points if not p.observed)
 
     def certificate(self) -> RegularityCertificate | None:
-        """Empirical certificate, or None when the scan is consistent with
+        """Certificate of the scan, or None when it is consistent with
         gamma = 0 (for example on periodic chains)."""
         if self.gamma_hat <= 0.0:
             return None
-        return RegularityCertificate(gamma=self.gamma_hat, n0=self.n0, provenance="mc")
+        return RegularityCertificate(gamma=self.gamma_hat, n0=self.n0, provenance=self.provenance)
+
+
+def _regularity_grid(n0: int, base_times: Sequence[int], lags: Sequence[int], n0_applies_to: str):
+    """Base times and lags left after ``n0`` (see :func:`estimate_regularity`), in the given order."""
+    if n0_applies_to not in ("base", "lag"):
+        raise ValueError("n0_applies_to must be 'base' or 'lag'")
+    if n0_applies_to == "base":
+        bases = tuple(b for b in base_times if b >= n0)
+        lag_grid = tuple(lags)
+    else:
+        bases = tuple(base_times)
+        lag_grid = tuple(t for t in lags if t >= n0)
+    if not bases or not lag_grid:
+        raise ValueError("grids must be nonempty after applying n0")
+    if min(bases) < 0 or min(lag_grid) < 0:
+        raise ValueError("base times and lags must be nonnegative")
+    return bases, lag_grid
 
 
 def estimate_regularity(
@@ -377,20 +406,9 @@ def estimate_regularity(
     ``n0_applies_to="lag"`` for the alternate reading that instead
     restricts the lag grid.  ``initial`` defaults to the uniform law,
     since the conditional probabilities depend on the path law, not just
-    the kernels.
+    the kernels.  :func:`exact_regularity` gives the same grid exactly.
     """
-    if n0_applies_to not in ("base", "lag"):
-        raise ValueError("n0_applies_to must be 'base' or 'lag'")
-    if n0_applies_to == "base":
-        bases = tuple(b for b in base_times if b >= n0)
-        lag_grid = tuple(lags)
-    else:
-        bases = tuple(base_times)
-        lag_grid = tuple(t for t in lags if t >= n0)
-    if not bases or not lag_grid:
-        raise ValueError("grids must be nonempty after applying n0")
-    if min(bases) < 0 or min(lag_grid) < 0:
-        raise ValueError("base times and lags must be nonnegative")
+    bases, lag_grid = _regularity_grid(n0, base_times, lags, n0_applies_to)
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
@@ -422,3 +440,80 @@ def estimate_regularity(
     return RegularityScan(
         points=tuple(points), n0=n0, n_paths=n_paths, gamma_hat=max(gamma_hat, 0.0)
     )
+
+
+def _forward(schedule: KernelSchedule, law: np.ndarray, start: int, steps: int) -> np.ndarray:
+    """``law`` times K(start)···K(start + steps - 1).
+
+    Whole tail cycles past the body take binary powers of the period
+    product when those log2(cycles) + period matrix products cost less
+    than the cycles' vector steps (10**9 steps take about 30 squarings);
+    every other step is a vector step.
+    """
+    t, end = start, start + steps
+    period = schedule.tail.period
+    while t < end and (t < len(schedule.body) or t % period):
+        law = law @ schedule.at(t)
+        t += 1
+    cycles = (end - t) // period
+    if cycles * period > (period + cycles.bit_length()) * len(law):
+        t += cycles * period
+        power = functools.reduce(np.matmul, schedule.tail.values)  # one cycle from a multiple of period
+        while cycles:
+            # back to unit row sums: left alone, their rounding doubles with every squaring
+            sums = power.sum(axis=1, keepdims=True)
+            power = power / np.where(sums > 0.0, sums, 1.0)
+            if cycles & 1:
+                law = law @ power
+            cycles >>= 1
+            if cycles:
+                power = power @ power
+    while t < end:
+        law = law @ schedule.at(t)
+        t += 1
+    return law
+
+
+def exact_regularity(
+    schedule: KernelSchedule,
+    n0: int,
+    base_times: Sequence[int],
+    lags: Sequence[int],
+    initial=None,
+    n0_applies_to: str = "base",
+) -> RegularityScan:
+    """P{in target at base + lag | in target at base} over a grid, exactly.
+
+    The point (b, l) is (pi_b 1_C) K_b···K_{b+l-1} 1_C / pi_b(C), with pi_b
+    the law at time b from ``initial`` (uniform by default) and C the
+    target set.  Grid rules and point order are those of
+    :func:`estimate_regularity`; a point with pi_b(C) = 0 is unobserved and
+    sets ``gamma_hat`` to zero.  Raises ValueError on a kernel entry that
+    is negative or not finite.
+    """
+    bases, lag_grid = _regularity_grid(n0, base_times, lags, n0_applies_to)
+    for label, kernel in schedule.labeled():
+        _check_entries(kernel, label)
+    size = schedule.space.size
+    law = np.full(size, 1.0 / size) if initial is None else _check_initial(initial, size)
+    in_target = _target_mask(schedule)
+
+    values: dict[tuple[int, int], float] = {}
+    t = 0
+    for b in sorted(set(bases)):
+        law, t = _forward(schedule, law, t, b - t), b
+        mass = float(law[in_target].sum())
+        if mass <= 0.0:
+            continue
+        restricted, lag_done = np.where(in_target, law, 0.0), 0
+        for lag in sorted(set(lag_grid)):
+            restricted, lag_done = _forward(schedule, restricted, b + lag_done, lag - lag_done), lag
+            values[b, lag] = min(float(restricted[in_target].sum()) / mass, 1.0)
+
+    points = tuple(
+        RegularityPoint(b, lag, values[b, lag], 0.0, 1) if (b, lag) in values
+        else RegularityPoint(b, lag, None, None, 0)
+        for b in bases for lag in lag_grid
+    )
+    gamma_hat = min(pt.estimate if pt.observed else 0.0 for pt in points)
+    return RegularityScan(points=points, n0=n0, n_paths=0, gamma_hat=gamma_hat, provenance="exact")

@@ -4,8 +4,9 @@ Each one recomputes, by a different or more direct route, something the
 package computes on its hot path: the walk's first-return coefficients by
 the binomial series, renewal times and gaps straight from a path, the
 first simultaneous renewal as a set intersection, the mass defect of a
-distribution table, and the joint estimator's meeting times and first hits
-drawn one cumulative row at a time.
+distribution table, the joint estimator's meeting times and first hits
+drawn one cumulative row at a time, and the regularity grid by one law
+step at a time.
 """
 
 import random
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from renewalsim import SimulationPlan
+from renewalsim import KernelSchedule, SimulationPlan
 from renewalsim.domination import _check_walk_parameter
 from renewalsim.exact import DistributionTable
 from renewalsim.rng import mix
@@ -110,3 +111,19 @@ def joint_renewal_times(plan: SimulationPlan) -> tuple[list[int], list[int], lis
         hit1.append(first1)
         hit2.append(first2)
     return meeting, hit1, hit2
+
+
+def in_target_again(schedule: KernelSchedule, initial, base: int, lag: int) -> float | None:
+    """P{X_{base+lag} in C | X_base in C} by stepping the law one kernel at a
+    time, normalized at the base time; None when P{X_base in C} = 0."""
+    in_target = np.zeros(schedule.space.size, dtype=bool)
+    in_target[sorted(schedule.space.target_set)] = True
+    law = np.asarray(initial, dtype=float)
+    for t in range(base):
+        law = law @ schedule.at(t)
+    if law[in_target].sum() == 0.0:
+        return None
+    law = np.where(in_target, law, 0.0) / law[in_target].sum()
+    for t in range(base, base + lag):
+        law = law @ schedule.at(t)
+    return float(law[in_target].sum())

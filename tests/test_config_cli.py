@@ -101,6 +101,39 @@ def any_config(draw):
     return cfg
 
 
+SCHEMA_STRINGS = ("constant", "periodic", "analytic", "empirical", "base", "lag", "x")
+
+
+def same_type_values(value):
+    """Values of the JSON type of ``value``, near its range: integers from -1
+    to about twice it, probabilities in [0, 1] and other floats up to twice
+    it, strings the schema uses, and empty containers as they are."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-1, max(2 * value, 3))
+    if isinstance(value, float):
+        return st.floats(0.0, 1.0) if 0.0 <= value <= 1.0 else st.floats(-1.0, 2.0 * value)
+    if isinstance(value, str):
+        return st.sampled_from((value, *SCHEMA_STRINGS))
+    return st.just(value)
+
+
+def fuzz_configs():
+    """Small valid configs that between them hold every key the schema reads."""
+    small = {"horizon": 60, "n_paths": 40, "tail_len": 10, "domination": {"p": 0.75, "series_len": 100}}
+    regularity = {"source": "empirical", "t_grid": [0, 1, 2], "lag_grid": [0, 1, 3], "n0": 0,
+                  "n_paths": 100, "n0_applies_to": "base", "mu_hat": 2.5}
+    periodic = {"birth_death": {"cap": 6, "alpha_table": [[0.8, 0.9, 0.8, 0.9, 0.8, 0.9]],
+                                "tail": {"kind": "periodic", "alphas": [0.75, [0.8] * 6]}}}
+    return [
+        demo_config(**small),
+        demo_config(**small, regularity=regularity),
+        demo_config(**small, chain1=periodic, regularity={**regularity, "gamma": 0.2}),
+        {**explicit_config(), **small, "regularity": regularity},
+    ]
+
+
 def write_config(tmp_path: Path, cfg, name="cfg.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -246,6 +279,33 @@ class TestCliExitCodes:
                 if code == 3:
                     assert not any(out.glob("*"))
 
+    def test_same_type_leaf_mutations_reach_the_subcommands(self):
+        # one leaf of a valid config set to a value of its own type keeps most
+        # configs loadable, so the subcommands themselves meet odd values
+        codes = []
+
+        @settings(max_examples=120, deadline=None)
+        @given(st.data())
+        def mutate_and_run(data):
+            cfg = data.draw(st.sampled_from(fuzz_configs()), label="config")
+            path = data.draw(st.sampled_from(list(_leaf_paths(cfg))), label="leaf")
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = data.draw(same_type_values(parent[path[-1]]), label="value")
+            sub = data.draw(st.sampled_from(sorted(COMMANDS)), label="subcommand")
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg_path = write_config(Path(tmp), cfg)
+                out = Path(tmp) / "out"
+                code = main([sub, "--config", str(cfg_path), "--out-dir", str(out)])
+                assert code in (0, 1, 2, 3)
+                assert any(out.glob("*.json")) == (code != 3)
+            codes.append(code)
+
+        mutate_and_run()
+        reached = sum(code != 3 for code in codes)
+        assert reached >= 0.6 * len(codes), (reached, len(codes))
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_regularity_mutation_exits_cleanly(self, data):
@@ -316,6 +376,29 @@ class TestCliExitCodes:
         path = write_config(tmp_path, demo_config(horizon=10**18))
         assert main(["exact", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "allocate" in load_report(tmp_path, "t_exact.json")["results"]["error"]
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override", [
+        {"chain1": birth_death_chain(10**18)},
+        {"chain1": {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 10**18}, "initial1": {"state": 1}},
+    ])
+    def test_state_count_too_big_to_allocate_is_exit_3(self, tmp_path, capsys, override):
+        # the loader builds the matrices and laws of the chains, and 10**18
+        # states fail to allocate before any memory is touched
+        path = write_config(tmp_path, demo_config(**override))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "allocate" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sub, override", [
+        ("simulate", {"horizon": 1e300}),
+        ("bound", {"tail_len": 1e300}),
+    ])
+    def test_count_beyond_a_machine_integer_is_exit_1(self, tmp_path, capsys, sub, override):
+        path = write_config(tmp_path, demo_config(**override))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "too large" in load_report(tmp_path, f"t_{sub}.json")["results"]["error"]
         err = capsys.readouterr().err
         assert "validation failure" in err and "Traceback" not in err
 
@@ -391,14 +474,51 @@ class TestCliExitCodes:
         assert report["results"]["gamma_grid"]
         assert (tmp_path / "t_gamma_grid.csv").exists()
 
-    def test_regularity_scan_without_paths_is_exit_1(self, tmp_path):
-        cfg = demo_config(regularity={"source": "empirical", "n_paths": 0})
+    def test_regularity_n_paths_is_not_read(self, tmp_path):
+        # the exact grids sample no paths, so n_paths 0 certifies the same
+        # gamma as any other count, and never gamma = 1 on no evidence
+        gammas = []
+        for n_paths in (0, 5000):
+            path = write_config(tmp_path, demo_config(regularity={"source": "empirical", "n_paths": n_paths}))
+            for sub in ("condition-check", "compare"):
+                assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+            gamma = load_report(tmp_path, "t_condition-check.json")["results"]["gamma"]
+            assert gamma["provenance"] == "exact"
+            assert load_report(tmp_path, "t_compare.json")["results"]["gamma"] == gamma["value"]
+            gammas.append(gamma["value"])
+        assert gammas[0] == gammas[1] < 1.0
+
+    @pytest.mark.parametrize("flip_side", ["chain1", "chain2"])
+    def test_regularity_checks_both_chains(self, tmp_path, flip_side):
+        """A birth-death chain paired with the period-2 flip-flop: the flip-flop's
+        grid is 0 at odd lags, whichever side it is on."""
+        flip = [[0.0, 1.0], [1.0, 0.0]]
+        cfg = demo_config(n_paths=400, regularity={"source": "empirical", "t_grid": [0, 1, 2],
+                                                   "lag_grid": [0, 1, 2, 4]})
+        cfg[flip_side] = explicit_chain(flip)
+        cfg["initial" + flip_side[-1]] = {"state": 0}
         path = write_config(tmp_path, cfg)
         for sub in ("condition-check", "compare"):
-            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
-            report = load_report(tmp_path, f"t_{sub}.json")
-            assert "n_paths must be at least 1" in report["results"]["error"]
-            assert "gamma" not in report["results"]
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+            error = load_report(tmp_path, f"t_{sub}.json")["results"]["error"]
+            assert f"chain {flip_side[-1]} gives gamma = 0 at base time 0, lag 1 (estimate 0)" in error
+        results = load_report(tmp_path, "t_condition-check.json")["results"]
+        assert results["domination_passed"] is True
+        assert {pt["chain"] for pt in results["gamma_grid"]} == {1, 2}
+        assert "gamma" not in results
+
+    def test_empirical_regularity_samples_no_paths(self, tmp_path, monkeypatch):
+        import renewalsim
+        from renewalsim import domination
+
+        def sampled(*args, **kwargs):
+            raise AssertionError("the Monte Carlo regularity scan ran")
+
+        monkeypatch.setattr(domination, "estimate_regularity", sampled)
+        monkeypatch.setattr(renewalsim, "estimate_regularity", sampled)
+        path = write_config(tmp_path, demo_config(n_paths=400, regularity={"source": "empirical"}))
+        for sub in ("condition-check", "compare"):
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
 
     def test_regularity_scan_checks_its_initial_law(self, tmp_path):
         # sums to 1 but has a negative entry; simulate and exact already refuse it
@@ -454,12 +574,14 @@ class TestCliExitCodes:
         assert "NaN" not in text
         results = json.loads(text)["results"]
         assert results["domination_passed"] is True
-        assert results["gamma_hat"]["value"] == 0.0
+        assert results["gamma_hat"] == {"value": 0.0, "provenance": "exact"}
         assert "gamma" not in results
+        assert "chain 1 gives gamma = 0 at base time 1, lag 0 (the chain is never in the target set" \
+            in results["error"]
         unobserved = [pt for pt in results["gamma_grid"] if pt["base_time"] == 1]
         assert unobserved == [
-            {"base_time": 1, "lag": lag, "estimate": None, "se": None, "n_conditioned": 0}
-            for lag in (0, 2)
+            {"chain": chain, "base_time": 1, "lag": lag, "estimate": None, "se": None, "n_conditioned": 0}
+            for chain in (1, 2) for lag in (0, 2)
         ]
 
     @pytest.mark.parametrize("sub", ["bound", "birth-death-demo"])
@@ -475,7 +597,7 @@ class TestCliExitCodes:
         assert "the bound pipeline" in report["results"]["error"]
         assert "bound" not in report["results"]
 
-    @pytest.mark.parametrize("source, provenance", [("analytic", "analytic"), ("empirical", "mc")])
+    @pytest.mark.parametrize("source, provenance", [("analytic", "analytic"), ("empirical", "exact")])
     def test_condition_check_and_compare_share_gamma(self, tmp_path, source, provenance):
         cfg = demo_config(n_paths=400, regularity={
             "source": source, "t_grid": [0, 1, 2], "lag_grid": [0, 1, 2, 4], "n_paths": 2000,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -7,12 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
+    BirthDeathSpec,
     DominatingSequence,
+    PeriodicTail,
+    RegularityCertificate,
     birth_death_schedule,
     check_domination,
     domination_valid_for,
     estimate_regularity,
     estimate_renewal_tails,
+    exact_regularity,
     first_return_coefficients,
     hitting_time_distribution,
     periodic_birth_death,
@@ -21,9 +26,10 @@ from renewalsim import (
     walk_dominating_sequence,
     walk_return_law,
 )
+from renewalsim.domination import RegularityPoint
 
 from conftest import delta, periodic_two_state, two_state
-from oracles import first_return_series
+from oracles import first_return_series, in_target_again
 
 walk_p = st.floats(min_value=0.51, max_value=0.99)
 
@@ -296,21 +302,25 @@ class TestScansAgainstExactLaws:
     def _schedule(self):
         return birth_death_schedule(periodic_birth_death(50, [0.75, 0.70]))
 
+    def _check_regularity(self, sched, initial, bases, lags):
+        scan = estimate_regularity(sched, n0=0, base_times=bases, lags=lags, n_paths=20000,
+                                   seed=self.SEED, initial=initial)
+        exact = exact_regularity(sched, n0=0, base_times=bases, lags=lags, initial=initial)
+        assert len(scan.points) == len(exact.points) == len(bases) * len(lags)
+        for pt, ex in zip(scan.points, exact.points):
+            assert (pt.base_time, pt.lag) == (ex.base_time, ex.lag)
+            assert self._within(pt.estimate, ex.estimate, pt.n_conditioned), (pt, ex)
+
     def test_regularity_grid(self):
-        sched = self._schedule()
-        scan = estimate_regularity(sched, n0=0, base_times=[0, 1, 2, 3],
-                                   lags=[0, 1, 2, 3, 4, 8, 16, 32], n_paths=20000,
-                                   seed=self.SEED, initial=delta(51, 0))
-        laws = [delta(51, 0)]
-        for t in range(3):
-            laws.append(laws[-1] @ sched.at(t))
-        assert len(scan.points) == 32
-        for pt in scan.points:
-            law = np.where(np.arange(51) == 0, laws[pt.base_time], 0.0)
-            law /= law.sum()
-            for t in range(pt.base_time, pt.base_time + pt.lag):
-                law = law @ sched.at(t)
-            assert self._within(pt.estimate, law[0], pt.n_conditioned), pt
+        self._check_regularity(self._schedule(), delta(51, 0), [0, 1, 2, 3], [0, 1, 2, 3, 4, 8, 16, 32])
+
+    def test_regularity_grid_with_a_body(self):
+        # three body steps ahead of a period-2 cycle, from a spread law
+        body = tuple(np.linspace(a, a + 0.2, 20) for a in (0.3, 0.5, 0.7))
+        spec = BirthDeathSpec(cap=20, body=body, tail=PeriodicTail((np.full(20, 0.8), np.full(20, 0.6))))
+        initial = np.linspace(1.0, 0.0, 21) ** 2
+        self._check_regularity(birth_death_schedule(spec), initial / initial.sum(),
+                               [0, 1, 2, 3, 5], [0, 1, 2, 3, 4, 8, 16])
 
     def test_renewal_tails(self):
         sched = self._schedule()
@@ -434,3 +444,111 @@ class TestRegularity:
                                    n_paths=200, seed=13, n0_applies_to="lag")
         assert {p.lag for p in scan.points} == {2, 3}
         assert {p.base_time for p in scan.points} == {0, 1}
+
+
+@st.composite
+def schedules_and_laws(draw):
+    """A birth-death schedule (cap 3-30, body of 0-3 steps, period 1-3, target
+    set {0} or {0, 1}) and a random initial law with mass on every state."""
+    cap = draw(st.integers(3, 30), label="cap")
+    alpha = st.floats(0.05, 0.95)
+
+    def rows(count):
+        return tuple(np.array(draw(st.lists(alpha, min_size=cap, max_size=cap))) for _ in range(count))
+
+    body = rows(draw(st.integers(0, 3), label="body"))
+    tail = PeriodicTail(rows(draw(st.integers(1, 3), label="period")))
+    targets = draw(st.sampled_from([(0,), (0, 1)]), label="targets")
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cap + 1, max_size=cap + 1)))
+    return birth_death_schedule(BirthDeathSpec(cap=cap, body=body, tail=tail), targets), weights / weights.sum()
+
+
+class TestExactRegularity:
+    """``exact_regularity`` against the one-step-at-a-time oracle."""
+
+    @staticmethod
+    def _assert_matches_oracle(scan, sched, initial):
+        for pt in scan.points:
+            expected = in_target_again(sched, initial, pt.base_time, pt.lag)
+            assert pt.observed == (expected is not None), pt
+            if pt.observed:
+                assert abs(pt.estimate - expected) <= 1e-12, (pt, expected)
+                assert (pt.se, pt.n_conditioned) == (0.0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedules_and_laws(), st.data())
+    def test_matches_stepping(self, sched_law, data):
+        sched, initial = sched_law
+        times = st.lists(st.integers(0, 12), min_size=1, max_size=5)
+        bases, lags = data.draw(times, label="bases"), data.draw(times, label="lags")
+        n0 = data.draw(st.integers(0, 4), label="n0")
+        reading = data.draw(st.sampled_from(["base", "lag"]), label="n0_applies_to")
+        kept_bases = [b for b in bases if reading == "lag" or b >= n0]
+        kept_lags = [t for t in lags if reading == "base" or t >= n0]
+        if not kept_bases or not kept_lags:
+            with pytest.raises(ValueError, match="grids must be nonempty after applying n0"):
+                exact_regularity(sched, n0, bases, lags, initial=initial, n0_applies_to=reading)
+            return
+        scan = exact_regularity(sched, n0, bases, lags, initial=initial, n0_applies_to=reading)
+        # the grid in the given order, duplicates kept, as the Monte Carlo scan lists it
+        assert [(pt.base_time, pt.lag) for pt in scan.points] == [(b, t) for b in kept_bases for t in kept_lags]
+        assert (scan.n0, scan.n_paths, scan.provenance) == (n0, 0, "exact")
+        self._assert_matches_oracle(scan, sched, initial)
+        assert scan.gamma_hat == min(pt.estimate for pt in scan.points)
+
+    @settings(max_examples=5, deadline=None)
+    @given(schedules_and_laws())
+    def test_powers_match_stepping_near_5000(self, sched_law):
+        sched, initial = sched_law
+        scan = exact_regularity(sched, 0, [4997, 5000, 5003], [0, 1, 4999], initial=initial)
+        self._assert_matches_oracle(scan, sched, initial)
+
+    def test_times_of_a_billion_take_powers(self):
+        # alternating 0.75 / 0.70 from state 0: by time 2,000 the law has
+        # settled on its period-2 limit cycle, so times of 10**9 of the same
+        # parity give the same values
+        sched = birth_death_schedule(periodic_birth_death(50, [0.75, 0.70]))
+        start = time.perf_counter()
+        scan = exact_regularity(sched, 0, [10**9, 10**9 + 1], [10**9, 10**9 + 1], initial=delta(51, 0))
+        assert time.perf_counter() - start < 1.0
+        for pt in scan.points:
+            near = in_target_again(sched, delta(51, 0), 2000 + pt.base_time % 2, 2000 + pt.lag % 2)
+            assert abs(pt.estimate - near) <= 1e-12, (pt, near)
+
+    def test_unobserved_points_reject_without_warnings(self, flip_flop):
+        # from 0 the flip-flop is never in the target set at odd times, and
+        # never back in it after an odd lag; pytest turns a warning into an error
+        scan = exact_regularity(flip_flop, 0, [0, 1, 10**9 + 1], [0, 1, 2], initial=delta(2, 0))
+        by_point = {(pt.base_time, pt.lag): pt for pt in scan.points}
+        assert by_point[0, 0].estimate == 1.0 and by_point[0, 1].estimate == 0.0
+        assert [pt for pt in scan.points if not pt.observed] == [
+            RegularityPoint(b, lag, None, None, 0) for b in (1, 10**9 + 1) for lag in (0, 1, 2)
+        ]
+        assert scan.gamma_hat == 0.0 and scan.certificate() is None
+
+    def test_absorbed_chain_certifies_one(self, identity_2):
+        scan = exact_regularity(identity_2, 0, [0, 1, 2], [0, 1, 2, 3], initial=delta(2, 0))
+        assert scan.gamma_hat == 1.0
+        assert scan.certificate() == RegularityCertificate(gamma=1.0, n0=0, provenance="exact")
+
+    def test_uniform_law_by_default(self):
+        sched = two_state(0.3, 0.6)
+        assert exact_regularity(sched, 0, [2], [3]).points == exact_regularity(
+            sched, 0, [2], [3], initial=[0.5, 0.5]).points
+
+    @pytest.mark.parametrize("entry", [-0.1, float("nan"), float("inf")])
+    def test_rejects_bad_kernel_entries(self, entry):
+        sched = periodic_two_state([[[0.5, 0.5], [0.5, 0.5]], [[0.5, entry], [0.5, 0.5]]])
+        with pytest.raises(ValueError, match=r"tail\[1\], row 0: entry 1 is"):
+            exact_regularity(sched, 0, [0], [1])
+
+    def test_grid_rules_match_the_scan(self):
+        sched = two_state(0.5, 0.5)
+        for kwargs, message in (({"n0_applies_to": "x"}, "n0_applies_to"),
+                                ({"base_times": [-1, 0], "n0_applies_to": "lag"}, "nonnegative"),
+                                ({"n0": 5}, "grids must be nonempty")):
+            args = {"n0": 0, "base_times": [0, 1], "lags": [1], **kwargs}
+            with pytest.raises(ValueError, match=message):
+                exact_regularity(sched, **args)
+            with pytest.raises(ValueError, match=message):
+                estimate_regularity(sched, n_paths=10, seed=1, **args)
