@@ -28,7 +28,7 @@ from .domination import (
     return_floor,
     walk_dominating_sequence,
 )
-from .kernel import BirthDeathSpec, birth_death_schedule
+from .kernel import BirthDeathSpec, birth_death_schedule, check_fits
 from .simulate import JointRenewalEstimate, SimulationPlan, estimate_joint_renewal
 
 
@@ -83,21 +83,39 @@ class TrialStats:
         return self.table.sum(axis=0)
 
 
+# paths per chunk of trial_statistics: its per-sum temporaries span one chunk's sums
+TRIAL_CHUNK_PATHS = 1024
+
+
 def trial_statistics(
     estimate: JointRenewalEstimate, max_sum: int, max_trials: int | None = None
 ) -> TrialStats:
-    """Accumulate the trial-sum table from an estimate whose chains both start in the target set."""
+    """Accumulate the trial-sum table from an estimate whose chains both start in the target set.
+
+    Paths are read ``TRIAL_CHUNK_PATHS`` at a time, so no per-sum index
+    array spans all of ``trial_sums``; counts go straight into the table.
+    """
     if (estimate.first_hit1 != 0).any() or (estimate.first_hit2 != 0).any():
         raise ValueError("trial statistics require both chains to start in the target set")
     if max_trials is None:
         max_trials = int(estimate.trials_to_success.max(initial=0))
+    # OverflowError for a max_sum past a machine integer, before any allocation
+    width = int(np.int64(max_sum)) + 1
+    check_fits(8 * (max_trials + 1) * width, "the trial table")
+    table = np.zeros((max_trials + 1, width))
+    cells = table.reshape(-1)
     sums, lengths = estimate.trial_sums, estimate.trial_lengths
-    # trial k of each path: its position within that path's run of sums
-    k = np.arange(len(sums)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    keep = (k <= max_trials) & (sums <= max_sum)
-    cells = (max_trials + 1) * (max_sum + 1)
-    counts = np.bincount(k[keep] * (max_sum + 1) + sums[keep], minlength=cells)
-    table = counts.reshape(max_trials + 1, max_sum + 1) / estimate.n_paths
+    end = 0
+    for a in range(0, len(lengths), TRIAL_CHUNK_PATHS):
+        runs = lengths[a:a + TRIAL_CHUNK_PATHS]
+        begin, end = end, end + int(runs.sum())
+        chunk = sums[begin:end]
+        # trial k of each sum: its position within its path's run
+        k = np.arange(len(chunk)) - np.repeat(np.cumsum(runs) - runs, runs)
+        keep = (k <= max_trials) & (chunk <= max_sum)
+        counts = np.bincount(k[keep] * width + chunk[keep])
+        cells[: len(counts)] += counts
+    table /= estimate.n_paths
     return TrialStats(table=table, n_traces=estimate.n_paths)
 
 

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .kernel import BirthDeathSpec, KernelSchedule, PeriodicTail, StateSpace, birth_death_schedule
+from .kernel import BirthDeathSpec, KernelSchedule, PeriodicTail, StateSpace, birth_death_schedule, check_fits
 
 SCHEMA_VERSION = 1
 
@@ -61,8 +61,23 @@ def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> Peri
     return PeriodicTail(entries)
 
 
+def _check_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where: str) -> None:
+    """MemoryError unless the chain's dense kernels, size² float64 entries
+    for each body and tail entry as written, fit in physical memory.
+
+    Runs before any array of the chain is built; a constant tail is one
+    entry, and an entry list that is not a list counts as one.
+    """
+    tail = obj.get("tail")
+    tail = tail if isinstance(tail, dict) else {}
+    entries = None if tail.get("kind") == "constant" else tail.get(tail_key)
+    phases = sum(len(e) if isinstance(e, list) else 1 for e in (obj.get(body_key, []), entries))
+    check_fits(phases * size * size * 8, f"{where}: {phases} dense {size}x{size} kernel(s)")
+
+
 def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
     cap = _integral(_require(obj, "cap", where), f"{where}.cap")
+    _check_kernels_fit(obj, cap + 1, "alpha_table", "alphas", where)
     body = tuple(_as_alpha_row(r, cap, f"{where}.alpha_table[{i}]")
                  for i, r in enumerate(obj.get("alpha_table", [])))
     tail = _parse_tail(obj, "alphas", lambda r, at: _as_alpha_row(r, cap, at), where, one_entry=True)
@@ -74,6 +89,7 @@ def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
 
 def _parse_explicit(obj: dict, target_set, where: str) -> KernelSchedule:
     states = _integral(_require(obj, "states", where), f"{where}.states")
+    _check_kernels_fit(obj, states, "body", "matrices", where)
     body = tuple(np.asarray(m, dtype=float) for m in obj.get("body", []))
     tail = _parse_tail(obj, "matrices", lambda m, at: np.asarray(m, dtype=float), where, one_entry=False)
     try:
@@ -178,7 +194,7 @@ def load_scenario(source: str | Path | dict, seed_override: int | None = None) -
     try:
         return _resolve(raw, seed_override)
     except (TypeError, ValueError, AttributeError, OverflowError, MemoryError) as err:
-        # MemoryError: a cap or state count too big for its matrices
+        # MemoryError: a cap or state count whose matrices do not fit in memory
         raise ConfigError(f"invalid config value: {err}") from err
 
 

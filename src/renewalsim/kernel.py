@@ -10,6 +10,7 @@ specs index their per-step down probabilities by the same rule.
 from __future__ import annotations
 
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,6 +24,28 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+def check_fits(nbytes: int, what: str) -> None:
+    """MemoryError unless ``nbytes`` fit in physical memory; no rule where that size is unknown.
+
+    Run before allocating: on a host that overcommits, numpy reserves a
+    larger array without failing, and touching its pages then gets the
+    process killed instead of raising.
+    """
+    total = physical_memory()
+    if total is not None and nbytes > total:
+        raise MemoryError(f"cannot allocate {what}: {nbytes:,} bytes exceed the "
+                          f"{total:,} bytes of physical memory")
 
 
 def _check_entries(matrix: np.ndarray, name: str) -> None:

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exact import suffix_tails
-from .kernel import KernelSchedule, _check_entries, _check_initial
+from .kernel import KernelSchedule, _check_entries, _check_initial, check_fits
 from .rng import derive_stream, stream_keys, uniforms
 
 
@@ -213,6 +213,11 @@ class RenewalTrace:
         return self.meeting_time is None
 
 
+# meeting time, both first hits, trial count and trial-run length: one int64
+# each per path; the trial sums add 8 bytes per sum on top
+RESULT_BYTES_PER_PATH = 5 * 8
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationPlan:
     """Everything needed to reproduce one joint sampling experiment."""
@@ -230,10 +235,13 @@ class SimulationPlan:
         object.__setattr__(self, "initial2", _check_initial(self.initial2, self.schedule2.space.size))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.horizon > np.iinfo(np.int64).max:
+            raise OverflowError(f"horizon {self.horizon} is too large: path times are int64")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.schedule1.space.target_set != self.schedule2.space.target_set:
             raise ValueError("both schedules must share the same target set")
+        check_fits(RESULT_BYTES_PER_PATH * self.n_paths, f"the per-path results of {self.n_paths} paths")
 
     @property
     def targets(self) -> frozenset[int]:
@@ -266,7 +274,7 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     hit1 = np.full(count, -1, dtype=np.int64)
     hit2 = np.full(count, -1, dtype=np.int64)
     n_trials = np.full(count, -1, dtype=np.int64)
-    sums: list[int] = []
+    sums = array("q")  # int64 like the other results, handed to numpy without a copy
     lengths = np.empty(count, dtype=np.int64)
     traces: list[RenewalTrace] = []
 
@@ -311,7 +319,7 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
         lengths[offset] = len(trials.sums)
         if keep_traces:
             traces.append(RenewalTrace(tuple(r1), tuple(r2), t_meet, trials))
-    return meeting, hit1, hit2, n_trials, np.array(sums, dtype=np.int64), lengths, traces
+    return meeting, hit1, hit2, n_trials, np.frombuffer(sums, dtype=np.int64), lengths, traces
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,32 +373,39 @@ def estimate_joint_renewal(
         raise ValueError("tail_len must be nonnegative")
     tail_len = min(tail_len, plan.horizon)
     ranges = _split_ranges(plan.n_paths, workers)
-    # both branches build parts in range order, so path order is kept
-    if workers <= 1 or len(ranges) == 1:
-        parts = [_simulate_range(plan, a, b, n0, trial_scan, keep_traces) for a, b in ranges]
+    if len(ranges) == 1:
+        # one range's arrays are the result as they are
+        *arrays, traces = _simulate_range(plan, 0, plan.n_paths, n0, trial_scan, keep_traces)
     else:
+        # imported here: the pool module pulls in multiprocessing, which a
+        # one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_simulate_range, plan, a, b, n0, trial_scan, keep_traces)
                 for a, b in ranges
             ]
             parts = [f.result() for f in futures]
-
-    meeting, hit1, hit2, n_trials, sums, lengths = (np.concatenate([p[i] for p in parts]) for i in range(6))
-    traces: tuple[RenewalTrace, ...] | None = None
-    if keep_traces:
-        traces = tuple(trace for p in parts for trace in p[6])
+        # parts come back in range order, so path order is kept
+        arrays = [np.concatenate([p[i] for p in parts]) for i in range(6)]
+        traces = [trace for p in parts for trace in p[6]]
+        del parts
+    meeting, hit1, hit2, n_trials, sums, lengths = arrays
 
     censored_mask = meeting < 0
     censored = int(censored_mask.sum())
-    values = np.where(censored_mask, plan.horizon, meeting).astype(float)
+    values = meeting.astype(float)
+    values[censored_mask] = plan.horizon
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(plan.n_paths)) if plan.n_paths > 1 else 0.0
+    del values
 
     # P{T > n} for n = 0..tail_len: the paths meeting at each lag, with
     # censored paths and meetings past tail_len in the last bin
-    effective = np.where(censored_mask, plan.horizon + 1, meeting)
-    counts = np.bincount(np.minimum(effective, tail_len + 1), minlength=tail_len + 2)
+    lags = np.minimum(meeting, tail_len + 1)
+    lags[censored_mask] = tail_len + 1
+    counts = np.bincount(lags, minlength=tail_len + 2)
     tail = suffix_tails(counts[:-1], counts[-1]) / plan.n_paths
     tail_se = np.sqrt(tail * (1.0 - tail) / plan.n_paths)
 
@@ -412,7 +427,7 @@ def estimate_joint_renewal(
         trials_to_success=n_trials,
         trial_sums=sums,
         trial_lengths=lengths,
-        traces=traces,
+        traces=tuple(traces) if keep_traces else None,
     )
 
 

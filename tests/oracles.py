@@ -5,8 +5,8 @@ package computes on its hot path: the walk's first-return coefficients by
 the binomial series, renewal times and gaps straight from a path, the
 first simultaneous renewal as a set intersection, the mass defect of a
 distribution table, the joint estimator's meeting times and first hits
-drawn one cumulative row at a time, and the regularity grid by one law
-step at a time.
+drawn one cumulative row at a time, the regularity grid by one law
+step at a time, and the trial-sum table in one shot over all sums.
 """
 
 import random
@@ -127,3 +127,13 @@ def in_target_again(schedule: KernelSchedule, initial, base: int, lag: int) -> f
     for t in range(base, base + lag):
         law = law @ schedule.at(t)
     return float(law[in_target].sum())
+
+
+def trial_table(sums: np.ndarray, lengths: np.ndarray, n_paths: int, max_sum: int, max_trials: int) -> np.ndarray:
+    """The trial-sum table of ``trial_statistics`` by one formula over all sums at once:
+    each sum's trial index from ``arange``/``repeat``, then one ``bincount``."""
+    k = np.arange(len(sums)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keep = (k <= max_trials) & (sums <= max_sum)
+    cells = (max_trials + 1) * (max_sum + 1)
+    counts = np.bincount(k[keep] * (max_sum + 1) + sums[keep], minlength=cells)
+    return counts.reshape(max_trials + 1, max_sum + 1) / n_paths

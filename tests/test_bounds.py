@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,10 @@ from renewalsim import (
     walk_moment2,
 )
 
+from renewalsim import bounds, kernel
+
 from conftest import delta
+from oracles import trial_table
 
 
 class TestExpectationBound:
@@ -214,6 +219,64 @@ class TestTrialStatistics:
         est = estimate_joint_renewal(plan)
         with pytest.raises(ValueError):
             trial_statistics(est, max_sum=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(st.lists(st.integers(0, 12), max_size=9), min_size=1, max_size=12),
+        resolved=st.lists(st.booleans(), min_size=12, max_size=12),
+        max_sum=st.integers(0, 10),
+        max_trials=st.none() | st.integers(0, 8),
+        chunk=st.integers(1, 4),
+    )
+    def test_table_equals_the_one_shot_formula(self, runs, resolved, max_sum, max_trials, chunk):
+        """Any runs of sums, chunked a few paths at a time: empty runs, runs
+        longer than ``max_trials``, sums above ``max_sum``, one path, and
+        chunk boundaries between runs of every length."""
+        lengths = np.array([len(run) for run in runs], dtype=np.int64)
+        estimate = SimpleNamespace(
+            n_paths=len(runs),
+            first_hit1=np.zeros(len(runs), dtype=np.int64),
+            first_hit2=np.zeros(len(runs), dtype=np.int64),
+            trials_to_success=np.array([n - 1 if n and done else -1 for n, done in zip(lengths, resolved)]),
+            trial_sums=np.array([j for run in runs for j in run], dtype=np.int64),
+            trial_lengths=lengths,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "TRIAL_CHUNK_PATHS", chunk)
+            stats = trial_statistics(estimate, max_sum=max_sum, max_trials=max_trials)
+        if max_trials is None:
+            max_trials = int(estimate.trials_to_success.max(initial=0))
+        expected = trial_table(estimate.trial_sums, lengths, len(runs), max_sum, max_trials)
+        assert stats.table.shape == expected.shape
+        assert (stats.table == expected).all()
+
+    def test_max_sum_past_a_machine_integer_overflows_before_allocating(self):
+        with pytest.raises(OverflowError):
+            trial_statistics(self._estimate(), max_sum=10**300)
+
+    def test_table_past_physical_memory_is_a_memory_error(self, monkeypatch):
+        monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
+        with pytest.raises(MemoryError, match="cannot allocate the trial table"):
+            trial_statistics(self._estimate(), max_sum=2**20)
+
+    def test_peak_memory_stays_near_the_returned_arrays(self):
+        """The estimator and the table hold little beyond what they return:
+        no copy of the per-path arrays, no index array over all trial sums."""
+        sched = birth_death_schedule(constant_birth_death(50, 0.75))
+        plan = SimulationPlan(sched, sched, delta(51, 0), delta(51, 0),
+                              horizon=2000, n_paths=10_000, master_seed=20190814)
+        tracemalloc.start()
+        try:
+            est = estimate_joint_renewal(plan, tail_len=200)
+            stats = trial_statistics(est, max_sum=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (
+            est.meeting_times, est.first_hit1, est.first_hit2, est.trials_to_success,
+            est.trial_sums, est.trial_lengths, est.tail, est.tail_se, stats.table,
+        ))
+        assert peak <= 1.5 * returned
 
 
 class TestFullReport:

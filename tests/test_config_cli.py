@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from renewalsim import kernel
 from renewalsim.cli import COMMANDS, main
 from renewalsim.config import ConfigError, load_scenario
 
@@ -384,12 +385,47 @@ class TestCliExitCodes:
         {"chain1": {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 10**18}, "initial1": {"state": 1}},
     ])
     def test_state_count_too_big_to_allocate_is_exit_3(self, tmp_path, capsys, override):
-        # the loader builds the matrices and laws of the chains, and 10**18
-        # states fail to allocate before any memory is touched
+        # 10**18 states fail the loader's memory rule (or, where physical
+        # memory is unknown, the allocation) before any memory is touched
         path = write_config(tmp_path, demo_config(**override))
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "config error" in err and "allocate" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override", [
+        {"chain1": birth_death_chain(400)},  # one 401x401 kernel: 1.23 MiB
+        # four 201x201 kernels of 0.31 MiB each, from the body and from the tail
+        {"chain1": {"birth_death": {"cap": 200, "alpha_table": [0.75, 0.75, 0.75],
+                                    "tail": {"kind": "constant", "alphas": 0.75}}}},
+        {"chain1": {"birth_death": {"cap": 200, "tail": {"kind": "periodic", "alphas": [0.75] * 4}}}},
+        {"chain1": {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 400}, "initial1": {"state": 1}},
+    ])
+    def test_kernels_past_physical_memory_are_exit_3(self, tmp_path, capsys, monkeypatch, override):
+        """The loader counts a chain's dense kernels against physical memory
+        (1 MiB here) before it builds any array of that chain."""
+        monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
+        path = write_config(tmp_path, demo_config(**override))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "cannot allocate" in err and "Traceback" not in err
+
+    def test_kernels_within_physical_memory_load(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
+        three = {"birth_death": {"cap": 200, "alpha_table": [0.75, 0.75],  # 0.92 MiB in all
+                                 "tail": {"kind": "constant", "alphas": 0.75}}}
+        path = write_config(tmp_path, demo_config(chain1=three))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("sub", ["simulate", "bound"])
+    def test_paths_past_physical_memory_are_exit_1(self, tmp_path, capsys, monkeypatch, sub):
+        """30,000 paths hold 1.14 MiB of per-path results: the plan refuses
+        them against 1 MiB before any path runs."""
+        monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
+        path = write_config(tmp_path, demo_config(n_paths=30_000))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "cannot allocate the per-path results" in load_report(tmp_path, f"t_{sub}.json")["results"]["error"]
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("sub, override", [
         ("simulate", {"horizon": 1e300}),

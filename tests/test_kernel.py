@@ -13,6 +13,8 @@ from renewalsim import (
     periodic_birth_death,
     validate_schedule,
 )
+from renewalsim import kernel
+from renewalsim.kernel import check_fits, physical_memory
 
 I2 = np.eye(2)
 A = np.array([[0.2, 0.8], [0.6, 0.4]])
@@ -141,3 +143,28 @@ class TestBirthDeath:
     def test_generated_rows_always_validate(self, alpha, cap):
         sched = birth_death_schedule(constant_birth_death(cap, alpha))
         assert validate_schedule(sched) == []
+
+
+class TestMemoryRule:
+    def test_physical_memory_is_positive_or_unknown(self):
+        total = physical_memory()
+        assert total is None or total > 0
+
+    def test_unknown_where_sysconf_cannot_tell(self, monkeypatch):
+        def fail(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(kernel.os, "sysconf", fail)
+        assert physical_memory() is None
+        monkeypatch.setattr(kernel.os, "sysconf", lambda name: -1)
+        assert physical_memory() is None
+
+    def test_a_count_past_memory_is_a_memory_error(self, monkeypatch):
+        monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
+        check_fits(2**20, "exactly all of it")
+        with pytest.raises(MemoryError, match="cannot allocate one byte more"):
+            check_fits(2**20 + 1, "one byte more")
+
+    def test_no_rule_where_memory_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(kernel, "physical_memory", lambda: None)
+        check_fits(10**30, "more than any host has")

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
 
@@ -413,9 +415,8 @@ class TestEstimateJointRenewal:
 
     def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch):
         """No process is started: a stand-in pool records its size and runs inline."""
+        import concurrent.futures
         from concurrent.futures import Future
-
-        from renewalsim import simulate
 
         sizes = []
 
@@ -434,7 +435,8 @@ class TestEstimateJointRenewal:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+        # the pool branch imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         sched = two_state(0.5, 0.5)
         plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
                               horizon=50, n_paths=30, master_seed=13)
@@ -445,6 +447,15 @@ class TestEstimateJointRenewal:
                      "trial_sums", "trial_lengths", "tail"):
             assert np.array_equal(getattr(serial, name), getattr(pooled, name))
         assert serial.traces == pooled.traces
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        """Only a run with more than one worker imports the pool, and with it multiprocessing."""
+        from renewalsim import simulate
+
+        code = "import sys, renewalsim.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(simulate.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("scan", ["printed", "time"])
     @pytest.mark.parametrize("n0", [0, 2])
