@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import check_unit_interval, suffix_tails
-from .kernel import KernelSchedule, _check_entries, _check_initial
+from .kernel import KernelSchedule, _check_entries, _check_initial, check_fits
 from .rng import stream_keys, uniforms
 from .simulate import _counter_paths, _Sampler
 
@@ -131,6 +131,8 @@ def walk_dominating_sequence(p: float, n: int) -> DominatingSequence:
     _check_walk_parameter(p)
     if n < 2:
         raise ValueError("n must be at least 2")
+    # the law, its suffix sums and the values span n + 1 lags
+    check_fits(3 * 8 * (n + 1), f"the dominating sequence of length {n}", available=True)
     law = walk_return_law(p, n)
     r = 4.0 * p * (1.0 - p)
     # The mass past lag n is at most the geometric series of law[j + 2] <=

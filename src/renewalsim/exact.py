@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernel import ConstantTail, KernelSchedule, StateSpace, _check_initial, _target_states
+from .kernel import ConstantTail, KernelSchedule, StateSpace, _check_initial, _target_states, check_fits
 
 
 def check_unit_interval(value: float, name: str) -> None:
@@ -150,6 +150,8 @@ def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    # the mass, its suffix sums and one temporary of them span the horizon
+    check_fits(3 * 8 * (horizon + 1), f"the hitting-time tables of horizon {horizon}", available=True)
     (schedule1, target1), (schedule2, target2) = side1, side2
     n1, n2 = law.shape
     period = math.lcm(schedule1.tail.period, schedule2.tail.period)

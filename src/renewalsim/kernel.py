@@ -26,26 +26,38 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-def physical_memory() -> int | None:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+def _sysconf_bytes(pages_name: str) -> int | None:
     try:
-        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf(pages_name)
     except (AttributeError, ValueError, OSError):
         return None
     return page * pages if page > 0 and pages > 0 else None
 
 
-def check_fits(nbytes: int, what: str) -> None:
-    """MemoryError unless ``nbytes`` fit in physical memory; no rule where that size is unknown.
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    return _sysconf_bytes("SC_PHYS_PAGES")
+
+
+def available_memory() -> int | None:
+    """Bytes of physical memory free now, reclaimable page cache left out,
+    or None where ``os.sysconf`` cannot tell."""
+    return _sysconf_bytes("SC_AVPHYS_PAGES")
+
+
+def check_fits(nbytes: int, what: str, *, available: bool = False) -> None:
+    """MemoryError unless ``nbytes`` fit in physical memory, or with
+    ``available`` in the memory free now; no rule where that size is unknown.
 
     Run before allocating: on a host that overcommits, numpy reserves a
     larger array without failing, and touching its pages then gets the
     process killed instead of raising.
     """
-    total = physical_memory()
+    kind = "available" if available else "physical"
+    total = available_memory() if available else physical_memory()
     if total is not None and nbytes > total:
         raise MemoryError(f"cannot allocate {what}: {nbytes:,} bytes exceed the "
-                          f"{total:,} bytes of physical memory")
+                          f"{total:,} bytes of {kind} memory")
 
 
 def _check_entries(matrix: np.ndarray, name: str) -> None:
@@ -117,7 +129,9 @@ def ConstantTail(value) -> PeriodicTail:
 
 class _BodyThenTail:
     """Per-step entries: ``phases`` is the body, then one tail cycle, and
-    ``phase(t)`` (the one copy of the body/cycle rule) indexes it."""
+    ``phase(t)`` indexes it.  The joint estimator's step loop applies the
+    same rule to its body and cycle tables itself (``simulate._step_lists``),
+    with no call per step; ``TestJointOracle`` checks it against ``at``."""
 
     body: tuple[np.ndarray, ...]
     tail: PeriodicTail

@@ -1,18 +1,19 @@
 """Deterministic random streams for reproducible sampling.
 
-Two stream contracts are in use, both addressed by a chained splitmix64
-hash of the master seed and stream indices (:func:`mix`), so a given
-address always yields the same draws no matter how the work is chunked or
-scheduled across workers:
+Two stream contracts are in use.  Both take their keys from
+:func:`stream_keys`: stream i of ``(seed, *prefix)`` has the key
+``mix(seed, *prefix, i)``, a chained splitmix64 hash (:func:`mix`), so a
+given address always yields the same draws no matter how the work is
+chunked or scheduled across workers:
 
-* the joint renewal estimator draws from :func:`derive_stream`, a
-  ``random.Random`` (Mersenne Twister) seeded with ``mix(seed, path)``;
+* the joint renewal estimator draws path i from :func:`derive_stream`, a
+  ``random.Random`` (Mersenne Twister) seeded with its key, so path i's
+  stream is still ``random.Random(mix(seed, i))``;
 * the condition checkers and ``sample_path`` draw counter-based uniforms:
-  stream i has the key ``mix(seed, *prefix, i)`` (:func:`stream_keys`) and
-  its draw k is the top 53 bits of ``splitmix64(key + k * PHI)``
-  (:func:`uniforms`), computed for a whole batch of streams at once in
-  numpy ``uint64`` arithmetic.  Every uniform is a pure function of
-  ``(seed, prefix, i, k)``.
+  draw k of the stream with key ``key`` is the top 53 bits of
+  ``splitmix64(key + k * PHI)`` (:func:`uniforms`), computed for a whole
+  batch of streams at once in numpy ``uint64`` arithmetic.  Every uniform
+  is a pure function of ``(seed, prefix, i, k)``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def mix(master_seed: int, *indices: int) -> int:
     return state
 
 
-def derive_stream(master_seed: int, *indices: int) -> random.Random:
-    """Independent RNG stream addressed by ``(master_seed, *indices)``."""
-    return random.Random(mix(master_seed, *indices))
+def derive_stream(key: int) -> random.Random:
+    """The Mersenne Twister stream seeded with ``key``, one of :func:`stream_keys`."""
+    return random.Random(key)
 
 
 def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -65,9 +66,9 @@ def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def stream_keys(master_seed: int, *prefix: int, count: int) -> np.ndarray:
-    """Counter-stream keys ``mix(master_seed, *prefix, i)`` for i < count."""
-    keys = _splitmix64_inplace(np.arange(1, count + 1, dtype=np.uint64))
+def stream_keys(master_seed: int, *prefix: int, start: int = 0, count: int) -> np.ndarray:
+    """Stream keys ``mix(master_seed, *prefix, i)`` for start <= i < count."""
+    keys = _splitmix64_inplace(np.arange(start + 1, count + 1, dtype=np.uint64))
     keys ^= np.uint64(mix(master_seed, *prefix))
     return _splitmix64_inplace(keys)
 

@@ -4,8 +4,9 @@ The estimator samples independent pairs of chains and records, per path,
 the renewal times of each chain, the first simultaneous visit to the
 target set, and the alternating landing-trial sequence built from the two
 renewal time sequences.  Path i draws every uniform (both chains,
-alternately) from the stream ``derive_stream(master_seed, i)``, so
-estimates do not depend on worker count or execution order.
+alternately) from the stream ``derive_stream(key)``, whose key
+``mix(master_seed, i)`` comes from :func:`stream_keys`, so estimates do
+not depend on worker count or execution order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,7 +129,8 @@ class TrialSequence:
 
 
 def trial_sequence(
-    tau1: Sequence[int], tau2: Sequence[int], n0: int = 0, scan: str = "printed"
+    tau1: Sequence[int], tau2: Sequence[int], n0: int = 0, scan: str = "printed",
+    *, resume: TrialSequence | None = None,
 ) -> TrialSequence:
     """Build the alternating trial sequence from two renewal time sequences.
 
@@ -149,25 +151,36 @@ def trial_sequence(
       ruled out by time, i.e. each trial lands on the scanned chain's
       earliest qualifying renewal.  With ``n0 = 0`` the trial total then
       equals the first simultaneous renewal exactly.
+
+    ``resume`` is the unresolved result of the same call on prefixes of
+    ``tau1`` and ``tau2``.  Its trials are this scan's first trials, so the
+    scan continues from its last landing instead of from trial 0, with the
+    same result as a full scan.
     """
     if n0 < 0:
         raise ValueError("n0 must be nonnegative")
     if scan not in ("printed", "time"):
         raise ValueError("scan must be 'printed' or 'time'")
     seqs = (tau1, tau2)
-    j = 1
-    while j < len(tau1) and tau1[j] <= n0:
-        j += 1
-    if j >= len(tau1):
-        return TrialSequence((), (), (), None)
-    anchor = tau1[j]
-    indices = [j]
-    gaps = [anchor]
-    sums = [anchor]
-    prev_index = j
-    pointer = [j, 0]  # per-chain scan floor for the time reading
+    if resume is not None and resume.indices:
+        indices, gaps, sums = list(resume.indices), list(resume.gaps), list(resume.sums)
+        anchor = sums[-1]
+        # a time scan of either chain starts at its first entry not before the anchor
+        pointer = [bisect_left(tau1, anchor), bisect_left(tau2, anchor)]
+    else:
+        j = 1
+        while j < len(tau1) and tau1[j] <= n0:
+            j += 1
+        if j >= len(tau1):
+            return TrialSequence((), (), (), None)
+        anchor = tau1[j]
+        indices = [j]
+        gaps = [anchor]
+        sums = [anchor]
+        pointer = [j, 0]  # per-chain scan floor for the time reading
+    prev_index = indices[-1]
 
-    k = 1
+    k = len(indices)
     while True:
         chain = k % 2
         seq = seqs[chain]
@@ -248,26 +261,49 @@ class SimulationPlan:
         return self.schedule1.space.target_set
 
 
+KEY_CHUNK = 1024
+
+
+def _path_keys(seed: int, start: int, stop: int):
+    """Stream keys ``mix(seed, i)`` for start <= i < stop, ``KEY_CHUNK`` per numpy call."""
+    for chunk in range(start, stop, KEY_CHUNK):
+        yield from stream_keys(seed, start=chunk, count=min(chunk + KEY_CHUNK, stop)).tolist()
+
+
+def _step_lists(schedule: KernelSchedule) -> tuple[list, list, list[bool]]:
+    """One chain's step tables as :meth:`_InverseCdf.lists`, the body's then
+    the cycle's, and whether each state is in the target set."""
+    tables = [_InverseCdf(m, label).lists() for label, m in schedule.labeled()]
+    n = len(schedule.body)
+    targets = schedule.space.target_set
+    return tables[:n], tables[n:], [x in targets for x in range(schedule.space.size)]
+
+
 def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: str, keep_traces: bool):
     """Simulate paths [start, stop); used as the per-worker unit of work.
 
-    Path i draws from ``derive_stream(master_seed, i)``: the two initial
-    states, then chain 1 and chain 2 at every step.  The trial scan runs
-    at every joint renewal t >= 1 (the first is the meeting time) until
-    it succeeds, and once more on the full renewal lists if it never ran
-    or is unresolved at the horizon.  No other step needs it: a scan that
-    succeeds on data cut at t ends at a renewal S <= t of both chains and
-    reads nothing past S, so it gives the same result on data cut at S or
-    on all the data.  The first success thus falls at S, with the same
-    draws and renewal lists as a scan at every step.
+    Path i draws from ``derive_stream(mix(master_seed, i))``: the two
+    initial states, then chain 1 and chain 2 at every step.  The step from
+    t reads each chain's body table t, then its cycle table ``t % period``,
+    the rule of :meth:`KernelSchedule.phase`.
+
+    The trial scan runs at every joint renewal t >= 1 (the first is the
+    meeting time) until it succeeds, and once more on the full renewal
+    lists if it never ran or is unresolved at the horizon.  No other step
+    needs it: a scan that succeeds on data cut at t ends at a renewal
+    S <= t of both chains and reads nothing past S, so it gives the same
+    result on data cut at S or on all the data.  The first success thus
+    falls at S, with the same draws and renewal lists as a scan at every
+    step.  Each scan resumes the path's previous unresolved one, whose
+    renewal lists are prefixes of the current ones.
     """
-    sampler1, sampler2 = _Sampler(plan.schedule1), _Sampler(plan.schedule2)
-    phase1, tables1 = sampler1.phase, [table.lists() for table in sampler1.tables]
-    phase2, tables2 = sampler2.phase, [table.lists() for table in sampler2.tables]
+    body1, cycle1, in1 = _step_lists(plan.schedule1)
+    body2, cycle2, in2 = _step_lists(plan.schedule2)
+    n1, period1, n2, period2 = len(body1), len(cycle1), len(body2), len(cycle2)
     (values1, states1, _), (values2, states2, _) = (
         _InverseCdf(init[None, :], "initial law").lists() for init in (plan.initial1, plan.initial2)
     )
-    targets, horizon = plan.targets, plan.horizon
+    seed, horizon = plan.master_seed, plan.horizon
 
     count = stop - start
     meeting = np.full(count, -1, dtype=np.int64)
@@ -278,34 +314,34 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     lengths = np.empty(count, dtype=np.int64)
     traces: list[RenewalTrace] = []
 
-    for offset in range(count):
-        uniform = derive_stream(plan.master_seed, start + offset).random
+    for offset, key in enumerate(_path_keys(seed, start, stop)):
+        uniform = derive_stream(key).random
         x1 = states1[bisect_right(values1, uniform())]
         x2 = states2[bisect_right(values2, uniform())]
-        r1 = [0] if x1 in targets else []
-        r2 = [0] if x2 in targets else []
+        r1 = [0] if in1[x1] else []
+        r2 = [0] if in2[x2] else []
         t_meet: int | None = None
         trials: TrialSequence | None = None
         t = 0
         while t < horizon:
-            values, states, width = tables1[phase1(t)]
+            values, states, width = body1[t] if t < n1 else cycle1[t % period1]
             x1 = states[bisect_right(values, uniform(), x1 * width, (x1 + 1) * width)]
-            values, states, width = tables2[phase2(t)]
+            values, states, width = body2[t] if t < n2 else cycle2[t % period2]
             x2 = states[bisect_right(values, uniform(), x2 * width, (x2 + 1) * width)]
             t += 1
-            if x1 in targets:
+            if in1[x1]:
                 r1.append(t)
-                if x2 in targets:
+                if in2[x2]:
                     r2.append(t)
                     if trials is None:
                         t_meet = t
-                    trials = trial_sequence(r1, r2, n0, scan)
+                    trials = trial_sequence(r1, r2, n0, scan, resume=trials)
                     if trials.first_success is not None:
                         break
-            elif x2 in targets:
+            elif in2[x2]:
                 r2.append(t)
         if trials is None or trials.censored:
-            trials = trial_sequence(r1, r2, n0, scan)
+            trials = trial_sequence(r1, r2, n0, scan, resume=trials)
 
         if t_meet is not None:
             meeting[offset] = t_meet
@@ -372,6 +408,8 @@ def estimate_joint_renewal(
     if tail_len < 0:
         raise ValueError("tail_len must be nonnegative")
     tail_len = min(tail_len, plan.horizon)
+    # the meeting counts, the tail and its SE span tail_len + 2 lags
+    check_fits(3 * 8 * (tail_len + 2), f"the meeting tail of length {tail_len}", available=True)
     ranges = _split_ranges(plan.n_paths, workers)
     if len(ranges) == 1:
         # one range's arrays are the result as they are

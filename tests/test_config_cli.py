@@ -427,6 +427,31 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "validation failure" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("sub, override, what", [
+        ("exact", {"horizon": 50_000}, "the hitting-time tables of horizon 50000"),
+        ("simulate", {"horizon": 50_000, "tail_len": 50_000}, "the meeting tail of length 50000"),
+        ("bound", {"horizon": 50_000}, "the hitting-time tables of horizon 50000"),
+        ("bound", {"domination": {"p": 0.75, "series_len": 50_000}}, "the dominating sequence of length 50000"),
+        ("condition-check", {"domination": {"p": 0.75, "series_len": 50_000}},
+         "the dominating sequence of length 50000"),
+    ])
+    def test_step_counts_past_available_memory_are_exit_1(self, tmp_path, capsys, monkeypatch, sub, override, what):
+        """50,000 steps or lags take 1.14 MiB in three float arrays: refused
+        against 1 MiB of available memory before any of them is allocated."""
+        monkeypatch.setattr(kernel, "available_memory", lambda: 2**20)
+        path = write_config(tmp_path, demo_config(**override))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        error = load_report(tmp_path, f"t_{sub}.json")["results"]["error"]
+        assert f"cannot allocate {what}" in error and "available memory" in error
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["simulate", "exact", "bound", "condition-check"])
+    def test_step_counts_within_available_memory_run(self, tmp_path, monkeypatch, sub):
+        monkeypatch.setattr(kernel, "available_memory", lambda: 2**20)
+        path = write_config(tmp_path, demo_config(n_paths=400))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("sub, override", [
         ("simulate", {"horizon": 1e300}),
         ("bound", {"tail_len": 1e300}),

@@ -14,7 +14,7 @@ from renewalsim import (
     validate_schedule,
 )
 from renewalsim import kernel
-from renewalsim.kernel import check_fits, physical_memory
+from renewalsim.kernel import available_memory, check_fits, physical_memory
 
 I2 = np.eye(2)
 A = np.array([[0.2, 0.8], [0.6, 0.4]])
@@ -168,3 +168,18 @@ class TestMemoryRule:
     def test_no_rule_where_memory_is_unknown(self, monkeypatch):
         monkeypatch.setattr(kernel, "physical_memory", lambda: None)
         check_fits(10**30, "more than any host has")
+
+    def test_available_memory_is_at_most_physical(self):
+        free, total = available_memory(), physical_memory()
+        assert free is None or total is None or 0 < free <= total
+
+    def test_step_counts_near_a_billion_are_refused_before_any_work(self, monkeypatch):
+        """Both step counts fail the rule on 8 GiB free before any array or loop
+        over them starts; on any host they would need 24 GB of tables."""
+        from renewalsim import hitting_time_distribution, walk_dominating_sequence
+
+        monkeypatch.setattr(kernel, "available_memory", lambda: 8 * 2**30)
+        with pytest.raises(MemoryError, match="available memory"):
+            walk_dominating_sequence(0.75, 10**9)
+        with pytest.raises(MemoryError, match="available memory"):
+            hitting_time_distribution(make([], ConstantTail(A)), [1.0, 0.0], horizon=10**9)

@@ -24,3 +24,11 @@ def test_draw_index_broadcasts_against_keys():
     for k in range(5):
         assert table[:, k].tolist() == uniforms(keys, k).tolist()
     assert ((table >= 0) & (table < 1)).all()
+
+
+@pytest.mark.parametrize("start", [0, 1, 1023, 1024, 1025])
+def test_keys_from_an_offset_are_a_slice(start):
+    seed, prefix, count = 20190814, (3,), 2100
+    keys = stream_keys(seed, *prefix, start=start, count=count)
+    assert keys.tolist() == stream_keys(seed, *prefix, count=count)[start:].tolist()
+    assert keys.tolist() == [mix(seed, *prefix, i) for i in range(start, count)]

@@ -180,6 +180,21 @@ class TestJointOracle:
         self._check(SimulationPlan(schedule1, schedule2, spread, spread[::-1].copy(),
                                    horizon=6, n_paths=400, master_seed=5))
 
+    def test_two_ranges_past_one_key_chunk(self):
+        """The second worker's range starts at path 1,050, inside the second
+        chunk of stream keys, and ends in a short chunk."""
+        from renewalsim import simulate
+
+        assert simulate.KEY_CHUNK < 1050
+        schedule1 = birth_death_schedule(periodic_birth_death(6, [0.8, 0.55]))
+        schedule2 = birth_death_schedule(periodic_birth_death(6, [0.6, np.linspace(0.5, 0.9, 6)]))
+        plan = SimulationPlan(schedule1, schedule2, delta(7, 3), delta(7, 2),
+                              horizon=6, n_paths=2100, master_seed=11)
+        est = estimate_joint_renewal(plan, workers=2)
+        got = (est.meeting_times.tolist(), est.first_hit1.tolist(), est.first_hit2.tolist())
+        assert got == joint_renewal_times(plan)
+        assert 0 < est.censored < plan.n_paths
+
 
 class TestInvalidKernel:
     """A non-finite or negative kernel or initial-law entry is rejected before any draw."""
@@ -362,6 +377,16 @@ class TestTrialSequence:
                 assert cut == full
                 assert cut.sums[cut.first_success] in set(tau1) & set(tau2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(renewal_times, renewal_times, st.integers(min_value=0, max_value=30),
+           st.integers(min_value=0, max_value=3), st.sampled_from(["printed", "time"]))
+    def test_resumed_scan_is_the_full_scan(self, tau1, tau2, c, n0, scan):
+        """What the estimator's resumed scans rely on: continuing an
+        unresolved scan on the lists cut at c gives the full scan."""
+        cut = trial_sequence([x for x in tau1 if x <= c], [x for x in tau2 if x <= c], n0, scan)
+        if cut.censored:
+            assert trial_sequence(tau1, tau2, n0, scan, resume=cut) == trial_sequence(tau1, tau2, n0, scan)
+
 
 def _structural_checks(trace):
     for times in (trace.renewals1, trace.renewals2):
@@ -498,6 +523,30 @@ class TestEstimateJointRenewal:
         joint = sum(len({t for t in trace.renewals1 if t >= 1} & set(trace.renewals2)) for trace in est.traces)
         unresolved = sum(trace.trials.censored for trace in est.traces)
         assert len(calls) == joint + unresolved
+
+    def test_phase_rule_stays_out_of_the_step_loop(self, monkeypatch):
+        """The estimator reads each step's table off the body and the cycle
+        itself, so ``KernelSchedule.phase`` calls do not grow with the horizon."""
+        calls = []
+        original = KernelSchedule.phase
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(KernelSchedule, "phase", counting)
+        # state 2 absorbs, so chain 2 never renews and every path runs to the horizon
+        mats = [np.array([[0.5, 0.5, 0.0], [0.9, 0.1, 0.0], [0.0, 0.0, 1.0]]),
+                np.array([[0.2, 0.8, 0.0], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])]
+        schedule = KernelSchedule(StateSpace(3, frozenset({0})), (mats[1],), PeriodicTail(tuple(mats)))
+        counts = []
+        for horizon in (50, 500):
+            plan = SimulationPlan(schedule, schedule, delta(3, 1), delta(3, 2),
+                                  horizon=horizon, n_paths=20, master_seed=3)
+            del calls[:]
+            assert estimate_joint_renewal(plan).censored == plan.n_paths
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
 
     def test_tail_curve_matches_meeting_times(self):
         sched = two_state(0.5, 0.5)
