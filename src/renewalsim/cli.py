@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, bounds, domination, exact
+from . import __version__, bounds, domination, exact, rng
 from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
 from .kernel import _check_initial, validate_schedule
@@ -38,6 +38,7 @@ def _report_skeleton(scenario: Scenario, subcommand: str) -> dict:
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool_version": __version__,
             "subcommand": subcommand,
+            "rng": rng.CONTRACT,
         },
         "config": scenario.raw,
         "results": {},

@@ -1,29 +1,40 @@
 """Deterministic random streams for reproducible sampling.
 
-Two stream contracts are in use.  Both take their keys from
-:func:`stream_keys`: stream i of ``(seed, *prefix)`` has the key
-``mix(seed, *prefix, i)``, a chained splitmix64 hash (:func:`mix`), so a
-given address always yields the same draws no matter how the work is
-chunked or scheduled across workers:
-
-* the joint renewal estimator draws path i from :func:`derive_stream`, a
-  ``random.Random`` (Mersenne Twister) seeded with its key, so path i's
-  stream is still ``random.Random(mix(seed, i))``;
-* the condition checkers and ``sample_path`` draw counter-based uniforms:
-  draw k of the stream with key ``key`` is the top 53 bits of
-  ``splitmix64(key + k * PHI)`` (:func:`uniforms`), computed for a whole
-  batch of streams at once in numpy ``uint64`` arithmetic.  Every uniform
-  is a pure function of ``(seed, prefix, i, k)``.
+One stream contract serves every sampler: counter-based uniforms
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011)
+finalized by splitmix64 (Steele, Lea & Flood, OOPSLA 2014), recorded in
+every report as ``meta.rng`` = :data:`CONTRACT`.  Stream i of
+``(seed, *prefix)`` has the key ``mix(seed, *prefix, i)`` from
+:func:`stream_keys`, a chained splitmix64 hash (:func:`mix`), and draw k of
+the stream with key ``key`` is the top 53 bits of
+``splitmix64(key + k * PHI)`` (:func:`uniforms`).  Every uniform is thus a
+pure function of ``(seed, prefix, i, k)``, so a given address always yields
+the same draws no matter how the work is chunked or scheduled across
+workers.  The condition checkers and ``sample_path`` compute a draw for a
+whole batch of streams at once in numpy ``uint64`` arithmetic; the joint
+renewal estimator reads path i's stream one draw at a time through
+:func:`derive_stream`.
 """
 
 from __future__ import annotations
 
-import random
+from itertools import chain
 
 import numpy as np
 
+CONTRACT = "counter-splitmix64"
 _MASK64 = (1 << 64) - 1
 PHI = 0x9E3779B97F4A7C15
+# draws per refill of a derived stream: the first block, then four times the
+# last, up to the cap, so a long stream makes few numpy calls and holds at
+# most one block of MAX_BLOCK floats
+FIRST_BLOCK = 256
+MAX_BLOCK = 4096
+# 0-d uint64 operands: a ufunc takes them faster than a new np.uint64 scalar,
+# which matters on the short arrays of a refill
+_PHI, _MUL1, _MUL2, _SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (
+    np.array(v, dtype=np.uint64) for v in (PHI, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31)
+)
 
 
 def splitmix64(x: int) -> int:
@@ -47,9 +58,25 @@ def mix(master_seed: int, *indices: int) -> int:
     return state
 
 
-def derive_stream(key: int) -> random.Random:
-    """The Mersenne Twister stream seeded with ``key``, one of :func:`stream_keys`."""
-    return random.Random(key)
+def derive_stream(key: int, head: list[float]):
+    """Draw function of the counter stream with key ``key``, one of :func:`stream_keys`.
+
+    Call n (from 0) returns ``uniforms(key, n)`` bit for bit.  ``head`` is
+    the stream's first ``len(head)`` draws, computed by the caller for many
+    keys at once; later draws come from :func:`uniforms` in blocks of
+    ``FIRST_BLOCK`` draws growing fourfold up to ``MAX_BLOCK``.
+    """
+    return chain.from_iterable(_blocks(key, head)).__next__
+
+
+def _blocks(key: int, head: list[float]):
+    yield head
+    k, size = len(head), FIRST_BLOCK
+    while True:
+        # floats are made as they are read, so an unread tail costs no objects
+        yield memoryview(uniforms(key, np.arange(k, k + size)))
+        k += size
+        size = min(4 * size, MAX_BLOCK)
 
 
 def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
@@ -57,12 +84,12 @@ def _splitmix64_inplace(x: np.ndarray) -> np.ndarray:
 
     Array arithmetic wraps modulo 2**64 silently, as the scalar masks do.
     """
-    x += np.uint64(PHI)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x += _PHI
+    x ^= x >> _SHIFT30
+    x *= _MUL1
+    x ^= x >> _SHIFT27
+    x *= _MUL2
+    x ^= x >> _SHIFT31
     return x
 
 
@@ -79,7 +106,7 @@ def uniforms(keys: np.ndarray, k) -> np.ndarray:
     The value is the top 53 bits of ``splitmix64(key + k * PHI)`` scaled to
     [0, 1), so it equals the scalar :func:`splitmix64` result bit for bit.
     """
-    step = np.asarray(k, dtype=np.uint64) * np.uint64(PHI)
+    step = np.asarray(k, dtype=np.uint64) * _PHI
     bits = _splitmix64_inplace(np.asarray(keys, dtype=np.uint64) + step)
-    bits >>= np.uint64(11)
+    bits >>= _SHIFT11
     return bits * 2.0**-53

@@ -5,11 +5,11 @@ package computes on its hot path: the walk's first-return coefficients by
 the binomial series, renewal times and gaps straight from a path, the
 first simultaneous renewal as a set intersection, the mass defect of a
 distribution table, the joint estimator's meeting times and first hits
-drawn one cumulative row at a time, the regularity grid by one law
-step at a time, and the trial-sum table in one shot over all sums.
+drawn one cumulative row and one scalar splitmix64 draw at a time, the
+regularity grid by one law step at a time, and the trial-sum table in one
+shot over all sums.
 """
 
-import random
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
@@ -18,7 +18,9 @@ import numpy as np
 from renewalsim import KernelSchedule, SimulationPlan
 from renewalsim.domination import _check_walk_parameter
 from renewalsim.exact import DistributionTable
-from renewalsim.rng import mix
+from renewalsim.rng import PHI, mix, splitmix64
+
+MASK64 = (1 << 64) - 1
 
 
 def first_return_series(p: float, n: int) -> np.ndarray:
@@ -82,24 +84,29 @@ def _draw(cum: Sequence[float], u: float, size: int) -> int:
 def joint_renewal_times(plan: SimulationPlan) -> tuple[list[int], list[int], list[int]]:
     """Meeting time and first hit of each chain, per path, -1 where none falls within the horizon.
 
-    Path i draws from ``random.Random(mix(seed, i))``: the initial states
-    of chain 1 and chain 2, then chain 1 and chain 2 at every step, each by
-    :func:`_draw` on ``np.cumsum`` of the row of ``schedule.at(t)``.  The
-    meeting time is the first step t >= 1 with both chains in the target
-    set; a first hit counts t = 0.
+    Path i reads the counter stream with key ``mix(seed, i)``, draw k being
+    the top 53 bits of the scalar ``splitmix64(key + k * PHI)``: draws 0
+    and 1 give the initial states of chain 1 and chain 2, draws 2 + 2t and
+    3 + 2t their steps from t, each by :func:`_draw` on ``np.cumsum`` of the
+    row of ``schedule.at(t)``.  The meeting time is the first step t >= 1
+    with both chains in the target set; a first hit counts t = 0.
     """
     targets, n1, n2 = plan.targets, plan.schedule1.space.size, plan.schedule2.space.size
     meeting, hit1, hit2 = [], [], []
     for i in range(plan.n_paths):
-        uniform = random.Random(mix(plan.master_seed, i)).random
-        x1 = _draw(np.cumsum(plan.initial1), uniform(), n1)
-        x2 = _draw(np.cumsum(plan.initial2), uniform(), n2)
+        key = mix(plan.master_seed, i)
+
+        def uniform(k):
+            return (splitmix64((key + k * PHI) & MASK64) >> 11) / 2**53
+
+        x1 = _draw(np.cumsum(plan.initial1), uniform(0), n1)
+        x2 = _draw(np.cumsum(plan.initial2), uniform(1), n2)
         first1 = 0 if x1 in targets else -1
         first2 = 0 if x2 in targets else -1
         met = -1
         for t in range(1, plan.horizon + 1):
-            x1 = _draw(np.cumsum(plan.schedule1.at(t - 1)[x1]), uniform(), n1)
-            x2 = _draw(np.cumsum(plan.schedule2.at(t - 1)[x2]), uniform(), n2)
+            x1 = _draw(np.cumsum(plan.schedule1.at(t - 1)[x1]), uniform(2 * t), n1)
+            x2 = _draw(np.cumsum(plan.schedule2.at(t - 1)[x2]), uniform(2 * t + 1), n2)
             if first1 < 0 and x1 in targets:
                 first1 = t
             if first2 < 0 and x2 in targets:

@@ -710,6 +710,12 @@ class TestDeterminism:
         assert r1 == r2
         assert (out1 / "t_paths.csv").read_text() == (out2 / "t_paths.csv").read_text()
 
+    @pytest.mark.parametrize("sub", ["simulate", "bound", "validate"])
+    def test_report_records_the_stream_contract(self, tmp_path, sub):
+        path = write_config(tmp_path, demo_config(n_paths=50))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert load_report(tmp_path, f"t_{sub}.json")["meta"]["rng"] == "counter-splitmix64"
+
     def test_seed_override_changes_results(self, tmp_path):
         path = write_config(tmp_path, demo_config())
         out1 = tmp_path / "a"

@@ -181,8 +181,8 @@ class TestJointOracle:
                                    horizon=6, n_paths=400, master_seed=5))
 
     def test_two_ranges_past_one_key_chunk(self):
-        """The second worker's range starts at path 1,050, inside the second
-        chunk of stream keys, and ends in a short chunk."""
+        """The second worker's range starts at path 1,050, inside a chunk of
+        stream keys, and each range ends in a short chunk."""
         from renewalsim import simulate
 
         assert simulate.KEY_CHUNK < 1050
