@@ -60,7 +60,6 @@ from .kernel import (
 )
 from .simulate import (
     JointRenewalEstimate,
-    RenewalTrace,
     SimulationPlan,
     TrialSequence,
     estimate_joint_renewal,
@@ -84,7 +83,6 @@ __all__ = [
     "RegularityCertificate",
     "RegularityScan",
     "RenewalTailSurface",
-    "RenewalTrace",
     "SimulationPlan",
     "StateSpace",
     "TrialSequence",

@@ -75,7 +75,7 @@ class TrialStats:
     """
 
     table: np.ndarray
-    n_traces: int
+    n_paths: int
 
     @property
     def by_sum(self) -> np.ndarray:
@@ -116,7 +116,7 @@ def trial_statistics(
         counts = np.bincount(k[keep] * width + chunk[keep])
         cells[: len(counts)] += counts
     table /= estimate.n_paths
-    return TrialStats(table=table, n_traces=estimate.n_paths)
+    return TrialStats(table=table, n_paths=estimate.n_paths)
 
 
 def meeting_tail_envelope(

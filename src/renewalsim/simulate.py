@@ -1,9 +1,9 @@
 """Path sampling and the joint renewal estimator.
 
 The estimator samples independent pairs of chains and records, per path,
-the renewal times of each chain, the first simultaneous visit to the
-target set, and the alternating landing-trial sequence built from the two
-renewal time sequences.  Path i draws every uniform (both chains,
+the first simultaneous visit to the target set, each chain's first visit,
+and the alternating landing-trial sequence built from the two renewal
+time sequences.  Path i draws every uniform (both chains,
 alternately) from the counter stream with key ``mix(master_seed, i)``, the
 contract of :func:`rng.uniforms` that ``sample_path`` and the condition
 checkers use too: draw 0 is chain 1's initial state, draw 1 chain 2's,
@@ -114,16 +114,19 @@ class TrialSequence(NamedTuple):
     """Alternating landing trials between two renewal time sequences.
 
     ``indices[k]`` is the renewal index the k-th trial landed on (in chain
-    1's sequence for even k, chain 2's for odd k), ``gaps[k]`` the landing
-    offset, and ``sums`` its partial sums.  ``first_success`` is the index
-    of the first zero gap; ``None`` means the scan ran out of data.  A named
-    tuple, so the estimator builds one per scan cheaply.
+    1's sequence for even k, chain 2's for odd k) and ``sums[k]`` the
+    renewal time there, the partial sum of the landing offsets ``gaps``.
+    ``first_success`` is the index of the first zero gap; ``None`` means
+    the scan ran out of data.
     """
 
     indices: tuple[int, ...]
-    gaps: tuple[int, ...]
     sums: tuple[int, ...]
     first_success: int | None
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(b - a for a, b in zip((0, *self.sums), self.sums))
 
     @property
     def censored(self) -> bool:
@@ -149,10 +152,10 @@ def trial_sequence(
       chain renews much less often than the other, this skips landings
       that are valid in time, so the trial total can far exceed the first
       simultaneous renewal.
-    * ``"time"`` starts at the scanned chain's own first entry not yet
-      ruled out by time, i.e. each trial lands on the scanned chain's
-      earliest qualifying renewal.  With ``n0 = 0`` the trial total then
-      equals the first simultaneous renewal exactly.
+    * ``"time"`` starts at ``bisect_left(seq, anchor)``, the scanned
+      chain's first renewal not before the anchor, i.e. each trial lands
+      on the scanned chain's earliest qualifying renewal.  With ``n0 = 0``
+      the trial total then equals the first simultaneous renewal exactly.
 
     ``resume`` is the unresolved result of the same call on prefixes of
     ``tau1`` and ``tau2``.  Its trials are this scan's first trials, so the
@@ -165,67 +168,29 @@ def trial_sequence(
         raise ValueError("scan must be 'printed' or 'time'")
     seqs = (tau1, tau2)
     if resume is not None and resume.indices:
-        indices, gaps, sums = list(resume.indices), list(resume.gaps), list(resume.sums)
-        anchor = sums[-1]
-        # a time scan of either chain starts at its first entry not before the anchor
-        pointer = [bisect_left(tau1, anchor), bisect_left(tau2, anchor)]
+        indices, sums = list(resume.indices), list(resume.sums)
     else:
         j = 1
         while j < len(tau1) and tau1[j] <= n0:
             j += 1
         if j >= len(tau1):
-            return TrialSequence((), (), (), None)
-        anchor = tau1[j]
-        indices = [j]
-        gaps = [anchor]
-        sums = [anchor]
-        pointer = [j, 0]  # per-chain scan floor for the time reading
-    prev_index = indices[-1]
+            return TrialSequence((), (), None)
+        indices, sums = [j], [tau1[j]]
 
     k = len(indices)
     while True:
-        chain = k % 2
-        seq = seqs[chain]
-        if scan == "printed":
-            j = prev_index
-        else:
-            # entries strictly before the anchor can never qualify again
-            j = pointer[chain]
-            while j < len(seq) and seq[j] < anchor:
-                j += 1
-            pointer[chain] = j
-        found = -1
-        while j < len(seq):
-            d = seq[j] - anchor
-            if d == 0 or d > n0:
-                found = j
-                break
+        seq = seqs[k % 2]
+        anchor = sums[-1]
+        j = indices[-1] if scan == "printed" else bisect_left(seq, anchor)
+        while j < len(seq) and seq[j] != anchor and seq[j] - anchor <= n0:
             j += 1
-        if found < 0:
-            return TrialSequence(tuple(indices), tuple(gaps), tuple(sums), None)
-        b = seq[found] - anchor
-        indices.append(found)
-        gaps.append(b)
-        sums.append(sums[-1] + b)
-        anchor = seq[found]
-        prev_index = found
-        if b == 0:
-            return TrialSequence(tuple(indices), tuple(gaps), tuple(sums), k)
+        if j >= len(seq):
+            return TrialSequence(tuple(indices), tuple(sums), None)
+        indices.append(j)
+        sums.append(seq[j])
+        if seq[j] == anchor:
+            return TrialSequence(tuple(indices), tuple(sums), k)
         k += 1
-
-
-@dataclass(frozen=True)
-class RenewalTrace:
-    """Per-path renewal record for one chain pair."""
-
-    renewals1: tuple[int, ...]
-    renewals2: tuple[int, ...]
-    meeting_time: int | None
-    trials: TrialSequence
-
-    @property
-    def censored(self) -> bool:
-        return self.meeting_time is None
 
 
 # meeting time, both first hits, trial count and trial-run length: one int64
@@ -287,8 +252,12 @@ def _step_lists(schedule: KernelSchedule) -> tuple[list, list, list[bool]]:
     return tables[:n], tables[n:], [x in targets for x in range(schedule.space.size)]
 
 
-def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: str, keep_traces: bool):
+def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: str):
     """Simulate paths [start, stop); used as the per-worker unit of work.
+
+    Returns the per-path arrays of :class:`JointRenewalEstimate` for the
+    range, in its field order: meeting times, both first hits, trials to
+    success, the trial sums end to end and their count per path.
 
     Path i draws from ``derive_stream(key, head)`` with the key and head of
     :func:`_path_keys`: the two initial states, then chain 1 and chain 2 at
@@ -320,7 +289,6 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     n_trials = np.full(count, -1, dtype=np.int64)
     sums = array("q")  # int64 like the other results, handed to numpy without a copy
     lengths = np.empty(count, dtype=np.int64)
-    traces: list[RenewalTrace] = []
 
     for offset, (key, head) in enumerate(_path_keys(seed, start, stop)):
         uniform = derive_stream(key, head)
@@ -361,9 +329,7 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
             n_trials[offset] = trials.first_success
         sums.extend(trials.sums)
         lengths[offset] = len(trials.sums)
-        if keep_traces:
-            traces.append(RenewalTrace(tuple(r1), tuple(r2), t_meet, trials))
-    return meeting, hit1, hit2, n_trials, np.frombuffer(sums, dtype=np.int64), lengths, traces
+    return meeting, hit1, hit2, n_trials, np.frombuffer(sums, dtype=np.int64), lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,14 +357,14 @@ class JointRenewalEstimate:
     trials_to_success: np.ndarray
     trial_sums: np.ndarray
     trial_lengths: np.ndarray
-    traces: tuple[RenewalTrace, ...] | None
+    # no per-path traces are kept; perfbench's tracer still reads this name
+    traces = None
 
 
 def estimate_joint_renewal(
     plan: SimulationPlan,
     *,
     workers: int = 1,
-    keep_traces: bool = False,
     tail_len: int = 256,
     n0: int = 0,
     trial_scan: str = "printed",
@@ -410,32 +376,30 @@ def estimate_joint_renewal(
     to the horizon, and make the reported mean a lower bound (censored
     paths contribute the horizon).  Results are bit-identical for any
     ``workers`` value because every path draws from its own derived
-    stream and aggregation runs in path order.  The pool starts at most
-    one process per CPU, whatever ``workers`` asks for.
+    stream and aggregation runs in path order.  The paths split into at
+    most one range per CPU, whatever ``workers`` asks for, and the pool
+    starts one process per range.
     """
     if tail_len < 0:
         raise ValueError("tail_len must be nonnegative")
     tail_len = min(tail_len, plan.horizon)
     # the meeting counts, the tail and its SE span tail_len + 2 lags
     check_fits(3 * 8 * (tail_len + 2), f"the meeting tail of length {tail_len}", available=True)
-    ranges = _split_ranges(plan.n_paths, workers)
+    # one range per process: a range costs a pickled plan and rebuilt step tables
+    ranges = _split_ranges(plan.n_paths, min(workers, os.cpu_count() or 1))
     if len(ranges) == 1:
         # one range's arrays are the result as they are
-        *arrays, traces = _simulate_range(plan, 0, plan.n_paths, n0, trial_scan, keep_traces)
+        arrays = _simulate_range(plan, 0, plan.n_paths, n0, trial_scan)
     else:
         # imported here: the pool module pulls in multiprocessing, which a
         # one-process run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(len(ranges), os.cpu_count() or 1)) as pool:
-            futures = [
-                pool.submit(_simulate_range, plan, a, b, n0, trial_scan, keep_traces)
-                for a, b in ranges
-            ]
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            futures = [pool.submit(_simulate_range, plan, a, b, n0, trial_scan) for a, b in ranges]
             parts = [f.result() for f in futures]
         # parts come back in range order, so path order is kept
-        arrays = [np.concatenate([p[i] for p in parts]) for i in range(6)]
-        traces = [trace for p in parts for trace in p[6]]
+        arrays = [np.concatenate(column) for column in zip(*parts)]
         del parts
     meeting, hit1, hit2, n_trials, sums, lengths = arrays
 
@@ -473,7 +437,6 @@ def estimate_joint_renewal(
         trials_to_success=n_trials,
         trial_sums=sums,
         trial_lengths=lengths,
-        traces=tuple(traces) if keep_traces else None,
     )
 
 

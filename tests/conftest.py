@@ -35,6 +35,14 @@ def delta(size: int, state: int) -> np.ndarray:
     return out
 
 
+def last_trial_sums(est) -> np.ndarray:
+    """Each path's last landing-trial sum from the estimate's flat arrays, -1 for a path with none."""
+    has = est.trial_lengths > 0
+    last = np.full(len(has), -1, dtype=np.int64)
+    last[has] = est.trial_sums[np.cumsum(est.trial_lengths)[has] - 1]
+    return last
+
+
 @pytest.fixture
 def identity_2() -> KernelSchedule:
     return two_state(1.0, 0.0)

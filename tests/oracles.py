@@ -5,9 +5,10 @@ package computes on its hot path: the walk's first-return coefficients by
 the binomial series, renewal times and gaps straight from a path, the
 first simultaneous renewal as a set intersection, the mass defect of a
 distribution table, the joint estimator's meeting times and first hits
-drawn one cumulative row and one scalar splitmix64 draw at a time, the
-regularity grid by one law step at a time, and the trial-sum table in one
-shot over all sums.
+drawn one cumulative row and one scalar splitmix64 draw at a time, its
+renewal lists stepped to the horizon, the landing-trial scan by its
+definition, the regularity grid by one law step at a time, and the
+trial-sum table in one shot over all sums.
 """
 
 from bisect import bisect_right
@@ -15,10 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from renewalsim import KernelSchedule, SimulationPlan
+from renewalsim import KernelSchedule, SimulationPlan, TrialSequence
 from renewalsim.domination import _check_walk_parameter
 from renewalsim.exact import DistributionTable
-from renewalsim.rng import PHI, mix, splitmix64
+from renewalsim.rng import PHI, mix, splitmix64, uniforms
 
 MASK64 = (1 << 64) - 1
 
@@ -118,6 +119,66 @@ def joint_renewal_times(plan: SimulationPlan) -> tuple[list[int], list[int], lis
         hit1.append(first1)
         hit2.append(first2)
     return meeting, hit1, hit2
+
+
+def landing_trials(tau1: Sequence[int], tau2: Sequence[int], n0: int, scan: str) -> TrialSequence:
+    """``trial_sequence(tau1, tau2, n0, scan)``, one full scan, written out from its definition.
+
+    Trial 0 lands on chain 1's first renewal past index 0 that exceeds n0.
+    Trial k >= 1 lands on the first entry of the other chain's sequence
+    that equals the last landing (a success, which ends the scan) or
+    exceeds it by more than n0: from the last landed index for the printed
+    reading, from the start of the sequence for the time reading.
+    """
+    start = next((j for j in range(1, len(tau1)) if tau1[j] > n0), None)
+    if start is None:
+        return TrialSequence((), (), None)
+    indices, sums = [start], [tau1[start]]
+    k = 1
+    while True:
+        seq, anchor = (tau1, tau2)[k % 2], sums[-1]
+        first = indices[-1] if scan == "printed" else 0
+        j = next((j for j in range(first, len(seq)) if seq[j] == anchor or seq[j] > anchor + n0), None)
+        if j is None:
+            return TrialSequence(tuple(indices), tuple(sums), None)
+        indices.append(j)
+        sums.append(seq[j])
+        if seq[j] == anchor:
+            return TrialSequence(tuple(indices), tuple(sums), k)
+        k += 1
+
+
+def joint_renewal_paths(
+    plan: SimulationPlan, n0: int = 0, scan: str = "printed"
+) -> list[tuple[list[int], list[int], int, TrialSequence]]:
+    """Per path ``(renewals1, renewals2, meeting, trials)``: both chains'
+    renewal times up to the horizon, the meeting time (-1 where none falls
+    within it) and :func:`landing_trials` on the two renewal lists, one
+    full scan with no resume.
+
+    Every path steps to the horizon on the streams of
+    :func:`joint_renewal_times`, all paths at once: chain c (0 or 1) takes
+    draw 2k + c of each key from ``uniforms``, k = 0 for its initial state
+    and k = t + 1 for its step from t, and moves to the number of its row's
+    ``np.cumsum`` values at or below the draw, capped at the last state.
+    """
+    keys = np.array([mix(plan.master_seed, i) for i in range(plan.n_paths)], dtype=np.uint64)
+    visits = []
+    for c, (schedule, initial) in enumerate(((plan.schedule1, plan.initial1), (plan.schedule2, plan.initial2))):
+        in_target = np.isin(np.arange(schedule.space.size), sorted(plan.targets))
+        rows, x = np.cumsum(initial)[None, :], np.zeros(plan.n_paths, dtype=np.int64)
+        seen = []
+        for k in range(plan.horizon + 1):
+            x = np.minimum((rows[x] <= uniforms(keys, 2 * k + c)[:, None]).sum(axis=1), schedule.space.size - 1)
+            seen.append(in_target[x])
+            rows = np.cumsum(schedule.at(k), axis=1)
+        visits.append(np.array(seen))
+    out = []
+    for i in range(plan.n_paths):
+        r1, r2 = (np.flatnonzero(v[:, i]).tolist() for v in visits)
+        meeting = simultaneous_renewal_time(r1, r2)
+        out.append((r1, r2, -1 if meeting is None else meeting, landing_trials(r1, r2, n0, scan)))
+    return out
 
 
 def in_target_again(schedule: KernelSchedule, initial, base: int, lag: int) -> float | None:

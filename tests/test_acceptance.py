@@ -50,7 +50,7 @@ from renewalsim import (
 from renewalsim.bounds import analytic_certificate
 from renewalsim.cli import main as cli_main
 
-from conftest import delta, periodic_two_state, two_state
+from conftest import delta, last_trial_sums, periodic_two_state, two_state
 from oracles import first_return_series
 
 N_PATHS = 100_000
@@ -70,7 +70,7 @@ def _showcase_plan():
 @pytest.fixture(scope="module")
 def showcase():
     """Constant-0.75 birth-death pair, both started at the floor state."""
-    est = estimate_joint_renewal(_showcase_plan(), keep_traces=True, tail_len=256)
+    est = estimate_joint_renewal(_showcase_plan(), tail_len=256)
     gamma = regularity_from_floor(0.75, walk_moment1(0.75)).gamma
     return est, gamma
 
@@ -78,8 +78,7 @@ def showcase():
 @pytest.fixture(scope="module")
 def showcase_time_scan():
     """Same pair with the time-based trial scan (see trial_sequence)."""
-    return estimate_joint_renewal(_showcase_plan(), keep_traces=True, tail_len=256,
-                                  trial_scan="time")
+    return estimate_joint_renewal(_showcase_plan(), tail_len=256, trial_scan="time")
 
 
 def test_criterion_1_closed_form_reproduction():
@@ -282,13 +281,10 @@ def test_criterion_4_bound_exceeds_the_exact_mean():
 def test_criterion_5_pathwise_inequality(showcase):
     est, _ = showcase
     assert est.censored == 0
-    violations = 0
-    for trace in est.traces:
-        trials = trace.trials
-        assert trials.first_success is not None
-        capped = sum(b for k, b in enumerate(trials.gaps) if trials.first_success > k)
-        if trace.meeting_time > trace.renewals1[0] + capped:
-            violations += 1
+    assert (est.trials_to_success >= 0).all()
+    # the gaps before the first success total the last trial sum, its gap being 0
+    capped = last_trial_sums(est)
+    violations = int((est.meeting_times > est.first_hit1 + capped).sum())
     report("criterion 5", violations == 0,
            f"{violations} violations of the pathwise cap over {est.n_paths} paths")
     assert violations == 0
@@ -314,7 +310,8 @@ def test_criterion_6_trial_tail_bound(showcase):
 
 
 def _trial_sum_tail(est, length):
-    sums = np.array([t.trials.sums[-1] for t in est.traces], dtype=np.int64)
+    sums = last_trial_sums(est)
+    assert (sums >= 0).all()  # every path has a trial
     lags = np.arange(length + 1)
     tail = (sums[None, :] > lags[:, None]).mean(axis=1)
     se = np.sqrt(tail * (1 - tail) / len(sums))
@@ -354,7 +351,7 @@ def test_criterion_7_time_scan_with_first_gap_term(showcase_time_scan):
     s_hat = meeting_tail_envelope(envelope, 0, stats, 200)
     corrected = s_hat + np.array([envelope.at(n) for n in range(201)])
     tail, se = _trial_sum_tail(est, 200)
-    assert all(t.trials.sums[-1] == t.meeting_time for t in est.traces)
+    assert np.array_equal(last_trial_sums(est), est.meeting_times)
     violations = [n for n in range(201) if corrected[n] < tail[n] - 3 * se[n]]
     report("criterion 7 (time scan + first-gap term)", not violations,
            f"violations at lags {violations or 'none'} over 0..200")

@@ -30,7 +30,7 @@ from renewalsim import (
 from renewalsim import bounds, kernel
 
 from conftest import delta
-from oracles import trial_table
+from oracles import joint_renewal_paths, trial_table
 
 
 class TestExpectationBound:
@@ -120,7 +120,7 @@ class TestCompareBounds:
 
 class TestMeetingTailEnvelope:
     def _stats(self, table):
-        return TrialStats(table=np.asarray(table, float), n_traces=1)
+        return TrialStats(table=np.asarray(table, float), n_paths=1)
 
     def test_single_atom(self):
         env = DominatingSequence(values=np.array([1.0, 0.5, 0.25]), head_mass=1.75,
@@ -156,24 +156,20 @@ class TestMeetingTailEnvelope:
         assert out[1] == pytest.approx(4.0)
 
 
-def _reference_table(traces, max_sum, max_trials=None):
-    """The trial-sum table by a loop over kept traces, as trial_statistics once built it."""
-    traces = list(traces)
+def _reference_table(scans, max_sum, max_trials=None):
+    """The trial-sum table by a loop over each path's ``TrialSequence``, as trial_statistics once built it."""
+    scans = list(scans)
     if max_trials is None:
-        max_trials = max(
-            (t.trials.first_success for t in traces if t.trials.first_success is not None),
-            default=0,
-        )
+        max_trials = max((t.first_success for t in scans if t.first_success is not None), default=0)
     table = np.zeros((max_trials + 1, max_sum + 1))
-    for trace in traces:
-        trials = trace.trials
+    for trials in scans:
         stop = trials.first_success
         upto = len(trials.sums) - 1 if stop is None else stop
         for k in range(min(upto, max_trials) + 1):
             j = trials.sums[k]
             if j <= max_sum:
                 table[k, j] += 1.0
-    return table / len(traces)
+    return table / len(scans)
 
 
 class TestTrialStatistics:
@@ -203,14 +199,15 @@ class TestTrialStatistics:
         sched = birth_death_schedule(constant_birth_death(10, 0.75))
         plan = SimulationPlan(sched, sched, delta(11, 0), delta(11, 0),
                               horizon=horizon, n_paths=400, master_seed=5)
-        est = estimate_joint_renewal(plan, keep_traces=True, n0=n0, trial_scan=scan)
+        est = estimate_joint_renewal(plan, n0=n0, trial_scan=scan)
         if horizon == 4:
             assert (est.trials_to_success < 0).any()
         stats = trial_statistics(est, max_sum=max_sum, max_trials=max_trials)
-        reference = _reference_table(est.traces, max_sum, max_trials)
+        scans = [trials for *_, trials in joint_renewal_paths(plan, n0, scan)]
+        reference = _reference_table(scans, max_sum, max_trials)
         assert stats.table.shape == reference.shape
         assert (stats.table == reference).all()
-        assert stats.n_traces == plan.n_paths
+        assert stats.n_paths == plan.n_paths
 
     def test_requires_starts_in_target(self):
         sched = birth_death_schedule(constant_birth_death(10, 0.75))

@@ -36,7 +36,7 @@ def _small_calls():
     start = np.eye(7)[0]
     plan = SimulationPlan(schedule, schedule, start, start, horizon=60, n_paths=30, master_seed=4)
     return {
-        "simulate.estimate_joint_renewal": ((plan,), {"keep_traces": True, "tail_len": 20}),
+        "simulate.estimate_joint_renewal": ((plan,), {"tail_len": 20}),
         "exact.product_tail": ((schedule, schedule, start, start), {"horizon": 40}),
         "exact.hitting_time_distribution": ((schedule, start), {"horizon": 40}),
         "domination.estimate_regularity": ((schedule, 0, [0, 1], [0, 2], 50, 3), {}),

@@ -23,8 +23,16 @@ from renewalsim import (
 )
 from renewalsim.simulate import _InverseCdf, _Sampler
 
-from conftest import delta, two_state
-from oracles import _draw, extract_renewals, joint_renewal_times, renewal_gaps, simultaneous_renewal_time
+from conftest import delta, last_trial_sums, two_state
+from oracles import (
+    _draw,
+    extract_renewals,
+    joint_renewal_paths,
+    joint_renewal_times,
+    landing_trials,
+    renewal_gaps,
+    simultaneous_renewal_time,
+)
 
 
 class TestSamplePath:
@@ -180,11 +188,12 @@ class TestJointOracle:
         self._check(SimulationPlan(schedule1, schedule2, spread, spread[::-1].copy(),
                                    horizon=6, n_paths=400, master_seed=5))
 
-    def test_two_ranges_past_one_key_chunk(self):
+    def test_two_ranges_past_one_key_chunk(self, monkeypatch):
         """The second worker's range starts at path 1,050, inside a chunk of
         stream keys, and each range ends in a short chunk."""
         from renewalsim import simulate
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two ranges on any host
         assert simulate.KEY_CHUNK < 1050
         schedule1 = birth_death_schedule(periodic_birth_death(6, [0.8, 0.55]))
         schedule2 = birth_death_schedule(periodic_birth_death(6, [0.6, np.linspace(0.5, 0.9, 6)]))
@@ -346,10 +355,9 @@ class TestTrialSequence:
         sched = two_state(0.5, 0.5)
         plan = SimulationPlan(sched, sched, delta(2, 0), delta(2, 0),
                               horizon=300, n_paths=1500, master_seed=31)
-        est = estimate_joint_renewal(plan, keep_traces=True, trial_scan="time")
+        est = estimate_joint_renewal(plan, trial_scan="time")
         assert est.censored == 0
-        for trace in est.traces:
-            assert trace.trials.sums[-1] == trace.meeting_time
+        assert np.array_equal(last_trial_sums(est), est.meeting_times)
 
     def test_scan_name_validated(self):
         with pytest.raises(ValueError):
@@ -369,6 +377,7 @@ class TestTrialSequence:
         renewals up to t succeeds exactly when the full scan succeeds by t,
         with the same result, landing on a renewal of both chains."""
         full = trial_sequence(tau1, tau2, n0, scan)
+        assert full == landing_trials(tau1, tau2, n0, scan)
         for t in range(max(tau1[-1], tau2[-1]) + 2):
             cut = trial_sequence([x for x in tau1 if x <= t], [x for x in tau2 if x <= t], n0, scan)
             by_t = not full.censored and full.sums[full.first_success] <= t
@@ -388,10 +397,13 @@ class TestTrialSequence:
             assert trial_sequence(tau1, tau2, n0, scan, resume=cut) == trial_sequence(tau1, tau2, n0, scan)
 
 
-def _structural_checks(trace):
-    for times in (trace.renewals1, trace.renewals2):
+PER_PATH_ARRAYS = ("meeting_times", "first_hit1", "first_hit2", "trials_to_success", "trial_sums", "trial_lengths")
+
+
+def _structural_checks(renewals1, renewals2, meeting, trials):
+    """Checks on one path of :func:`oracles.joint_renewal_paths`."""
+    for times in (renewals1, renewals2):
         assert list(np.cumsum(renewal_gaps(times))) == list(times)
-    trials = trace.trials
     assert all(b >= 0 for b in trials.gaps)
     assert list(np.cumsum(trials.gaps)) == list(trials.sums)
     if trials.first_success is not None:
@@ -399,13 +411,13 @@ def _structural_checks(trace):
         assert all(b > 0 for b in trials.gaps[:trials.first_success])
         # landed sums alternate between the two chains' renewal times
         for k, (idx, s) in enumerate(zip(trials.indices, trials.sums)):
-            seq = trace.renewals1 if k % 2 == 0 else trace.renewals2
+            seq = renewals1 if k % 2 == 0 else renewals2
             assert seq[idx] == s
-    if trace.meeting_time is not None:
-        assert trace.meeting_time in trace.renewals1
-        assert trace.meeting_time in trace.renewals2
-        positives = {t for t in trace.renewals1 if 0 < t < trace.meeting_time}
-        assert not (positives & set(trace.renewals2))
+    if meeting >= 0:
+        assert meeting in renewals1
+        assert meeting in renewals2
+        positives = {t for t in renewals1 if 0 < t < meeting}
+        assert not (positives & set(renewals2))
 
 
 class TestEstimateJointRenewal:
@@ -430,20 +442,19 @@ class TestEstimateJointRenewal:
         sched = two_state(0.5, 0.5)
         plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 1),
                               horizon=200, n_paths=400, master_seed=17)
-        serial = estimate_joint_renewal(plan, workers=1, keep_traces=True)
-        parallel = estimate_joint_renewal(plan, workers=4, keep_traces=True)
+        serial = estimate_joint_renewal(plan, workers=1)
+        parallel = estimate_joint_renewal(plan, workers=4)
         assert serial.mean == parallel.mean
         assert serial.se == parallel.se
-        assert np.array_equal(serial.meeting_times, parallel.meeting_times)
-        assert np.array_equal(serial.tail, parallel.tail)
-        assert serial.traces == parallel.traces
+        for name in PER_PATH_ARRAYS + ("tail",):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
     def test_pool_starts_at_most_one_process_per_cpu(self, monkeypatch):
         """No process is started: a stand-in pool records its size and runs inline."""
         import concurrent.futures
         from concurrent.futures import Future
 
-        sizes = []
+        sizes, submitted = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -456,6 +467,7 @@ class TestEstimateJointRenewal:
                 return False
 
             def submit(self, fn, *args):
+                submitted.append(None)
                 future = Future()
                 future.set_result(fn(*args))
                 return future
@@ -465,13 +477,13 @@ class TestEstimateJointRenewal:
         sched = two_state(0.5, 0.5)
         plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
                               horizon=50, n_paths=30, master_seed=13)
-        serial = estimate_joint_renewal(plan, workers=1, keep_traces=True)
-        pooled = estimate_joint_renewal(plan, workers=10_000, keep_traces=True)
+        serial = estimate_joint_renewal(plan, workers=1)
+        pooled = estimate_joint_renewal(plan, workers=10_000)
         assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
-        for name in ("meeting_times", "first_hit1", "first_hit2", "trials_to_success",
-                     "trial_sums", "trial_lengths", "tail"):
+        # one range per process: each range pickles the plan and rebuilds the step tables
+        assert len(submitted) == sizes[0]
+        for name in PER_PATH_ARRAYS + ("tail",):
             assert np.array_equal(getattr(serial, name), getattr(pooled, name))
-        assert serial.traces == pooled.traces
 
     def test_cli_import_leaves_the_process_pool_out(self):
         """Only a run with more than one worker imports the pool, and with it multiprocessing."""
@@ -485,19 +497,29 @@ class TestEstimateJointRenewal:
     @pytest.mark.parametrize("scan", ["printed", "time"])
     @pytest.mark.parametrize("n0", [0, 2])
     def test_flat_trial_arrays_equal_the_traces(self, scan, n0):
+        """Every per-path array, at one worker and at four, equals the oracle's
+        traces: each path stepped to the horizon and scanned once in full."""
         # the short horizon leaves some paths censored, some scans unresolved
         sched = two_state(0.5, 0.1)
         plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
                               horizon=12, n_paths=300, master_seed=41)
-        serial = estimate_joint_renewal(plan, workers=1, keep_traces=True, n0=n0, trial_scan=scan)
+        serial = estimate_joint_renewal(plan, workers=1, n0=n0, trial_scan=scan)
         parallel = estimate_joint_renewal(plan, workers=4, n0=n0, trial_scan=scan)
         assert 0 < serial.censored < plan.n_paths
-        assert any(t.trials.censored and t.trials.sums for t in serial.traces)
-        sums = [s for trace in serial.traces for s in trace.trials.sums]
-        lengths = [len(trace.trials.sums) for trace in serial.traces]
+        paths = joint_renewal_paths(plan, n0, scan)
+        assert any(t.censored and t.sums for *_, t in paths)
+        assert any(t.censored and meeting >= 0 for _, _, meeting, t in paths)
+        expected = {
+            "meeting_times": [meeting for _, _, meeting, _ in paths],
+            "first_hit1": [r1[0] if r1 else -1 for r1, *_ in paths],
+            "first_hit2": [r2[0] if r2 else -1 for _, r2, *_ in paths],
+            "trials_to_success": [-1 if t.censored else t.first_success for *_, t in paths],
+            "trial_sums": [s for *_, t in paths for s in t.sums],
+            "trial_lengths": [len(t.sums) for *_, t in paths],
+        }
         for est in (serial, parallel):
-            assert est.trial_sums.tolist() == sums
-            assert est.trial_lengths.tolist() == lengths
+            for name in PER_PATH_ARRAYS:
+                assert getattr(est, name).tolist() == expected[name], name
 
     @pytest.mark.parametrize("scan", ["printed", "time"])
     @pytest.mark.parametrize("n0", [0, 2])
@@ -517,12 +539,44 @@ class TestEstimateJointRenewal:
         sched = two_state(0.5, 0.1)
         plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
                               horizon=12, n_paths=300, master_seed=41)
-        est = estimate_joint_renewal(plan, keep_traces=True, n0=n0, trial_scan=scan)
+        est = estimate_joint_renewal(plan, n0=n0, trial_scan=scan)
+        scans = len(calls)
         assert 0 < est.censored < plan.n_paths
-        assert any(t.trials.censored and not t.censored for t in est.traces)
-        joint = sum(len({t for t in trace.renewals1 if t >= 1} & set(trace.renewals2)) for trace in est.traces)
-        unresolved = sum(trace.trials.censored for trace in est.traces)
-        assert len(calls) == joint + unresolved
+        paths = joint_renewal_paths(plan, n0, scan)
+        assert any(trials.censored and meeting >= 0 for _, _, meeting, trials in paths)
+        joint = unresolved = 0
+        for r1, r2, _, trials in paths:
+            # the estimator stops stepping at the first success, the last trial sum
+            stop = plan.horizon if trials.censored else trials.sums[-1]
+            joint += len({t for t in r1 if 1 <= t <= stop} & set(r2))
+            unresolved += trials.censored
+        assert scans == joint + unresolved
+
+    def test_printed_reading_never_bisects(self, monkeypatch):
+        """Only the time reading looks up a scan floor, also in a resumed scan."""
+        from renewalsim import simulate
+
+        bisects, resumed = [], []
+        original_bisect, original_scan = simulate.bisect_left, simulate.trial_sequence
+
+        def counting_bisect(*args, **kwargs):
+            bisects.append(None)
+            return original_bisect(*args, **kwargs)
+
+        def counting_scan(*args, resume=None, **kwargs):
+            if resume is not None and resume.indices:
+                resumed.append(None)
+            return original_scan(*args, resume=resume, **kwargs)
+
+        monkeypatch.setattr(simulate, "bisect_left", counting_bisect)
+        monkeypatch.setattr(simulate, "trial_sequence", counting_scan)
+        sched = two_state(0.5, 0.1)
+        plan = SimulationPlan(sched, sched, delta(2, 1), delta(2, 0),
+                              horizon=12, n_paths=300, master_seed=41)
+        estimate_joint_renewal(plan, trial_scan="printed")
+        assert resumed and not bisects
+        estimate_joint_renewal(plan, trial_scan="time")
+        assert bisects
 
     def test_phase_rule_stays_out_of_the_step_loop(self, monkeypatch):
         """The estimator reads each step's table off the body and the cycle
@@ -588,25 +642,23 @@ class TestPathwiseInvariants:
         sched2 = two_state(0.45, 0.7)
         plan = SimulationPlan(sched1, sched2, [0.3, 0.7], [0.8, 0.2],
                               horizon=300, n_paths=40, master_seed=seed)
-        est = estimate_joint_renewal(plan, keep_traces=True)
-        for trace in est.traces:
-            _structural_checks(trace)
-            if trace.meeting_time is None or trace.trials.first_success is None:
-                continue
-            theta0_1 = trace.renewals1[0]
-            theta0_2 = trace.renewals2[0]
-            total = sum(trace.trials.gaps)
-            # arbitrary starts: meeting time is capped by first hits plus the trial sums
-            assert trace.meeting_time <= theta0_1 + theta0_2 + total
+        paths = joint_renewal_paths(plan)
+        for path in paths:
+            _structural_checks(*path)
+        est = estimate_joint_renewal(plan)
+        assert est.meeting_times.tolist() == [meeting for _, _, meeting, _ in paths]
+        assert est.trial_sums.tolist() == [s for *_, trials in paths for s in trials.sums]
+        done = (est.meeting_times >= 0) & (est.trials_to_success >= 0)
+        # arbitrary starts: meeting time is capped by first hits plus the trial sums
+        cap = est.first_hit1 + est.first_hit2 + last_trial_sums(est)
+        assert (est.meeting_times[done] <= cap[done]).all()
 
     def test_both_start_in_target_tight_bound(self):
         sched = two_state(0.5, 0.5)
         plan = SimulationPlan(sched, sched, delta(2, 0), delta(2, 0),
                               horizon=400, n_paths=2000, master_seed=99)
-        est = estimate_joint_renewal(plan, keep_traces=True)
+        est = estimate_joint_renewal(plan)
         assert est.censored == 0
-        for trace in est.traces:
-            trials = trace.trials
-            assert trials.first_success is not None
-            running = sum(b for n, b in enumerate(trials.gaps) if trials.first_success > n)
-            assert trace.meeting_time <= trace.renewals1[0] + running
+        assert (est.trials_to_success >= 0).all()
+        # the gaps before the first success total the last trial sum, its gap being 0
+        assert (est.meeting_times <= est.first_hit1 + last_trial_sums(est)).all()
