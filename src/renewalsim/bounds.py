@@ -28,7 +28,7 @@ from .domination import (
     return_floor,
     walk_dominating_sequence,
 )
-from .kernel import BirthDeathSpec, birth_death_schedule, check_fits
+from .kernel import BirthDeathSpec, _target_mask, birth_death_schedule, check_fits
 from .simulate import JointRenewalEstimate, SimulationPlan, estimate_joint_renewal
 
 
@@ -384,7 +384,6 @@ def full_report(
 
 
 def _starts_in_target(plan: SimulationPlan) -> bool:
-    targets = sorted(plan.targets)
-    in1 = float(np.asarray(plan.initial1)[targets].sum())
-    in2 = float(np.asarray(plan.initial2)[targets].sum())
+    in1 = float(plan.initial1[_target_mask(plan.schedule1.space)].sum())
+    in2 = float(plan.initial2[_target_mask(plan.schedule2.space)].sum())
     return abs(in1 - 1.0) < 1e-12 and abs(in2 - 1.0) < 1e-12

@@ -82,14 +82,17 @@ def _certificate(
 ) -> tuple[domination.RegularityCertificate | None, tuple[domination.RegularityScan, ...]]:
     """The regularity certificate of the configured source, and the grids behind it.
 
-    The analytic source has no grid.  The empirical source reads the exact
-    grid of each chain from its own initial law, and gamma is the smaller
-    grid minimum; its certificate is None when that minimum is 0.
+    The analytic source has no grid and needs birth-death chains with target
+    set {0}, where its floor formula was derived.  The empirical source reads
+    the exact grid of each chain from its own initial law, and gamma is the
+    smaller grid minimum; its certificate is None when that minimum is 0.
     """
     reg = scenario.regularity
     if reg["source"] == "analytic":
         if scenario.spec1 is None or scenario.spec2 is None:
             raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
+        if scenario.schedule1.space.target_set != {0}:
+            raise ValidationFailure("analytic regularity needs target_set [0]")
         return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), ()
     scans = tuple(
         domination.exact_regularity(

@@ -26,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .exact import check_unit_interval, suffix_tails
-from .kernel import KernelSchedule, _check_entries, _check_initial, check_fits
+from .kernel import KernelSchedule, _check_initial, _check_kernels, _target_mask, check_fits
 from .rng import stream_keys, uniforms
-from .simulate import _counter_paths, _Sampler
+from .simulate import _Sampler
 
 
 def _check_walk_parameter(p: float) -> None:
@@ -157,12 +157,6 @@ def domination_valid_for(p: float, inf_alpha: float) -> bool:
     return inf_alpha >= p
 
 
-def _target_mask(schedule: KernelSchedule) -> np.ndarray:
-    mask = np.zeros(schedule.space.size, dtype=bool)
-    mask[sorted(schedule.space.target_set)] = True
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class RenewalTailSurface:
     """Empirical conditional renewal tails over a (start time, lag) grid.
@@ -209,7 +203,7 @@ def estimate_renewal_tails(
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
 
     sampler = _Sampler(schedule)
-    in_target = _target_mask(schedule)
+    in_target = _target_mask(schedule.space)
     per_state = np.zeros((len(times), len(states), max_lag + 1))
     for ti, t0 in enumerate(times):
         for xi, x0 in enumerate(states):
@@ -360,8 +354,12 @@ class RegularityScan:
     points: tuple[RegularityPoint, ...]
     n0: int
     n_paths: int
-    gamma_hat: float
     provenance: str = "mc"
+
+    @property
+    def gamma_hat(self) -> float:
+        # an exact point's se is 0.0, so its term is its estimate
+        return max(0.0, min(pt.estimate - 3.0 * pt.se if pt.observed else 0.0 for pt in self.points))
 
     @property
     def flagged(self) -> tuple[RegularityPoint, ...]:
@@ -416,32 +414,25 @@ def estimate_regularity(
 
     size = schedule.space.size
     init = np.full(size, 1.0 / size) if initial is None else _check_initial(initial, size)
-    in_target = _target_mask(schedule)
+    in_target = _target_mask(schedule.space)
     max_t = max(bases) + max(lag_grid)
 
     # hits[t, i]: path i (counter stream i) is in the target set at time t
     hits = np.empty((max_t + 1, n_paths), dtype=bool)
-    for t, x in enumerate(_counter_paths(schedule, init, stream_keys(seed, count=n_paths), max_t)):
+    for t, x in enumerate(_Sampler(schedule).paths(init, stream_keys(seed, count=n_paths), max_t)):
         hits[t] = in_target[x]
 
     points = []
-    gamma_hat = 1.0
     for b in bases:
         conditioned = hits[b]
         k = int(conditioned.sum())
         for lag in lag_grid:
             if k == 0:
                 points.append(RegularityPoint(b, lag, None, None, 0))
-                gamma_hat = 0.0
                 continue
             p_hat = float(hits[b + lag, conditioned].mean())
-            se = math.sqrt(p_hat * (1.0 - p_hat) / k)
-            points.append(RegularityPoint(b, lag, p_hat, se, k))
-            gamma_hat = min(gamma_hat, p_hat - 3.0 * se)
-
-    return RegularityScan(
-        points=tuple(points), n0=n0, n_paths=n_paths, gamma_hat=max(gamma_hat, 0.0)
-    )
+            points.append(RegularityPoint(b, lag, p_hat, math.sqrt(p_hat * (1.0 - p_hat) / k), k))
+    return RegularityScan(points=tuple(points), n0=n0, n_paths=n_paths)
 
 
 def _forward(schedule: KernelSchedule, law: np.ndarray, start: int, steps: int) -> np.ndarray:
@@ -494,11 +485,10 @@ def exact_regularity(
     is negative or not finite.
     """
     bases, lag_grid = _regularity_grid(n0, base_times, lags, n0_applies_to)
-    for label, kernel in schedule.labeled():
-        _check_entries(kernel, label)
+    _check_kernels(schedule)
     size = schedule.space.size
     law = np.full(size, 1.0 / size) if initial is None else _check_initial(initial, size)
-    in_target = _target_mask(schedule)
+    in_target = _target_mask(schedule.space)
 
     values: dict[tuple[int, int], float] = {}
     t = 0
@@ -517,5 +507,4 @@ def exact_regularity(
         else RegularityPoint(b, lag, None, None, 0)
         for b in bases for lag in lag_grid
     )
-    gamma_hat = min(pt.estimate if pt.observed else 0.0 for pt in points)
-    return RegularityScan(points=points, n0=n0, n_paths=0, gamma_hat=gamma_hat, provenance="exact")
+    return RegularityScan(points=points, n0=n0, n_paths=0, provenance="exact")

@@ -82,6 +82,19 @@ def _check_initial(initial, size: int) -> np.ndarray:
     return init
 
 
+def _check_kernels(schedule: KernelSchedule) -> None:
+    """The one kernel-entry rule: :func:`_check_entries` on every phase, named by its label."""
+    for label, kernel in schedule.labeled():
+        _check_entries(kernel, label)
+
+
+def _target_mask(space: StateSpace) -> np.ndarray:
+    """Whether each state of ``space`` is in its target set."""
+    mask = np.zeros(space.size, dtype=bool)
+    mask[list(space.target_set)] = True
+    return mask
+
+
 def _target_states(targets: Iterable[int], size: int) -> list[int]:
     """Sorted target states; ValueError unless a nonempty set of integers in 0..size-1."""
     target = sorted(set(targets))
@@ -130,8 +143,8 @@ def ConstantTail(value) -> PeriodicTail:
 class _BodyThenTail:
     """Per-step entries: ``phases`` is the body, then one tail cycle, and
     ``phase(t)`` indexes it.  The joint estimator's step loop applies the
-    same rule to its body and cycle tables itself (``simulate._step_lists``),
-    with no call per step; ``TestJointOracle`` checks it against ``at``."""
+    same rule to its sampler's body and cycle tables itself, with no call
+    per step; ``TestJointOracle`` checks it against ``at``."""
 
     body: tuple[np.ndarray, ...]
     tail: PeriodicTail

@@ -23,23 +23,33 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .exact import suffix_tails
-from .kernel import KernelSchedule, _check_entries, _check_initial, check_fits
+from .kernel import KernelSchedule, _check_initial, _check_kernels, _target_mask, check_fits
 from .rng import derive_stream, stream_keys, uniforms
 
 
 class _Sampler:
-    """One :class:`_InverseCdf` per schedule phase, picked by the schedule's ``phase(t)``;
-    a kernel with a non-finite or negative entry raises ValueError naming its phase label and row."""
+    """Every Monte Carlo loop's reader of a schedule: after ``_check_kernels``, one :class:`_InverseCdf`
+    per entry of ``schedule.phases`` (``n_body`` body tables, then the cycle's), picked by ``phase(t)``."""
 
-    __slots__ = ("phase", "tables")
+    __slots__ = ("phase", "tables", "n_body")
 
     def __init__(self, schedule: KernelSchedule):
+        _check_kernels(schedule)
         self.phase = schedule.phase
-        self.tables = [_InverseCdf(m, label) for label, m in schedule.labeled()]
+        self.tables = [_InverseCdf(m) for m in schedule.phases]
+        self.n_body = len(schedule.body)
 
     def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of chains at ``states`` for the step from t, given uniforms u."""
         return self.tables[self.phase(t)](states, u)
+
+    def paths(self, init: np.ndarray, keys: np.ndarray, steps: int):
+        """X_0..X_steps per counter stream: draw 0 against ``init``, then draw t + 1 for the step from t."""
+        x = _InverseCdf(init[None, :])(np.zeros(len(keys), dtype=np.int64), uniforms(keys, 0))
+        yield x
+        for t in range(steps):
+            x = self.draw(t, x, uniforms(keys, t + 1))
+            yield x
 
 
 class _InverseCdf:
@@ -55,14 +65,13 @@ class _InverseCdf:
     of the next kept value, or ``size - 1`` past the last one.  A batch of
     draws counts them by branchless bisection (the call), log2(width)
     rounds of one ``take`` and one comparison each; one draw counts them
-    by ``bisect`` over :meth:`lists`.  Both need finite, nondecreasing rows,
-    so a non-finite or negative entry raises ValueError naming ``name`` and the row.
+    by ``bisect`` over :meth:`lists`.  Both need finite, nondecreasing rows:
+    the kernels of a :class:`_Sampler`, or an initial law from ``_check_initial``.
     """
 
     __slots__ = ("width", "values", "states", "probes")
 
-    def __init__(self, kernel: np.ndarray, name: str):
-        _check_entries(kernel, name)
+    def __init__(self, kernel: np.ndarray):
         n, size = kernel.shape
         kept = kernel > 0
         self.width = 1 << int(kept.sum(axis=1).max()).bit_length()
@@ -87,16 +96,6 @@ class _InverseCdf:
         return self.values.tolist(), self.states.tolist(), self.width
 
 
-def _counter_paths(schedule: KernelSchedule, init: np.ndarray, keys: np.ndarray, steps: int):
-    """X_0..X_steps per counter stream: draw 0 against ``init``, then draw t + 1 for the step from t."""
-    sampler = _Sampler(schedule)
-    x = _InverseCdf(init[None, :], "initial law")(np.zeros(len(keys), dtype=np.int64), uniforms(keys, 0))
-    yield x
-    for t in range(steps):
-        x = sampler.draw(t, x, uniforms(keys, t + 1))
-        yield x
-
-
 def sample_path(schedule: KernelSchedule, initial, seed: int, horizon: int) -> np.ndarray:
     """Sample one trajectory X_0..X_horizon, X_0 from ``initial`` and the step
     from t by ``schedule.at(t)``, on the counter stream ``stream_keys(seed, count=1)``:
@@ -104,10 +103,8 @@ def sample_path(schedule: KernelSchedule, initial, seed: int, horizon: int) -> n
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     init = _check_initial(initial, schedule.space.size)
-    out = np.empty(horizon + 1, dtype=np.int64)
-    for t, x in enumerate(_counter_paths(schedule, init, stream_keys(seed, count=1), horizon)):
-        out[t] = x[0]
-    return out
+    paths = _Sampler(schedule).paths(init, stream_keys(seed, count=1), horizon)
+    return np.fromiter((x[0] for x in paths), dtype=np.int64, count=horizon + 1)
 
 
 class TrialSequence(NamedTuple):
@@ -243,15 +240,6 @@ def _path_keys(seed: int, start: int, stop: int):
         yield from zip(keys.tolist(), uniforms(keys[:, None], draws).tolist())
 
 
-def _step_lists(schedule: KernelSchedule) -> tuple[list, list, list[bool]]:
-    """One chain's step tables as :meth:`_InverseCdf.lists`, the body's then
-    the cycle's, and whether each state is in the target set."""
-    tables = [_InverseCdf(m, label).lists() for label, m in schedule.labeled()]
-    n = len(schedule.body)
-    targets = schedule.space.target_set
-    return tables[:n], tables[n:], [x in targets for x in range(schedule.space.size)]
-
-
 def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: str):
     """Simulate paths [start, stop); used as the per-worker unit of work.
 
@@ -274,12 +262,15 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     step.  Each scan resumes the path's previous unresolved one, whose
     renewal lists are prefixes of the current ones.
     """
-    body1, cycle1, in1 = _step_lists(plan.schedule1)
-    body2, cycle2, in2 = _step_lists(plan.schedule2)
+    sampler1, sampler2 = _Sampler(plan.schedule1), _Sampler(plan.schedule2)
+    lists1, lists2 = ([table.lists() for table in sampler.tables] for sampler in (sampler1, sampler2))
+    body1, cycle1 = lists1[:sampler1.n_body], lists1[sampler1.n_body:]
+    body2, cycle2 = lists2[:sampler2.n_body], lists2[sampler2.n_body:]
     n1, period1, n2, period2 = len(body1), len(cycle1), len(body2), len(cycle2)
     (values1, states1, _), (values2, states2, _) = (
-        _InverseCdf(init[None, :], "initial law").lists() for init in (plan.initial1, plan.initial2)
+        _InverseCdf(init[None, :]).lists() for init in (plan.initial1, plan.initial2)
     )
+    in1, in2 = (_target_mask(schedule.space).tolist() for schedule in (plan.schedule1, plan.schedule2))
     seed, horizon = plan.master_seed, plan.horizon
 
     count = stop - start

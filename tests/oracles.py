@@ -4,11 +4,11 @@ Each one recomputes, by a different or more direct route, something the
 package computes on its hot path: the walk's first-return coefficients by
 the binomial series, renewal times and gaps straight from a path, the
 first simultaneous renewal as a set intersection, the mass defect of a
-distribution table, the joint estimator's meeting times and first hits
-drawn one cumulative row and one scalar splitmix64 draw at a time, its
-renewal lists stepped to the horizon, the landing-trial scan by its
-definition, the regularity grid by one law step at a time, and the
-trial-sum table in one shot over all sums.
+distribution table, the batch sampler's paths and the joint estimator's
+meeting times and first hits drawn one cumulative row and one scalar
+splitmix64 draw at a time, the estimator's renewal lists stepped to the
+horizon, the landing-trial scan by its definition, the regularity grid by
+one law step at a time, and the trial-sum table in one shot over all sums.
 """
 
 from bisect import bisect_right
@@ -82,6 +82,26 @@ def _draw(cum: Sequence[float], u: float, size: int) -> int:
     return s if s < size else size - 1
 
 
+def _uniform(key: int, k: int) -> float:
+    """Draw k of the counter stream with key ``key``: the top 53 bits of the scalar ``splitmix64``."""
+    return (splitmix64((key + k * PHI) & MASK64) >> 11) / 2**53
+
+
+def counter_paths(schedule: KernelSchedule, initial, seed: int, n_paths: int, steps: int) -> list[list[int]]:
+    """X_0..X_steps of paths 0..n_paths-1, path i on the counter stream with key
+    ``mix(seed, i)``: draw 0 by :func:`_draw` on ``np.cumsum(initial)``, then
+    draw t + 1 on ``np.cumsum`` of the row ``schedule.at(t)[x]`` for the step from t."""
+    size = schedule.space.size
+    out = []
+    for i in range(n_paths):
+        key = mix(seed, i)
+        path = [_draw(np.cumsum(initial), _uniform(key, 0), size)]
+        for t in range(steps):
+            path.append(_draw(np.cumsum(schedule.at(t)[path[-1]]), _uniform(key, t + 1), size))
+        out.append(path)
+    return out
+
+
 def joint_renewal_times(plan: SimulationPlan) -> tuple[list[int], list[int], list[int]]:
     """Meeting time and first hit of each chain, per path, -1 where none falls within the horizon.
 
@@ -96,18 +116,14 @@ def joint_renewal_times(plan: SimulationPlan) -> tuple[list[int], list[int], lis
     meeting, hit1, hit2 = [], [], []
     for i in range(plan.n_paths):
         key = mix(plan.master_seed, i)
-
-        def uniform(k):
-            return (splitmix64((key + k * PHI) & MASK64) >> 11) / 2**53
-
-        x1 = _draw(np.cumsum(plan.initial1), uniform(0), n1)
-        x2 = _draw(np.cumsum(plan.initial2), uniform(1), n2)
+        x1 = _draw(np.cumsum(plan.initial1), _uniform(key, 0), n1)
+        x2 = _draw(np.cumsum(plan.initial2), _uniform(key, 1), n2)
         first1 = 0 if x1 in targets else -1
         first2 = 0 if x2 in targets else -1
         met = -1
         for t in range(1, plan.horizon + 1):
-            x1 = _draw(np.cumsum(plan.schedule1.at(t - 1)[x1]), uniform(2 * t), n1)
-            x2 = _draw(np.cumsum(plan.schedule2.at(t - 1)[x2]), uniform(2 * t + 1), n2)
+            x1 = _draw(np.cumsum(plan.schedule1.at(t - 1)[x1]), _uniform(key, 2 * t), n1)
+            x2 = _draw(np.cumsum(plan.schedule2.at(t - 1)[x2]), _uniform(key, 2 * t + 1), n2)
             if first1 < 0 and x1 in targets:
                 first1 = t
             if first2 < 0 and x2 in targets:

@@ -19,6 +19,7 @@ from renewalsim import (
     expectation_bound,
     full_report,
     meeting_tail_envelope,
+    periodic_birth_death,
     product_tail,
     trial_statistics,
     trial_tail_bound,
@@ -299,6 +300,29 @@ class TestFullReport:
         d = report.to_dict()
         assert d["bound"]["provenance"] == "analytic"
         assert d["mc_mean"]["provenance"] == "mc" and "se" in d["mc_mean"]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_tail_envelope_dominates_the_exact_tail_on_random_pairs(self, data):
+        """Criterion 7 beyond the showcase pair: on accepted pairs (every alpha >= p)
+        started at 0/0, the tail envelope is at least the product chain's exact
+        tail of the meeting time at every lag."""
+        p = data.draw(st.floats(0.55, 0.9), label="p")
+        cap = data.draw(st.integers(3, 10), label="cap")
+        alpha = st.floats(p, 0.999)
+        specs = [
+            periodic_birth_death(cap, [
+                np.array(data.draw(st.lists(alpha, min_size=cap, max_size=cap)))
+                for _ in range(data.draw(st.integers(1, 2), label=f"phases{c}"))
+            ])
+            for c in (1, 2)
+        ]
+        start = delta(cap + 1, 0)
+        report = full_report(*specs, start, start, p=p, series_len=400, horizon=400,
+                             n_paths=4000, master_seed=20190814, tail_len=60)
+        exact = product_tail(*(birth_death_schedule(s) for s in specs), start, start, horizon=60).tails
+        assert report.tail_envelope.shape == exact.shape
+        assert (report.tail_envelope >= exact - 1e-12).all()
 
     def test_non_target_starts_skip_tail_envelope(self):
         spec = constant_birth_death(30, 0.75)

@@ -658,6 +658,16 @@ class TestCliExitCodes:
         assert "the bound pipeline" in report["results"]["error"]
         assert "bound" not in report["results"]
 
+    @pytest.mark.parametrize("sub", ["condition-check", "compare"])
+    def test_analytic_gamma_needs_target_set_zero(self, tmp_path, sub):
+        # the floor formula is about the stay probability at state 0
+        chain = {"birth_death": {"cap": 20, "tail": {"kind": "constant", "alphas": 0.8}}}
+        path = write_config(tmp_path, demo_config(target_set=[0, 1], chain1=chain, chain2=chain))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        results = load_report(tmp_path, f"t_{sub}.json")["results"]
+        assert results["error"] == "analytic regularity needs target_set [0]"
+        assert "gamma" not in results
+
     @pytest.mark.parametrize("source, provenance", [("analytic", "analytic"), ("empirical", "exact")])
     def test_condition_check_and_compare_share_gamma(self, tmp_path, source, provenance):
         cfg = demo_config(n_paths=400, regularity={

@@ -16,16 +16,20 @@ from renewalsim import (
     birth_death_schedule,
     constant_birth_death,
     estimate_joint_renewal,
+    exact_regularity,
     hitting_time_distribution,
     periodic_birth_death,
+    product_tail,
     sample_path,
     trial_sequence,
 )
+from renewalsim.rng import stream_keys
 from renewalsim.simulate import _InverseCdf, _Sampler
 
 from conftest import delta, last_trial_sums, two_state
 from oracles import (
     _draw,
+    counter_paths,
     extract_renewals,
     joint_renewal_paths,
     joint_renewal_times,
@@ -140,7 +144,30 @@ class TestBatchedDraw:
         mats = self._random_rows(rng, (phases, size, size), zero_frac, short_frac)
         self._check(KernelSchedule(StateSpace(size, frozenset({0})), (), PeriodicTail(tuple(mats))), phases)
         init = self._random_rows(rng, (1, size), zero_frac, short_frac)
-        self._check_table(_InverseCdf(init, "initial law"), init)
+        self._check_table(_InverseCdf(init), init)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        size=st.integers(1, 12),
+        n_body=st.integers(0, 3),
+        period=st.integers(1, 3),
+        zero_frac=st.floats(0.0, 0.9),
+        short_frac=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paths_match_the_scalar_oracle(self, size, n_body, period, zero_frac, short_frac, seed):
+        """``_Sampler.paths`` and ``sample_path`` give ``oracles.counter_paths``
+        path by path on dense body-plus-cycle schedules with zero runs and short rows."""
+        rng = np.random.default_rng(seed)
+        mats = self._random_rows(rng, (n_body + period, size, size), zero_frac, short_frac)
+        schedule = KernelSchedule(StateSpace(size, frozenset({0})), tuple(mats[:n_body]),
+                                  PeriodicTail(tuple(mats[n_body:])))
+        init = self._random_rows(rng, (1, size), zero_frac, 0.0)[0]
+        steps, n_paths = n_body + 2 * period + 3, 40
+        expected = counter_paths(schedule, init, seed, n_paths, steps)
+        got = np.array(list(_Sampler(schedule).paths(init, stream_keys(seed, count=n_paths), steps))).T
+        assert got.tolist() == expected
+        assert sample_path(schedule, init, seed, steps).tolist() == expected[0]
 
     def test_sampler_holds_no_per_row_lists(self):
         schedule = birth_death_schedule(constant_birth_death(1000, 0.75))
@@ -222,6 +249,13 @@ class TestInvalidKernel:
         plan = SimulationPlan(schedule, schedule, delta(3, 0), delta(3, 0), horizon=10, n_paths=2, master_seed=1)
         with pytest.raises(ValueError, match=r"tail\[0\], row 1"):
             estimate_joint_renewal(plan)
+        # the exact laws and the exact regularity grid read the same rule
+        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
+            hitting_time_distribution(schedule, delta(3, 0), horizon=10)
+        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
+            product_tail(schedule, schedule, delta(3, 0), delta(3, 0), horizon=10)
+        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
+            exact_regularity(schedule, 0, [0, 1], [0, 1, 2])
 
     def test_nan_initial_law_rejected(self):
         with pytest.raises(ValueError, match=r"initial law, row 0: entry 0 is nan"):
