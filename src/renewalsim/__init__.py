@@ -56,7 +56,6 @@ from .kernel import (
     birth_death_schedule,
     constant_birth_death,
     periodic_birth_death,
-    validate_schedule,
 )
 from .simulate import (
     JointRenewalEstimate,
@@ -111,7 +110,6 @@ __all__ = [
     "trial_sequence",
     "trial_statistics",
     "trial_tail_bound",
-    "validate_schedule",
     "walk_dominating_sequence",
     "walk_moment1",
     "walk_moment2",

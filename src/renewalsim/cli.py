@@ -4,7 +4,8 @@ Subcommands: validate, simulate, exact, condition-check, bound, compare,
 and birth-death-demo.  Every run writes one JSON report (and optional
 CSVs with --format csv) into --out-dir.  Exit codes: 0 success, 1
 validation failure, 2 statistical-check failure, 3 I/O or config error.
-Every subcommand validates both schedules and initial laws before it runs.
+Every subcommand exits 1 before any work on a kernel or initial-law
+violation the config loader lists; ``validate`` reports them all.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 from . import __version__, bounds, domination, exact, rng
 from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
-from .kernel import _check_initial, validate_schedule
 from .simulate import SimulationPlan, estimate_joint_renewal
 
 
@@ -77,22 +77,28 @@ def _rejection(scans: tuple[domination.RegularityScan, ...]) -> str:
             f"lag {pt.lag} ({why}); certificate rejected")
 
 
+def _analytic_chains(scenario: Scenario, subject: str) -> None:
+    """ValidationFailure naming ``subject`` unless both chains are birth-death
+    with target set {0}, where the analytic floor formula was derived."""
+    if scenario.spec1 is None or scenario.spec2 is None:
+        raise ValidationFailure(f"{subject} needs birth-death chains on both sides")
+    if scenario.schedule1.space.target_set != {0}:
+        raise ValidationFailure(f"{subject} needs target_set [0]")
+
+
 def _certificate(
     scenario: Scenario, p: float
 ) -> tuple[domination.RegularityCertificate | None, tuple[domination.RegularityScan, ...]]:
     """The regularity certificate of the configured source, and the grids behind it.
 
-    The analytic source has no grid and needs birth-death chains with target
-    set {0}, where its floor formula was derived.  The empirical source reads
-    the exact grid of each chain from its own initial law, and gamma is the
-    smaller grid minimum; its certificate is None when that minimum is 0.
+    The analytic source has no grid and needs :func:`_analytic_chains`.  The
+    empirical source reads the exact grid of each chain from its own initial
+    law, and gamma is the smaller grid minimum; its certificate is None when
+    that minimum is 0.
     """
     reg = scenario.regularity
     if reg["source"] == "analytic":
-        if scenario.spec1 is None or scenario.spec2 is None:
-            raise ValidationFailure("analytic regularity needs birth-death chains on both sides")
-        if scenario.schedule1.space.target_set != {0}:
-            raise ValidationFailure("analytic regularity needs target_set [0]")
+        _analytic_chains(scenario, "analytic regularity")
         return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), ()
     scans = tuple(
         domination.exact_regularity(
@@ -252,14 +258,11 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
 
 def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
-    if scenario.spec1 is None or scenario.spec2 is None:
-        raise ValidationFailure("the bound pipeline needs birth-death chains on both sides")
     # the report tags gamma and the bound analytic, and full_report builds
     # both schedules with target set {0}
+    _analytic_chains(scenario, "the bound pipeline")
     if scenario.regularity["source"] != "analytic":
         raise ValidationFailure("the bound pipeline takes analytic regularity only")
-    if scenario.schedule1.space.target_set != {0}:
-        raise ValidationFailure("the bound pipeline needs target_set [0]")
     result = bounds.full_report(
         scenario.spec1,
         scenario.spec2,
@@ -294,7 +297,7 @@ def _cmd_compare(scenario: Scenario, report: dict, args) -> None:
 
 
 COMMANDS = {
-    "validate": lambda scenario, report, args: None,  # run() validates every scenario
+    "validate": lambda scenario, report, args: None,  # run() reports every scenario's violations
     "simulate": _cmd_simulate,
     "exact": _cmd_exact,
     "condition-check": _cmd_condition_check,
@@ -354,16 +357,10 @@ def run(args: argparse.Namespace) -> int:
     code = 0
     try:
         try:
-            violations = validate_schedule(scenario.schedule1) + validate_schedule(scenario.schedule2)
-            for name, initial in (("initial1", scenario.initial1), ("initial2", scenario.initial2)):
-                try:
-                    _check_initial(initial, len(initial))
-                except ValueError as err:
-                    violations.append(f"config.{name}: {err}")
             if args.subcommand == "validate":
-                report["results"].update(violations=violations, valid=not violations)
-            if violations:
-                raise ValidationFailure("; ".join(violations))
+                report["results"].update(violations=list(scenario.violations), valid=not scenario.violations)
+            if scenario.violations:
+                raise ValidationFailure("; ".join(scenario.violations))
             COMMANDS[args.subcommand](scenario, report, args)
         except (StatisticalCheckFailure, ValueError, MemoryError, OverflowError) as err:
             # MemoryError, OverflowError: a count too big to allocate or to fit

@@ -15,7 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .kernel import BirthDeathSpec, KernelSchedule, PeriodicTail, StateSpace, birth_death_schedule, check_fits
+from .kernel import BirthDeathSpec, KernelError, KernelSchedule, PeriodicTail, StateSpace, _check_initial
+from .kernel import birth_death_schedule, check_fits
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +62,7 @@ def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> Peri
     return PeriodicTail(entries)
 
 
-def _check_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where: str) -> None:
+def _dense_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where: str) -> None:
     """MemoryError unless the chain's dense kernels, size² float64 entries
     for each body and tail entry as written, fit in physical memory.
 
@@ -77,7 +78,7 @@ def _check_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where
 
 def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
     cap = _integral(_require(obj, "cap", where), f"{where}.cap")
-    _check_kernels_fit(obj, cap + 1, "alpha_table", "alphas", where)
+    _dense_kernels_fit(obj, cap + 1, "alpha_table", "alphas", where)
     body = tuple(_as_alpha_row(r, cap, f"{where}.alpha_table[{i}]")
                  for i, r in enumerate(obj.get("alpha_table", [])))
     tail = _parse_tail(obj, "alphas", lambda r, at: _as_alpha_row(r, cap, at), where, one_entry=True)
@@ -87,16 +88,16 @@ def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _parse_explicit(obj: dict, target_set, where: str) -> KernelSchedule:
+def _parse_explicit(obj: dict, target_set, where: str) -> tuple[StateSpace, tuple, PeriodicTail]:
     states = _integral(_require(obj, "states", where), f"{where}.states")
-    _check_kernels_fit(obj, states, "body", "matrices", where)
+    _dense_kernels_fit(obj, states, "body", "matrices", where)
     body = tuple(np.asarray(m, dtype=float) for m in obj.get("body", []))
     tail = _parse_tail(obj, "matrices", lambda m, at: np.asarray(m, dtype=float), where, one_entry=False)
     try:
         space = StateSpace(states, frozenset(target_set))
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
-    return KernelSchedule(space=space, body=body, tail=tail)
+    return space, body, tail
 
 
 def _parse_initial(value, size: int, where: str) -> np.ndarray:
@@ -154,12 +155,12 @@ def _parse_regularity(reg) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully resolved run configuration."""
+    """A fully resolved run configuration; a schedule is None where ``violations`` names its kernels."""
 
     name: str
     raw: dict
-    schedule1: KernelSchedule
-    schedule2: KernelSchedule
+    schedule1: KernelSchedule | None
+    schedule2: KernelSchedule | None
     spec1: BirthDeathSpec | None
     spec2: BirthDeathSpec | None
     initial1: np.ndarray
@@ -171,13 +172,15 @@ class Scenario:
     domination_p: float | None
     series_len: int
     regularity: dict
+    violations: tuple[str, ...]
 
 
 def load_scenario(source: str | Path | dict, seed_override: int | None = None) -> Scenario:
     """Load and resolve a scenario from a JSON file path or a dict.
 
     Every malformed input raises ``ConfigError``, including values of the
-    wrong type or out of range for their key.
+    wrong type or out of range for their key.  Kernel and initial-law
+    violations raise nothing but go to ``Scenario.violations``.
     """
     if isinstance(source, dict):
         raw = source
@@ -206,20 +209,33 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
         raise ConfigError(f"unsupported config version {version}; this build reads version {SCHEMA_VERSION}")
 
     target_set = raw.get("target_set", [0])
-    chains = []
+    chains: list[KernelSchedule | None] = []
     specs: list[BirthDeathSpec | None] = []
+    sizes, violations = [], []
     for key in ("chain1", "chain2"):
         obj = _require(raw, key, "config")
+        spec, schedule = None, None
         if "birth_death" in obj:
             spec = _parse_birth_death(obj["birth_death"], f"config.{key}.birth_death")
-            specs.append(spec)
-            chains.append(birth_death_schedule(spec, target_set))
+            schedule = birth_death_schedule(spec, target_set)
+            sizes.append(spec.size)
         else:
-            specs.append(None)
-            chains.append(_parse_explicit(obj, target_set, f"config.{key}"))
+            space, body, tail = _parse_explicit(obj, target_set, f"config.{key}")
+            sizes.append(space.size)
+            try:
+                schedule = KernelSchedule(space, body, tail)
+            except KernelError as err:
+                violations += err.args
+        specs.append(spec)
+        chains.append(schedule)
 
-    initial1 = _parse_initial(_require(raw, "initial1", "config"), chains[0].space.size, "config.initial1")
-    initial2 = _parse_initial(_require(raw, "initial2", "config"), chains[1].space.size, "config.initial2")
+    initial1 = _parse_initial(_require(raw, "initial1", "config"), sizes[0], "config.initial1")
+    initial2 = _parse_initial(_require(raw, "initial2", "config"), sizes[1], "config.initial2")
+    for name, initial in (("initial1", initial1), ("initial2", initial2)):
+        try:
+            _check_initial(initial, len(initial))
+        except ValueError as err:
+            violations.append(f"config.{name}: {err}")
 
     domination = raw.get("domination", {})
     regularity = _parse_regularity(raw.get("regularity", {}))
@@ -247,4 +263,5 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
         domination_p=float(domination["p"]) if "p" in domination else None,
         series_len=_integral(domination.get("series_len", 2000), "config.domination.series_len"),
         regularity=regularity,
+        violations=tuple(violations),
     )

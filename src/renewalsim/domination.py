@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import check_unit_interval, suffix_tails
-from .kernel import KernelSchedule, _check_initial, _check_kernels, _target_mask, check_fits
+from .kernel import KernelSchedule, _check_initial, _target_mask, check_fits
 from .rng import stream_keys, uniforms
 from .simulate import _Sampler
 
@@ -481,11 +481,9 @@ def exact_regularity(
     the law at time b from ``initial`` (uniform by default) and C the
     target set.  Grid rules and point order are those of
     :func:`estimate_regularity`; a point with pi_b(C) = 0 is unobserved and
-    sets ``gamma_hat`` to zero.  Raises ValueError on a kernel entry that
-    is negative or not finite.
+    sets ``gamma_hat`` to zero.
     """
     bases, lag_grid = _regularity_grid(n0, base_times, lags, n0_applies_to)
-    _check_kernels(schedule)
     size = schedule.space.size
     law = np.full(size, 1.0 / size) if initial is None else _check_initial(initial, size)
     in_target = _target_mask(schedule.space)

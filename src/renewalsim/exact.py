@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .kernel import ConstantTail, KernelSchedule, StateSpace, check_fits
-from .kernel import _check_initial, _check_kernels, _target_states
+from .kernel import _check_initial, _target_states
 
 
 def check_unit_interval(value: float, name: str) -> None:
@@ -147,16 +147,14 @@ def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
     (n1 n2 (n1 + n2) a step), else 0: a joint period above 64 single-steps.
     Single steps run for body steps, the last stretch shorter than S, every
     step if S is 0, and the S steps of a block that keeps under half its
-    live mass.  The loop stops when the live law is 0.  A kernel entry that
-    is negative or not finite raises ValueError first, as in the samplers.
+    live mass.  The loop stops when the live law is 0.  The kernels are
+    stochastic, since a schedule checks them when it is built.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     # the mass, its suffix sums and one temporary of them span the horizon
     check_fits(3 * 8 * (horizon + 1), f"the hitting-time tables of horizon {horizon}", available=True)
     (schedule1, target1), (schedule2, target2) = side1, side2
-    _check_kernels(schedule1)
-    _check_kernels(schedule2)
     n1, n2 = law.shape
     period = math.lcm(schedule1.tail.period, schedule2.tail.period)
     start = max(len(schedule1.body), len(schedule2.body))

@@ -16,8 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-ROW_SUM_TOL = 1e-12
-INITIAL_SUM_TOL = 1e-12
+ROW_SUM_TOL = 1e-12  # for kernel rows and initial laws alike
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -60,13 +59,22 @@ def check_fits(nbytes: int, what: str, *, available: bool = False) -> None:
                           f"{total:,} bytes of {kind} memory")
 
 
-def _check_entries(matrix: np.ndarray, name: str) -> None:
-    """ValueError naming ``name``, the row and the entry unless every entry is finite and nonnegative."""
-    bad = np.argwhere(~(np.isfinite(matrix) & (matrix >= 0)))
-    if len(bad):
-        x, j = bad[0]
-        raise ValueError(f"{name}, row {x}: entry {j} is {float(matrix[x, j])}; "
-                         "entries must be finite and nonnegative")
+def _row_violations(m: np.ndarray, name: str) -> list[str]:
+    """``"{name}, row {x}: …"`` for every row x of ``m`` that is not a
+    probability law: its first entry that is not finite and nonnegative,
+    else its sum when that is more than ``ROW_SUM_TOL`` from 1."""
+    bad = ~(np.isfinite(m) & (m >= 0))
+    sums, j = m.sum(axis=1), bad.argmax(axis=1)
+    rows = np.flatnonzero(bad.any(axis=1) | (np.abs(sums - 1.0) > ROW_SUM_TOL))
+    return [f"{name}, row {x}: entry {j[x]} is {float(m[x, j[x]])}; entries must be finite and nonnegative"
+            if bad[x, j[x]] else f"{name}, row {x}: sums to {float(sums[x]):.12g}, not 1" for x in rows]
+
+
+class KernelError(ValueError):
+    """A schedule that breaks the kernel rule; ``args`` lists every violation."""
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
 
 
 def _check_initial(initial, size: int) -> np.ndarray:
@@ -76,16 +84,11 @@ def _check_initial(initial, size: int) -> np.ndarray:
         raise ValueError(f"initial vector must have length {size}")
     if (init < 0).any():
         raise ValueError("initial vector has a negative entry")
-    _check_entries(init[None, :], "initial law")
-    if abs(float(init.sum()) - 1.0) > INITIAL_SUM_TOL:
+    if not np.isfinite(init).all():
+        raise ValueError(_row_violations(init[None, :], "initial law")[0])
+    if abs(float(init.sum()) - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"initial vector sums to {float(init.sum()):.12g}, not 1")
     return init
-
-
-def _check_kernels(schedule: KernelSchedule) -> None:
-    """The one kernel-entry rule: :func:`_check_entries` on every phase, named by its label."""
-    for label, kernel in schedule.labeled():
-        _check_entries(kernel, label)
 
 
 def _target_mask(space: StateSpace) -> np.ndarray:
@@ -172,38 +175,25 @@ class _BodyThenTail:
 
 @dataclass(frozen=True, eq=False)
 class KernelSchedule(_BodyThenTail):
-    """One transition matrix per step: body matrices for t < len(body), then the tail."""
+    """One transition matrix per step: body matrices for t < len(body), then the tail.
+
+    Construction runs the kernel rule that every sampler and exact law relies
+    on: each phase is (n, n), each row finite, nonnegative and summing to 1
+    within ``ROW_SUM_TOL``; otherwise :class:`KernelError` lists every violation.
+    """
 
     space: StateSpace
     body: tuple[np.ndarray, ...]
     tail: PeriodicTail
 
-
-def validate_schedule(schedule: KernelSchedule) -> list[str]:
-    """Check shapes, entry ranges, and row sums; return a list of violations.
-
-    An empty list means the schedule is valid.  Row sums are compared to 1
-    within ``ROW_SUM_TOL``.
-    """
-    violations: list[str] = []
-    n = schedule.space.size
-    for label, mat in schedule.labeled():
-        if mat.shape != (n, n):
-            violations.append(f"{label}: expected shape {(n, n)}, got {mat.shape}")
-            continue
-        for i in range(n):
-            row = mat[i]
-            if not np.isfinite(row).all():
-                violations.append(f"{label}: row {i} has a non-finite entry")
-                continue
-            if (row < 0).any():
-                violations.append(f"{label}: row {i} has a negative entry")
-            if (row > 1).any():
-                violations.append(f"{label}: row {i} has an entry above 1")
-            s = float(row.sum())
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                violations.append(f"{label}: row {i} sums to {s:.12g}")
-    return violations
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.space.size
+        violations = [v for label, m in self.labeled()
+                      for v in (_row_violations(m, label) if m.shape == (n, n)
+                                else [f"{label}: expected shape {(n, n)}, got {m.shape}"])]
+        if violations:
+            raise KernelError(*violations)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,18 +23,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .exact import suffix_tails
-from .kernel import KernelSchedule, _check_initial, _check_kernels, _target_mask, check_fits
+from .kernel import KernelSchedule, _check_initial, _target_mask, check_fits
 from .rng import derive_stream, stream_keys, uniforms
 
 
 class _Sampler:
-    """Every Monte Carlo loop's reader of a schedule: after ``_check_kernels``, one :class:`_InverseCdf`
-    per entry of ``schedule.phases`` (``n_body`` body tables, then the cycle's), picked by ``phase(t)``."""
+    """Every Monte Carlo loop's reader of a schedule: one :class:`_InverseCdf` per entry of
+    ``schedule.phases`` (``n_body`` body tables, then the cycle's), picked by ``phase(t)``."""
 
     __slots__ = ("phase", "tables", "n_body")
 
     def __init__(self, schedule: KernelSchedule):
-        _check_kernels(schedule)
         self.phase = schedule.phase
         self.tables = [_InverseCdf(m) for m in schedule.phases]
         self.n_body = len(schedule.body)
@@ -65,8 +64,9 @@ class _InverseCdf:
     of the next kept value, or ``size - 1`` past the last one.  A batch of
     draws counts them by branchless bisection (the call), log2(width)
     rounds of one ``take`` and one comparison each; one draw counts them
-    by ``bisect`` over :meth:`lists`.  Both need finite, nondecreasing rows:
-    the kernels of a :class:`_Sampler`, or an initial law from ``_check_initial``.
+    by ``bisect`` over :meth:`lists`.  Both need finite, nonnegative rows,
+    as a schedule's kernels (checked when it is built) and an initial law
+    from ``_check_initial`` have; those fall short of 1 by rounding at most.
     """
 
     __slots__ = ("width", "values", "states", "probes")

@@ -362,6 +362,17 @@ class TestCliExitCodes:
                 assert "row 0" in report["results"]["error"]
                 assert bool(report["results"].get("violations")) == (sub == "validate")
 
+    def test_config_error_comes_before_kernel_violations(self, tmp_path, capsys):
+        cfg = demo_config(chain1=explicit_chain([[0.5, 0.5], [0.2, 0.3]]), initial1=[1.0, 0.0], tail_len=-1)
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert "config.tail_len must be nonnegative" in capsys.readouterr().err
+        cfg["tail_len"] = 5
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
+            "tail[0], row 1: sums to 0.5, not 1"]
+
     @pytest.mark.parametrize("sub, n_paths", [("validate", 800), ("simulate", 0)])
     def test_unwritable_out_dir_is_exit_3(self, tmp_path, capsys, sub, n_paths):
         # with no paths simulate fails, so there the error report is what cannot be written

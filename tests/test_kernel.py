@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
     BirthDeathSpec,
@@ -11,7 +13,6 @@ from renewalsim import (
     birth_death_schedule,
     constant_birth_death,
     periodic_birth_death,
-    validate_schedule,
 )
 from renewalsim import kernel
 from renewalsim.kernel import available_memory, check_fits, physical_memory
@@ -40,32 +41,77 @@ class TestStateSpace:
             StateSpace(3, frozenset({0.5}))
 
 
+def violations_of(body, tail, size=2):
+    """The violations a schedule's construction raises with, or [] if it builds."""
+    try:
+        make(body, tail, size)
+    except kernel.KernelError as err:
+        return list(err.args)
+    return []
+
+
 class TestValidate:
+    """Construction runs the kernel rule and lists every violation."""
+
     def test_identity_schedule_is_valid(self):
-        assert validate_schedule(make([], ConstantTail(I2))) == []
+        assert violations_of([], ConstantTail(I2)) == []
 
     def test_bad_row_sum_is_reported(self):
-        bad = make([[[0.6, 0.5], [0.5, 0.5]]], ConstantTail(I2))
-        violations = validate_schedule(bad)
-        assert any("row 0 sums to 1.1" in v for v in violations)
+        assert violations_of([[[0.6, 0.5], [0.5, 0.5]]], ConstantTail(I2)) == [
+            "body[0], row 0: sums to 1.1, not 1"]
 
     def test_negative_entry_is_reported(self):
-        bad = make([], ConstantTail([[1.1, -0.1], [0.5, 0.5]]))
-        violations = validate_schedule(bad)
-        assert any("negative entry" in v for v in violations)
+        assert violations_of([], ConstantTail([[1.1, -0.1], [0.5, 0.5]])) == [
+            "tail[0], row 0: entry 1 is -0.1; entries must be finite and nonnegative"]
 
     def test_shape_mismatch_is_reported(self):
-        bad = make([np.eye(3)], ConstantTail(I2))
-        assert any("shape" in v for v in violations_of(bad))
+        assert violations_of([np.eye(3)], ConstantTail(I2)) == ["body[0]: expected shape (2, 2), got (3, 3)"]
 
     def test_non_finite_entry_is_reported(self):
         for value in (float("nan"), float("inf")):
-            bad = make([], ConstantTail([[value, 0.5], [0.5, 0.5]]))
-            assert any("row 0 has a non-finite entry" in v for v in validate_schedule(bad))
+            assert violations_of([], ConstantTail([[value, 0.5], [0.5, 0.5]])) == [
+                f"tail[0], row 0: entry 0 is {value}; entries must be finite and nonnegative"]
 
 
-def violations_of(schedule):
-    return validate_schedule(schedule)
+class TestKernelRule:
+    """A schedule that is not stochastic raises at construction, naming phase and row."""
+
+    @pytest.mark.parametrize("build, message", [
+        # a short row: samplers would give the missing mass to the last state, exact laws would lose it
+        (lambda: make([], ConstantTail([[0.5, 0.5], [0.2, 0.3]])), r"tail\[0\], row 1: sums to 0.5, not 1"),
+        (lambda: make([I2, [[0.5, 0.8], [0.5, 0.5]]], ConstantTail(I2)), r"body\[1\], row 0: sums to 1.3, not 1"),
+        (lambda: make([], PeriodicTail((I2, np.full((3, 3), 1 / 3)))),
+         r"tail\[1\]: expected shape \(2, 2\), got \(3, 3\)"),
+        (lambda: dataclasses.replace(make([A], ConstantTail(B)), tail=ConstantTail([[0.5, 0.5], [0.2, 0.3]])),
+         r"tail\[0\], row 1: sums to 0.5, not 1"),
+    ], ids=["short-row", "long-row", "wrong-size", "replace"])
+    def test_is_rejected_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_every_violation_is_listed(self):
+        bad = [[0.5, 0.5], [0.2, float("nan")]]
+        with pytest.raises(kernel.KernelError) as caught:
+            make([[[0.7, 0.7], [0.5, 0.5]]], PeriodicTail((A, bad)))
+        assert caught.value.args == (
+            "body[0], row 0: sums to 1.4, not 1",
+            "tail[1], row 1: entry 1 is nan; entries must be finite and nonnegative",
+        )
+        assert str(caught.value) == "; ".join(caught.value.args)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(size=st.integers(1, 300), n_body=st.integers(0, 3), period=st.integers(1, 3),
+           zero_frac=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_every_row_normalized_kernel_is_accepted(self, size, n_body, period, zero_frac, seed):
+        """Rows divided by their sums, with zero runs mid-row and at the row end,
+        stay within ROW_SUM_TOL of 1."""
+        rng = np.random.default_rng(seed)
+        shape = (n_body + period, size, size)
+        weights = rng.random(shape) * (rng.random(shape) >= zero_frac)
+        weights[np.arange(size) >= rng.integers(1, size + 1, size=shape[:2])[..., None]] = 0.0
+        weights[..., 0][weights.sum(axis=-1) == 0.0] = 1.0
+        mats = weights / weights.sum(axis=-1, keepdims=True)
+        make(mats[:n_body], PeriodicTail(tuple(mats[n_body:])), size)
 
 
 class TestKernelAt:
@@ -108,7 +154,6 @@ class TestBirthDeath:
             m = sched.at(t)
             assert ((m != 0).sum(axis=1) <= 2).all()
             assert np.array_equal(m.sum(axis=1), np.ones(7))
-        assert validate_schedule(sched) == []
 
     def test_periodic_alphas_cycle(self):
         spec = periodic_birth_death(4, [0.7, 0.8])
@@ -141,8 +186,9 @@ class TestBirthDeath:
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.integers(min_value=2, max_value=12))
     def test_generated_rows_always_validate(self, alpha, cap):
+        # construction runs the kernel rule
         sched = birth_death_schedule(constant_birth_death(cap, alpha))
-        assert validate_schedule(sched) == []
+        assert np.allclose(sched.at(0).sum(axis=1), 1.0, rtol=0.0, atol=kernel.ROW_SUM_TOL)
 
 
 class TestMemoryRule:

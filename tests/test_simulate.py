@@ -16,10 +16,8 @@ from renewalsim import (
     birth_death_schedule,
     constant_birth_death,
     estimate_joint_renewal,
-    exact_regularity,
     hitting_time_distribution,
     periodic_birth_death,
-    product_tail,
     sample_path,
     trial_sequence,
 )
@@ -107,19 +105,22 @@ class TestBatchedDraw:
         rng = np.random.default_rng(3)
         dense = rng.random((3, 6, 6))
         dense /= dense.sum(axis=2, keepdims=True)
+        schedule = KernelSchedule(StateSpace(6, frozenset({0, 3})), (dense[0],),
+                                  PeriodicTail((dense[1], dense[2])))
+        self._check(schedule, steps=3)
+        # a schedule rejects a row this short, so the table takes it raw
         short = dense[2].copy()
         short[4] = [0.1, 0.2, 0.0, 0.3, 0.2, 0.1999999]  # sums below 1: the last state takes the rest
-        schedule = KernelSchedule(StateSpace(6, frozenset({0, 3})), (dense[0],),
-                                  PeriodicTail((dense[1], short)))
-        self._check(schedule, steps=3)
-        sampler = _Sampler(schedule)
-        assert sampler.draw(1, np.array([4]), np.array([0.99999995])).tolist() == [5]
-        assert _scalar_reader(sampler.tables[sampler.phase(1)])(4, 0.99999995) == 5
+        table = _InverseCdf(short)
+        self._check_table(table, short)
+        assert table(np.array([4]), np.array([0.99999995])).tolist() == [5]
+        assert _scalar_reader(table)(4, 0.99999995) == 5
 
     @staticmethod
-    def _random_rows(rng, shape, zero_frac, short_frac):
+    def _random_rows(rng, shape, zero_frac, short_frac, low=0.5):
         """Rows with zero runs mid-row (each entry zero w.p. ``zero_frac``) and
-        at the row end (past a random cut); a ``short_frac`` share sums below 1."""
+        at the row end (past a random cut); a ``short_frac`` share is scaled
+        by a factor drawn from [low, 1), so it sums below 1."""
         weights = rng.random(shape) * (rng.random(shape) >= zero_frac)
         size = shape[-1]
         cut = rng.integers(1, size + 1, size=shape[:-1])
@@ -128,7 +129,7 @@ class TestBatchedDraw:
         weights[..., 0][empty] = 1.0
         rows = weights / weights.sum(axis=-1, keepdims=True)
         short = rng.random(shape[:-1]) < short_frac
-        rows[short] *= rng.uniform(0.5, 1.0, size=(int(short.sum()), 1))
+        rows[short] *= rng.uniform(low, 1.0, size=(int(short.sum()), 1))
         return rows
 
     @settings(max_examples=60, deadline=None)
@@ -142,7 +143,8 @@ class TestBatchedDraw:
     def test_random_kernels_match_the_scalar_draw(self, size, phases, zero_frac, short_frac, seed):
         rng = np.random.default_rng(seed)
         mats = self._random_rows(rng, (phases, size, size), zero_frac, short_frac)
-        self._check(KernelSchedule(StateSpace(size, frozenset({0})), (), PeriodicTail(tuple(mats))), phases)
+        for kernel in mats:  # raw: a schedule rejects the short rows
+            self._check_table(_InverseCdf(kernel), kernel)
         init = self._random_rows(rng, (1, size), zero_frac, short_frac)
         self._check_table(_InverseCdf(init), init)
 
@@ -157,9 +159,10 @@ class TestBatchedDraw:
     )
     def test_paths_match_the_scalar_oracle(self, size, n_body, period, zero_frac, short_frac, seed):
         """``_Sampler.paths`` and ``sample_path`` give ``oracles.counter_paths``
-        path by path on dense body-plus-cycle schedules with zero runs and short rows."""
+        path by path on dense body-plus-cycle schedules with zero runs and rows
+        short by at most 1e-13, within the schedule's row-sum tolerance."""
         rng = np.random.default_rng(seed)
-        mats = self._random_rows(rng, (n_body + period, size, size), zero_frac, short_frac)
+        mats = self._random_rows(rng, (n_body + period, size, size), zero_frac, short_frac, low=1.0 - 1e-13)
         schedule = KernelSchedule(StateSpace(size, frozenset({0})), tuple(mats[:n_body]),
                                   PeriodicTail(tuple(mats[n_body:])))
         init = self._random_rows(rng, (1, size), zero_frac, 0.0)[0]
@@ -233,7 +236,8 @@ class TestJointOracle:
 
 
 class TestInvalidKernel:
-    """A non-finite or negative kernel or initial-law entry is rejected before any draw."""
+    """A non-finite or negative kernel entry is rejected when the schedule is
+    built, and an initial-law entry before any draw."""
 
     @staticmethod
     def _schedule(bad_row):
@@ -243,19 +247,9 @@ class TestInvalidKernel:
 
     @pytest.mark.parametrize("bad_row", [[1.2, -0.2, 0.0], [np.nan, 0.5, 0.5], [0.5, np.inf, 0.0]])
     def test_every_sampler_rejects_it(self, bad_row):
-        schedule = self._schedule(bad_row)
-        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
-            sample_path(schedule, delta(3, 0), seed=1, horizon=10)
-        plan = SimulationPlan(schedule, schedule, delta(3, 0), delta(3, 0), horizon=10, n_paths=2, master_seed=1)
-        with pytest.raises(ValueError, match=r"tail\[0\], row 1"):
-            estimate_joint_renewal(plan)
-        # the exact laws and the exact regularity grid read the same rule
-        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
-            hitting_time_distribution(schedule, delta(3, 0), horizon=10)
-        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
-            product_tail(schedule, schedule, delta(3, 0), delta(3, 0), horizon=10)
-        with pytest.raises(ValueError, match=r"tail\[0\], row 1: entry [01] is "):
-            exact_regularity(schedule, 0, [0, 1], [0, 1, 2])
+        # no sampler, exact law or regularity grid can be handed the schedule
+        with pytest.raises(ValueError, match=r"^tail\[0\], row 1: entry [01] is .*; entries must be finite"):
+            self._schedule(bad_row)
 
     def test_nan_initial_law_rejected(self):
         with pytest.raises(ValueError, match=r"initial law, row 0: entry 0 is nan"):
