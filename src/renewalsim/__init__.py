@@ -48,14 +48,10 @@ from .exact import (
     product_tail,
 )
 from .kernel import (
-    BirthDeathSpec,
-    ConstantTail,
     KernelSchedule,
-    PeriodicTail,
     StateSpace,
     birth_death_schedule,
-    constant_birth_death,
-    periodic_birth_death,
+    down_probabilities,
 )
 from .simulate import (
     JointRenewalEstimate,
@@ -67,10 +63,8 @@ from .simulate import (
 )
 
 __all__ = [
-    "BirthDeathSpec",
     "BoundComparison",
     "BoundReport",
-    "ConstantTail",
     "DistributionTable",
     "DominatingSequence",
     "DominationReport",
@@ -78,7 +72,6 @@ __all__ = [
     "HittingResult",
     "JointRenewalEstimate",
     "KernelSchedule",
-    "PeriodicTail",
     "RegularityCertificate",
     "RegularityScan",
     "RenewalTailSurface",
@@ -91,8 +84,8 @@ __all__ = [
     "bound_via_second_moment",
     "check_domination",
     "compare_bounds",
-    "constant_birth_death",
     "domination_valid_for",
+    "down_probabilities",
     "estimate_joint_renewal",
     "estimate_regularity",
     "estimate_renewal_tails",
@@ -102,7 +95,6 @@ __all__ = [
     "full_report",
     "hitting_time_distribution",
     "meeting_tail_envelope",
-    "periodic_birth_death",
     "product_tail",
     "regularity_from_floor",
     "return_floor",

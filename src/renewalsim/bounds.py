@@ -28,7 +28,7 @@ from .domination import (
     return_floor,
     walk_dominating_sequence,
 )
-from .kernel import BirthDeathSpec, _target_mask, birth_death_schedule, check_fits
+from .kernel import KernelSchedule, _target_mask, check_fits, down_probabilities
 from .simulate import JointRenewalEstimate, SimulationPlan, estimate_joint_renewal
 
 
@@ -264,18 +264,35 @@ class BoundReport:
         }
 
 
+def _analytic_alphas(schedule1: KernelSchedule, schedule2: KernelSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Both chains' :func:`down_probabilities` tables; ValueError unless both
+    are birth-death with target set {0}, where the floor formula was derived."""
+    tables = down_probabilities(schedule1), down_probabilities(schedule2)
+    if tables[0] is None or tables[1] is None:
+        raise ValueError("the analytic certificate needs birth-death chains on both sides")
+    if schedule1.space.target_set != {0} or schedule2.space.target_set != {0}:
+        raise ValueError("the analytic certificate needs target set {0}")
+    return tables
+
+
+def _floor_certificate(alphas, p: float, mu_hat: float | None) -> tuple[float, RegularityCertificate]:
+    """The floor, inf over steps of state 0's stay probability on either chain,
+    and its certificate; the mean-bound exponent is ``mu_hat`` when given,
+    else the walk's first-moment constant."""
+    floor = return_floor(*(float(table[:, 0].min()) for table in alphas))
+    return floor, regularity_from_floor(floor, walk_moment1(p) if mu_hat is None else mu_hat)
+
+
 def analytic_certificate(
-    spec1: BirthDeathSpec, spec2: BirthDeathSpec, p: float, mu_hat: float | None = None
+    schedule1: KernelSchedule, schedule2: KernelSchedule, p: float, mu_hat: float | None = None
 ) -> RegularityCertificate:
-    """Certificate from both chains' floor stay probabilities; the mean-bound
-    exponent is ``mu_hat`` when given, else the walk's first-moment constant."""
-    floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
-    return regularity_from_floor(floor, walk_moment1(p) if mu_hat is None else mu_hat)
+    """Certificate from both birth-death chains' floor stay probabilities."""
+    return _floor_certificate(_analytic_alphas(schedule1, schedule2), p, mu_hat)[1]
 
 
 def full_report(
-    spec1: BirthDeathSpec,
-    spec2: BirthDeathSpec,
+    schedule1: KernelSchedule,
+    schedule2: KernelSchedule,
     initial1,
     initial2,
     *,
@@ -288,24 +305,22 @@ def full_report(
     workers: int = 1,
     tail_len: int = 200,
 ) -> BoundReport:
-    """Run the whole pipeline on a birth-death pair.
+    """Run the whole pipeline on a birth-death pair with target set {0}.
 
     Rejects the plan before any simulation when a down probability of
     either chain, at any step and state, is below the walk parameter.  The
     mean-bound exponent defaults to the walk's first-moment constant and can
     be overridden with ``mu_hat``.
     """
-    inf_alpha = min(spec1.inf_alpha(), spec2.inf_alpha())
+    alphas = _analytic_alphas(schedule1, schedule2)
+    inf_alpha = min(float(table.min()) for table in alphas)
     if not domination_valid_for(p, inf_alpha):
         raise ValueError(
             f"walk parameter p={p} exceeds the chains' inf alpha={inf_alpha:.6g}; "
             "the envelope does not apply"
         )
 
-    schedule1 = birth_death_schedule(spec1)
-    schedule2 = birth_death_schedule(spec2)
-    certificate = analytic_certificate(spec1, spec2, p, mu_hat)
-    floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
+    floor, certificate = _floor_certificate(alphas, p, mu_hat)
     envelope = walk_dominating_sequence(p, series_len)
 
     exact_h = max(horizon, 2000)
@@ -334,12 +349,9 @@ def full_report(
             f"{mc.censored} of {mc.n_paths} paths were censored at the horizon; "
             "the Monte Carlo mean is a lower bound"
         )
-    for label, schedule, spec, initial in (
-        ("chain1", schedule1, spec1, initial1),
-        ("chain2", schedule2, spec2, initial2),
-    ):
+    for label, schedule, initial in (("chain1", schedule1, initial1), ("chain2", schedule2, initial2)):
         cap_mass = 1.0 - exact.hitting_time_distribution(
-            schedule, initial, targets=(spec.cap,), horizon=horizon
+            schedule, initial, targets=(schedule.space.size - 1,), horizon=horizon
         ).table.residual
         if cap_mass > 1e-9:
             warnings.append(

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__, bounds, domination, exact, rng
 from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
+from .kernel import down_probabilities
 from .simulate import SimulationPlan, estimate_joint_renewal
 
 
@@ -80,7 +81,7 @@ def _rejection(scans: tuple[domination.RegularityScan, ...]) -> str:
 def _analytic_chains(scenario: Scenario, subject: str) -> None:
     """ValidationFailure naming ``subject`` unless both chains are birth-death
     with target set {0}, where the analytic floor formula was derived."""
-    if scenario.spec1 is None or scenario.spec2 is None:
+    if down_probabilities(scenario.schedule1) is None or down_probabilities(scenario.schedule2) is None:
         raise ValidationFailure(f"{subject} needs birth-death chains on both sides")
     if scenario.schedule1.space.target_set != {0}:
         raise ValidationFailure(f"{subject} needs target_set [0]")
@@ -99,7 +100,7 @@ def _certificate(
     reg = scenario.regularity
     if reg["source"] == "analytic":
         _analytic_chains(scenario, "analytic regularity")
-        return bounds.analytic_certificate(scenario.spec1, scenario.spec2, p, reg.get("mu_hat")), ()
+        return bounds.analytic_certificate(scenario.schedule1, scenario.schedule2, p, reg.get("mu_hat")), ()
     scans = tuple(
         domination.exact_regularity(
             schedule,
@@ -258,14 +259,13 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
 
 def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
-    # the report tags gamma and the bound analytic, and full_report builds
-    # both schedules with target set {0}
+    # the report tags gamma and the bound analytic
     _analytic_chains(scenario, "the bound pipeline")
     if scenario.regularity["source"] != "analytic":
         raise ValidationFailure("the bound pipeline takes analytic regularity only")
     result = bounds.full_report(
-        scenario.spec1,
-        scenario.spec2,
+        scenario.schedule1,
+        scenario.schedule2,
         scenario.initial1,
         scenario.initial2,
         p=p,

@@ -15,8 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .kernel import BirthDeathSpec, KernelError, KernelSchedule, PeriodicTail, StateSpace, _check_initial
-from .kernel import birth_death_schedule, check_fits
+from .kernel import KernelError, KernelSchedule, StateSpace, _check_initial, birth_death_schedule, check_fits
 
 SCHEMA_VERSION = 1
 
@@ -40,7 +39,7 @@ def _as_alpha_row(value, cap: int, where: str) -> np.ndarray:
     return row
 
 
-def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> PeriodicTail:
+def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> tuple:
     """The ``tail`` object: ``kind`` constant (the period-1 cycle) or periodic.
 
     ``one_entry`` means a constant tail gives its entry bare, not as a
@@ -53,13 +52,13 @@ def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> Peri
     if kind not in ("constant", "periodic"):
         raise ConfigError(f"{where}.kind must be 'constant' or 'periodic', got '{kind}'")
     if kind == "constant" and one_entry:
-        return PeriodicTail((parse(values, f"{where}.{key}"),))
+        return (parse(values, f"{where}.{key}"),)
     entries = tuple(parse(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
     if not entries:
         raise ConfigError(f"{where}.{key} must be nonempty")
     if kind == "constant" and len(entries) > 1:
         raise ConfigError(f"{where}.{key}: a constant tail takes one entry, got {len(entries)}")
-    return PeriodicTail(entries)
+    return entries
 
 
 def _dense_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where: str) -> None:
@@ -76,25 +75,25 @@ def _dense_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where
     check_fits(phases * size * size * 8, f"{where}: {phases} dense {size}x{size} kernel(s)")
 
 
-def _parse_birth_death(obj: dict, where: str) -> BirthDeathSpec:
+def _parse_birth_death(obj: dict, target_set, where: str) -> KernelSchedule:
     cap = _integral(_require(obj, "cap", where), f"{where}.cap")
     _dense_kernels_fit(obj, cap + 1, "alpha_table", "alphas", where)
     body = tuple(_as_alpha_row(r, cap, f"{where}.alpha_table[{i}]")
                  for i, r in enumerate(obj.get("alpha_table", [])))
     tail = _parse_tail(obj, "alphas", lambda r, at: _as_alpha_row(r, cap, at), where, one_entry=True)
     try:
-        return BirthDeathSpec(cap=cap, body=body, tail=tail)
+        return birth_death_schedule(cap, tail, body=body, target_set=target_set)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _parse_explicit(obj: dict, target_set, where: str) -> tuple[StateSpace, tuple, PeriodicTail]:
+def _parse_explicit(obj: dict, target_set, where: str) -> tuple[StateSpace, tuple, tuple]:
     states = _integral(_require(obj, "states", where), f"{where}.states")
     _dense_kernels_fit(obj, states, "body", "matrices", where)
     body = tuple(np.asarray(m, dtype=float) for m in obj.get("body", []))
     tail = _parse_tail(obj, "matrices", lambda m, at: np.asarray(m, dtype=float), where, one_entry=False)
     try:
-        space = StateSpace(states, frozenset(target_set))
+        space = StateSpace(states, target_set)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
     return space, body, tail
@@ -161,8 +160,6 @@ class Scenario:
     raw: dict
     schedule1: KernelSchedule | None
     schedule2: KernelSchedule | None
-    spec1: BirthDeathSpec | None
-    spec2: BirthDeathSpec | None
     initial1: np.ndarray
     initial2: np.ndarray
     horizon: int
@@ -210,15 +207,13 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
 
     target_set = raw.get("target_set", [0])
     chains: list[KernelSchedule | None] = []
-    specs: list[BirthDeathSpec | None] = []
     sizes, violations = [], []
     for key in ("chain1", "chain2"):
         obj = _require(raw, key, "config")
-        spec, schedule = None, None
+        schedule = None
         if "birth_death" in obj:
-            spec = _parse_birth_death(obj["birth_death"], f"config.{key}.birth_death")
-            schedule = birth_death_schedule(spec, target_set)
-            sizes.append(spec.size)
+            schedule = _parse_birth_death(obj["birth_death"], target_set, f"config.{key}.birth_death")
+            sizes.append(schedule.space.size)
         else:
             space, body, tail = _parse_explicit(obj, target_set, f"config.{key}")
             sizes.append(space.size)
@@ -226,7 +221,6 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
                 schedule = KernelSchedule(space, body, tail)
             except KernelError as err:
                 violations += err.args
-        specs.append(spec)
         chains.append(schedule)
 
     initial1 = _parse_initial(_require(raw, "initial1", "config"), sizes[0], "config.initial1")
@@ -252,8 +246,6 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
         raw=raw,
         schedule1=chains[0],
         schedule2=chains[1],
-        spec1=specs[0],
-        spec2=specs[1],
         initial1=initial1,
         initial2=initial2,
         horizon=_integral(raw.get("horizon", 1000), "config.horizon"),

@@ -444,14 +444,14 @@ def _forward(schedule: KernelSchedule, law: np.ndarray, start: int, steps: int) 
     every other step is a vector step.
     """
     t, end = start, start + steps
-    period = schedule.tail.period
+    period = len(schedule.tail)
     while t < end and (t < len(schedule.body) or t % period):
         law = law @ schedule.at(t)
         t += 1
     cycles = (end - t) // period
     if cycles * period > (period + cycles.bit_length()) * len(law):
         t += cycles * period
-        power = functools.reduce(np.matmul, schedule.tail.values)  # one cycle from a multiple of period
+        power = functools.reduce(np.matmul, schedule.tail)  # one cycle from a multiple of period
         while cycles:
             # back to unit row sums: left alone, their rounding doubles with every squaring
             sums = power.sum(axis=1, keepdims=True)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernel import ConstantTail, KernelSchedule, StateSpace, check_fits
+from .kernel import KernelSchedule, StateSpace, check_fits
 from .kernel import _check_initial, _target_states
 
 
@@ -81,7 +81,7 @@ class HittingResult:
 
 BLOCK_STEPS = (64, 32)  # tried in turn, each rounded down to a multiple of the joint period
 BLOCK_UNKNOWNS = 512  # at most S |C1| |C2| unknowns in a block's solve
-_POINT = KernelSchedule(StateSpace(1, frozenset({0})), (), ConstantTail([[1.0]]))  # hitting-law partner
+_POINT = KernelSchedule(StateSpace(1, frozenset({0})), (), ([[1.0]],))  # hitting-law partner
 
 
 @functools.lru_cache(maxsize=4)
@@ -156,7 +156,7 @@ def _absorb(law: np.ndarray, side1, side2, first: int, horizon: int,
     check_fits(3 * 8 * (horizon + 1), f"the hitting-time tables of horizon {horizon}", available=True)
     (schedule1, target1), (schedule2, target2) = side1, side2
     n1, n2 = law.shape
-    period = math.lcm(schedule1.tail.period, schedule2.tail.period)
+    period = math.lcm(len(schedule1.tail), len(schedule2.tail))
     start = max(len(schedule1.body), len(schedule2.body))
     spans = (steps // period * period for steps in BLOCK_STEPS)
     span = next((s for s in spans if s and s * len(target1) * len(target2) <= BLOCK_UNKNOWNS

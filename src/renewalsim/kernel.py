@@ -3,8 +3,8 @@
 A schedule assigns one row-stochastic matrix to every step ``t >= 0``:
 explicit matrices for an initial stretch (the body) followed by a
 periodic tail; a constant tail is the period-1 cycle.  Tails are anchored
-at time zero, i.e. step ``t`` uses ``values[t % period]``.  Birth-death
-specs index their per-step down probabilities by the same rule.
+at time zero, i.e. step ``t`` uses ``tail[t % len(tail)]``.  A birth-death
+chain is a schedule whose matrices :func:`down_probabilities` reads back.
 """
 
 from __future__ import annotations
@@ -99,13 +99,14 @@ def _target_mask(space: StateSpace) -> np.ndarray:
 
 
 def _target_states(targets: Iterable[int], size: int) -> list[int]:
-    """Sorted target states; ValueError unless a nonempty set of integers in 0..size-1."""
-    target = sorted(set(targets))
+    """Sorted target states; ValueError unless a nonempty set of integers in
+    0..size-1 (a bool, which equals 0 or 1 in a set, is not one)."""
+    target = list(targets)
     if not target:
         raise ValueError("target set must be nonempty")
-    if not all(isinstance(s, numbers.Integral) and 0 <= s < size for s in target):
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and 0 <= s < size for s in target):
         raise ValueError("target set must be a subset of {0..size-1}")
-    return target
+    return sorted(set(target))
 
 
 @dataclass(frozen=True)
@@ -116,66 +117,20 @@ class StateSpace:
     target_set: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "target_set", frozenset(self.target_set))
         if self.size < 1:
             raise ValueError("state space needs at least one state")
-        _target_states(self.target_set, self.size)
+        object.__setattr__(self, "target_set", frozenset(_target_states(self.target_set, self.size)))
 
 
 @dataclass(frozen=True, eq=False)
-class PeriodicTail:
-    """Steps past the body cycle with absolute time: step t uses values[t % period]."""
+class KernelSchedule:
+    """One transition matrix per step: body matrices for t < len(body), then
+    the tail cycle, anchored at absolute time: step t uses ``tail[t % len(tail)]``.
 
-    values: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("periodic tail needs at least one entry")
-        object.__setattr__(self, "values", tuple(_frozen_array(v) for v in self.values))
-
-    @property
-    def period(self) -> int:
-        return len(self.values)
-
-
-def ConstantTail(value) -> PeriodicTail:
-    """A tail that repeats one entry: the period-1 cycle."""
-    return PeriodicTail((value,))
-
-
-class _BodyThenTail:
-    """Per-step entries: ``phases`` is the body, then one tail cycle, and
-    ``phase(t)`` indexes it.  The joint estimator's step loop applies the
-    same rule to its sampler's body and cycle tables itself, with no call
-    per step; ``TestJointOracle`` checks it against ``at``."""
-
-    body: tuple[np.ndarray, ...]
-    tail: PeriodicTail
-
-    def __post_init__(self):
-        object.__setattr__(self, "body", tuple(_frozen_array(m) for m in self.body))
-        object.__setattr__(self, "phases", (*self.body, *self.tail.values))
-
-    def phase(self, t: int) -> int:
-        """Index into ``phases`` of the entry governing the step from time t."""
-        if t < 0:
-            raise ValueError("time index must be nonnegative")
-        n = len(self.body)
-        return t if t < n else n + t % self.tail.period
-
-    def at(self, t: int) -> np.ndarray:
-        """The entry governing the step from time t to time t + 1."""
-        return self.phases[self.phase(t)]
-
-    def labeled(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """All distinct entries the schedule can produce, with labels."""
-        n = len(self.body)
-        return tuple((f"body[{i}]" if i < n else f"tail[{i - n}]", m) for i, m in enumerate(self.phases))
-
-
-@dataclass(frozen=True, eq=False)
-class KernelSchedule(_BodyThenTail):
-    """One transition matrix per step: body matrices for t < len(body), then the tail.
+    ``phases`` is the body, then one tail cycle, and ``phase(t)`` indexes
+    it.  The joint estimator's step loop applies the same rule to its
+    sampler's body and cycle tables itself, with no call per step;
+    ``TestJointOracle`` checks it against ``at``.
 
     Construction runs the kernel rule that every sampler and exact law relies
     on: each phase is (n, n), each row finite, nonnegative and summing to 1
@@ -184,10 +139,14 @@ class KernelSchedule(_BodyThenTail):
 
     space: StateSpace
     body: tuple[np.ndarray, ...]
-    tail: PeriodicTail
+    tail: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        super().__post_init__()
+        object.__setattr__(self, "body", tuple(_frozen_array(m) for m in self.body))
+        object.__setattr__(self, "tail", tuple(_frozen_array(m) for m in self.tail))
+        if not self.tail:
+            raise ValueError("periodic tail needs at least one entry")
+        object.__setattr__(self, "phases", (*self.body, *self.tail))
         n = self.space.size
         violations = [v for label, m in self.labeled()
                       for v in (_row_violations(m, label) if m.shape == (n, n)
@@ -195,44 +154,21 @@ class KernelSchedule(_BodyThenTail):
         if violations:
             raise KernelError(*violations)
 
+    def phase(self, t: int) -> int:
+        """Index into ``phases`` of the entry governing the step from time t."""
+        if t < 0:
+            raise ValueError("time index must be nonnegative")
+        n = len(self.body)
+        return t if t < n else n + t % len(self.tail)
 
-@dataclass(frozen=True, eq=False)
-class BirthDeathSpec(_BodyThenTail):
-    """Nearest-neighbour chain on 0..cap with step-dependent down probabilities.
+    def at(self, t: int) -> np.ndarray:
+        """The matrix governing the step from time t to time t + 1."""
+        return self.phases[self.phase(t)]
 
-    Interior states step down with probability ``alpha(t, j) = at(t)[j]``
-    and up otherwise; state 0 stays put instead of stepping down; the cap
-    state reflects down with probability one.  Down probabilities are
-    given per step like a schedule: explicit rows for t < len(body), then
-    a periodic tail.  Each row holds alpha(t, j) for j = 0..cap-1 (the cap
-    row is deterministic and carries no parameter).
-    """
-
-    cap: int
-    body: tuple[np.ndarray, ...]
-    tail: PeriodicTail
-
-    def __post_init__(self):
-        if self.cap < 2:
-            raise ValueError("cap must be at least 2")
-        super().__post_init__()
-        for label, row in self.labeled():
-            if row.shape != (self.cap,):
-                raise ValueError(f"{label}: expected {self.cap} down probabilities, got {row.shape}")
-            if not ((row > 0) & (row < 1)).all():
-                raise ValueError(f"{label}: down probabilities must lie strictly in (0, 1)")
-
-    def min_alpha_at_zero(self) -> float:
-        """inf over t of the stay probability at state 0 (exact on this representation)."""
-        return min(float(r[0]) for r in self.phases)
-
-    def inf_alpha(self) -> float:
-        """inf over t, j of the down probability alpha(t, j)."""
-        return min(float(r.min()) for r in self.phases)
-
-    @property
-    def size(self) -> int:
-        return self.cap + 1
+    def labeled(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """All distinct matrices the schedule can produce, with labels."""
+        n = len(self.body)
+        return tuple((f"body[{i}]" if i < n else f"tail[{i - n}]", m) for i, m in enumerate(self.phases))
 
 
 def _birth_death_matrix(row: np.ndarray, cap: int) -> np.ndarray:
@@ -247,20 +183,46 @@ def _birth_death_matrix(row: np.ndarray, cap: int) -> np.ndarray:
     return m
 
 
-def birth_death_schedule(spec: BirthDeathSpec, target_set: Iterable[int] = (0,)) -> KernelSchedule:
-    """Materialize a birth-death spec as a kernel schedule on 0..cap."""
-    space = StateSpace(spec.size, frozenset(target_set))
-    body = tuple(_birth_death_matrix(r, spec.cap) for r in spec.body)
-    tail = PeriodicTail(tuple(_birth_death_matrix(r, spec.cap) for r in spec.tail.values))
-    return KernelSchedule(space, body, tail)
+def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
+                         body: Iterable[float | Iterable[float]] = (),
+                         target_set: Iterable[int] = (0,)) -> KernelSchedule:
+    """Nearest-neighbour chain on 0..cap with step-dependent down probabilities.
+
+    Interior states step down with probability ``alpha(t, j)`` and up
+    otherwise; state 0 stays put instead of stepping down; the cap state
+    reflects down with probability one.  ``body`` gives alpha(t, .) for
+    t < len(body), then ``alphas`` is the cycle.  Each entry is a scalar,
+    the same alpha at every state, or a row of alpha(t, j) for
+    j = 0..cap-1 (the cap row is deterministic and carries no parameter).
+    """
+    if cap < 2:
+        raise ValueError("cap must be at least 2")
+    rows = [tuple(np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in entries)
+            for entries in (body, alphas)]
+    for label, entries in zip(("body", "tail"), rows):
+        for i, row in enumerate(entries):
+            if row.shape != (cap,):
+                raise ValueError(f"{label}[{i}]: expected {cap} down probabilities, got {row.shape}")
+            if not ((row > 0) & (row < 1)).all():
+                raise ValueError(f"{label}[{i}]: down probabilities must lie strictly in (0, 1)")
+    body_kernels, tail_kernels = (tuple(_birth_death_matrix(r, cap) for r in entries) for entries in rows)
+    return KernelSchedule(StateSpace(cap + 1, target_set), body_kernels, tail_kernels)
 
 
-def constant_birth_death(cap: int, alpha: float | Iterable[float]) -> BirthDeathSpec:
-    """Spec whose down probabilities do not depend on the step."""
-    return periodic_birth_death(cap, [alpha])
-
-
-def periodic_birth_death(cap: int, alphas: Iterable[float | Iterable[float]]) -> BirthDeathSpec:
-    """Spec whose down probabilities cycle periodically with the step."""
-    rows = tuple(np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in alphas)
-    return BirthDeathSpec(cap=cap, body=(), tail=PeriodicTail(rows))
+def down_probabilities(schedule: KernelSchedule) -> np.ndarray | None:
+    """The (phases, cap) table of down probabilities alpha(phase, j), one row
+    per entry of ``phases``, when ``schedule`` is a birth-death chain on
+    0..cap with cap >= 2: every phase equals, entry for entry, the matrix
+    :func:`birth_death_schedule` builds from the alphas read off it (state
+    0's stay and each interior state's down probability), each strictly in
+    (0, 1).  Otherwise None.
+    """
+    cap = schedule.space.size - 1
+    if cap < 2:
+        return None
+    table = np.array([[m[0, 0], *np.diagonal(m, -1)[:-1]] for m in schedule.phases])
+    if not ((table > 0) & (table < 1)).all():
+        return None
+    if not all(np.array_equal(m, _birth_death_matrix(row, cap)) for m, row in zip(schedule.phases, table)):
+        return None
+    return table

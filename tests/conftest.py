@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from renewalsim import ConstantTail, KernelSchedule, PeriodicTail, StateSpace
+from renewalsim import KernelSchedule, StateSpace
 
 # Tier-1 draws the same examples on every run, so a pass or a failure
 # reproduces.  HYPOTHESIS_PROFILE=explore draws fresh random examples, for
@@ -22,11 +22,11 @@ def two_state(p00: float, p10: float) -> KernelSchedule:
     from 1 back to 0.
     """
     matrix = [[p00, 1.0 - p00], [p10, 1.0 - p10]]
-    return KernelSchedule(StateSpace(2, frozenset({0})), (), ConstantTail(matrix))
+    return KernelSchedule(StateSpace(2, frozenset({0})), (), (matrix,))
 
 
 def periodic_two_state(mats) -> KernelSchedule:
-    return KernelSchedule(StateSpace(2, frozenset({0})), (), PeriodicTail(tuple(mats)))
+    return KernelSchedule(StateSpace(2, frozenset({0})), (), tuple(mats))
 
 
 def delta(size: int, state: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from renewalsim import (
     bound_via_first_moment,
     bound_via_second_moment,
     compare_bounds,
-    constant_birth_death,
+    down_probabilities,
     estimate_joint_renewal,
     estimate_regularity,
     estimate_renewal_tails,
@@ -37,7 +37,6 @@ from renewalsim import (
     first_return_coefficients,
     hitting_time_distribution,
     meeting_tail_envelope,
-    periodic_birth_death,
     product_tail,
     regularity_from_floor,
     return_floor,
@@ -61,8 +60,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _showcase_plan():
-    spec = constant_birth_death(50, 0.75)
-    sched = birth_death_schedule(spec)
+    sched = birth_death_schedule(50, [0.75])
     return SimulationPlan(sched, sched, delta(51, 0), delta(51, 0),
                           horizon=5000, n_paths=N_PATHS, master_seed=20190314)
 
@@ -156,9 +154,9 @@ def test_criterion_2_total_mass_as_stated():
 
 
 def _oracle_instances():
-    bd1 = birth_death_schedule(constant_birth_death(3, 0.75))
-    bd2 = birth_death_schedule(constant_birth_death(3, 0.7))
-    bd3 = birth_death_schedule(constant_birth_death(3, 0.72))
+    bd1 = birth_death_schedule(3, [0.75])
+    bd2 = birth_death_schedule(3, [0.7])
+    bd3 = birth_death_schedule(3, [0.72])
     flip_mix = periodic_two_state([
         np.array([[0.5, 0.5], [0.5, 0.5]]),
         np.array([[0.9, 0.1], [0.2, 0.8]]),
@@ -197,31 +195,30 @@ def test_criterion_3_oracle_agreement():
 
 
 def _bound_instance_homogeneous():
-    spec1 = constant_birth_death(50, 0.75)
-    spec2 = constant_birth_death(50, 0.72)
-    return "homogeneous", spec1, spec2, delta(51, 4), delta(51, 2), 0.71
+    s1 = birth_death_schedule(50, [0.75])
+    s2 = birth_death_schedule(50, [0.72])
+    return "homogeneous", s1, s2, delta(51, 4), delta(51, 2), 0.71
 
 
 def _bound_instance_periodic():
-    spec1 = periodic_birth_death(50, [0.7, 0.8])
-    spec2 = periodic_birth_death(50, [0.78, 0.72])
-    return "periodic", spec1, spec2, delta(51, 3), delta(51, 5), 0.7
+    s1 = birth_death_schedule(50, [0.7, 0.8])
+    s2 = birth_death_schedule(50, [0.78, 0.72])
+    return "periodic", s1, s2, delta(51, 3), delta(51, 5), 0.7
 
 
 def test_criterion_4_expectation_bound_soundness():
     start = time.perf_counter()
     lines = []
     ok = True
-    for name, spec1, spec2, i1, i2, p in (
+    for name, s1, s2, i1, i2, p in (
         _bound_instance_homogeneous(),
         _bound_instance_periodic(),
     ):
-        assert min(spec1.inf_alpha(), spec2.inf_alpha()) >= p
-        floor = return_floor(spec1.min_alpha_at_zero(), spec2.min_alpha_at_zero())
+        alphas1, alphas2 = down_probabilities(s1), down_probabilities(s2)
+        assert min(alphas1.min(), alphas2.min()) >= p
+        floor = return_floor(alphas1[:, 0].min(), alphas2[:, 0].min())
         cert = regularity_from_floor(floor, walk_moment1(p))
         envelope = walk_dominating_sequence(p, 2000)
-        s1 = birth_death_schedule(spec1)
-        s2 = birth_death_schedule(spec2)
         m1 = hitting_time_distribution(s1, i1, horizon=3000, tail_gamma=cert.gamma)
         m2 = hitting_time_distribution(s2, i2, horizon=3000, tail_gamma=cert.gamma)
         bound = expectation_bound(m1.expectation.high, m2.expectation.high,
@@ -250,17 +247,16 @@ def test_criterion_4_bound_exceeds_the_exact_mean():
         p = data.draw(st.floats(0.55, 0.95), label="p")
         cap = data.draw(st.integers(3, 30), label="cap")
         alpha = st.floats(p, 0.999)
-        specs = [
-            periodic_birth_death(cap, [
+        s1, s2 = (
+            birth_death_schedule(cap, [
                 np.array(data.draw(st.lists(alpha, min_size=cap, max_size=cap)))
                 for _ in range(data.draw(st.integers(1, 3), label=f"phases{c}"))
             ])
             for c in (1, 2)
-        ]
-        assert min(s.inf_alpha() for s in specs) >= p
+        )
+        assert min(down_probabilities(s).min() for s in (s1, s2)) >= p
         starts = [delta(cap + 1, data.draw(st.integers(0, cap), label=f"start{c}")) for c in (1, 2)]
-        s1, s2 = (birth_death_schedule(s) for s in specs)
-        cert = analytic_certificate(*specs, p)
+        cert = analytic_certificate(s1, s2, p)
         envelope = walk_dominating_sequence(p, 2000)
         m1, m2 = (hitting_time_distribution(s, i, horizon=2000, tail_gamma=cert.gamma)
                   for s, i in zip((s1, s2), starts))
@@ -328,7 +324,7 @@ def test_criterion_7_tail_envelope_as_stated(showcase):
     stats = trial_statistics(est, max_sum=200)
     s_hat = meeting_tail_envelope(envelope, 0, stats, 200)
     bound = s_hat + np.array([envelope.at(n) for n in range(201)])
-    sched = birth_death_schedule(constant_birth_death(50, 0.75))
+    sched = birth_death_schedule(50, [0.75])
     exact = product_tail(sched, sched, delta(51, 0), delta(51, 0), horizon=200).tails
     # 1e-12 absorbs rounding in the exact tail's 1 - cumsum
     exact_misses = [n for n in range(201) if bound[n] < exact[n] - 1e-12]

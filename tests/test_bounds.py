@@ -13,13 +13,11 @@ from renewalsim import (
     bound_via_first_moment,
     bound_via_second_moment,
     compare_bounds,
-    constant_birth_death,
     birth_death_schedule,
     estimate_joint_renewal,
     expectation_bound,
     full_report,
     meeting_tail_envelope,
-    periodic_birth_death,
     product_tail,
     trial_statistics,
     trial_tail_bound,
@@ -175,7 +173,7 @@ def _reference_table(scans, max_sum, max_trials=None):
 
 class TestTrialStatistics:
     def _estimate(self):
-        sched = birth_death_schedule(constant_birth_death(10, 0.75))
+        sched = birth_death_schedule(10, [0.75])
         plan = SimulationPlan(sched, sched, delta(11, 0), delta(11, 0),
                               horizon=500, n_paths=400, master_seed=5)
         return estimate_joint_renewal(plan)
@@ -197,7 +195,7 @@ class TestTrialStatistics:
         (4, 1, 40, 1),
     ])
     def test_table_equals_the_traces_loop(self, scan, horizon, n0, max_sum, max_trials):
-        sched = birth_death_schedule(constant_birth_death(10, 0.75))
+        sched = birth_death_schedule(10, [0.75])
         plan = SimulationPlan(sched, sched, delta(11, 0), delta(11, 0),
                               horizon=horizon, n_paths=400, master_seed=5)
         est = estimate_joint_renewal(plan, n0=n0, trial_scan=scan)
@@ -211,7 +209,7 @@ class TestTrialStatistics:
         assert stats.n_paths == plan.n_paths
 
     def test_requires_starts_in_target(self):
-        sched = birth_death_schedule(constant_birth_death(10, 0.75))
+        sched = birth_death_schedule(10, [0.75])
         plan = SimulationPlan(sched, sched, delta(11, 1), delta(11, 0),
                               horizon=500, n_paths=50, master_seed=5)
         est = estimate_joint_renewal(plan)
@@ -260,7 +258,7 @@ class TestTrialStatistics:
     def test_peak_memory_stays_near_the_returned_arrays(self):
         """The estimator and the table hold little beyond what they return:
         no copy of the per-path arrays, no index array over all trial sums."""
-        sched = birth_death_schedule(constant_birth_death(50, 0.75))
+        sched = birth_death_schedule(50, [0.75])
         plan = SimulationPlan(sched, sched, delta(51, 0), delta(51, 0),
                               horizon=2000, n_paths=10_000, master_seed=20190814)
         tracemalloc.start()
@@ -279,8 +277,8 @@ class TestTrialStatistics:
 
 class TestFullReport:
     def test_showcase_instance(self):
-        spec = constant_birth_death(30, 0.75)
-        report = full_report(spec, spec, delta(31, 0), delta(31, 0),
+        sched = birth_death_schedule(30, [0.75])
+        report = full_report(sched, sched, delta(31, 0), delta(31, 0),
                              p=0.75, series_len=1000, horizon=1000,
                              n_paths=4000, master_seed=12, tail_len=100)
         assert report.bound_holds
@@ -292,7 +290,6 @@ class TestFullReport:
         assert report.mc.mean + 3 * report.mc.se < report.bound
         assert report.tail_envelope is not None
         assert report.mc.traces is None  # the table comes from the estimate's arrays
-        sched = birth_death_schedule(spec)
         exact = product_tail(sched, sched, delta(31, 0), delta(31, 0), horizon=100).tails
         # the first-gap term keeps lag 0 at the head value 1/p, above P(T > 0) = 1
         assert report.tail_envelope[0] == pytest.approx(4 / 3, abs=1e-12)
@@ -310,23 +307,23 @@ class TestFullReport:
         p = data.draw(st.floats(0.55, 0.9), label="p")
         cap = data.draw(st.integers(3, 10), label="cap")
         alpha = st.floats(p, 0.999)
-        specs = [
-            periodic_birth_death(cap, [
+        schedules = [
+            birth_death_schedule(cap, [
                 np.array(data.draw(st.lists(alpha, min_size=cap, max_size=cap)))
                 for _ in range(data.draw(st.integers(1, 2), label=f"phases{c}"))
             ])
             for c in (1, 2)
         ]
         start = delta(cap + 1, 0)
-        report = full_report(*specs, start, start, p=p, series_len=400, horizon=400,
+        report = full_report(*schedules, start, start, p=p, series_len=400, horizon=400,
                              n_paths=4000, master_seed=20190814, tail_len=60)
-        exact = product_tail(*(birth_death_schedule(s) for s in specs), start, start, horizon=60).tails
+        exact = product_tail(*schedules, start, start, horizon=60).tails
         assert report.tail_envelope.shape == exact.shape
         assert (report.tail_envelope >= exact - 1e-12).all()
 
     def test_non_target_starts_skip_tail_envelope(self):
-        spec = constant_birth_death(30, 0.75)
-        report = full_report(spec, spec, delta(31, 4), delta(31, 2),
+        sched = birth_death_schedule(30, [0.75])
+        report = full_report(sched, sched, delta(31, 4), delta(31, 2),
                              p=0.75, series_len=500, horizon=1500,
                              n_paths=2000, master_seed=3, tail_len=50)
         assert report.tail_envelope is None
@@ -334,28 +331,28 @@ class TestFullReport:
         assert report.bound_holds
 
     def test_invalid_walk_parameter_rejected_before_simulation(self):
-        spec = constant_birth_death(10, 0.7)  # inf alpha 0.7
+        sched = birth_death_schedule(10, [0.7])  # inf alpha 0.7
         with pytest.raises(ValueError, match="does not apply"):
-            full_report(spec, spec, delta(11, 0), delta(11, 0),
+            full_report(sched, sched, delta(11, 0), delta(11, 0),
                         p=0.9, horizon=100, n_paths=10, master_seed=1)
 
     def test_upward_drift_side_rejected(self):
         """alpha = 1 - p passed the old p(1-p) >= alpha(1-alpha) test."""
-        low = constant_birth_death(10, 0.18)
+        low = birth_death_schedule(10, [0.18])
         with pytest.raises(ValueError, match="does not apply"):
             full_report(low, low, delta(11, 0), delta(11, 0),
                         p=0.82, horizon=100, n_paths=10, master_seed=1)
 
     def test_tight_cap_triggers_truncation_warning(self):
-        spec = constant_birth_death(4, 0.6)
-        report = full_report(spec, spec, delta(5, 3), delta(5, 0),
+        sched = birth_death_schedule(4, [0.6])
+        report = full_report(sched, sched, delta(5, 3), delta(5, 0),
                              p=0.6, series_len=300, horizon=400,
                              n_paths=500, master_seed=8, tail_len=30)
         assert any("truncation" in w for w in report.warnings)
 
     def test_roomy_cap_has_no_truncation_warning(self):
-        spec = constant_birth_death(40, 0.75)
-        report = full_report(spec, spec, delta(41, 0), delta(41, 0),
+        sched = birth_death_schedule(40, [0.75])
+        report = full_report(sched, sched, delta(41, 0), delta(41, 0),
                              p=0.75, series_len=300, horizon=300,
                              n_paths=300, master_seed=8, tail_len=30)
         assert not any("truncation" in w for w in report.warnings)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renewalsim import kernel
+from renewalsim import birth_death_schedule, down_probabilities, kernel
 from renewalsim.cli import COMMANDS, main
 from renewalsim.config import ConfigError, load_scenario
 
@@ -177,7 +177,7 @@ class TestConfig:
             initial2={"state": 1},
         )
         scenario = load_scenario(cfg)
-        assert scenario.spec1 is None
+        assert down_probabilities(scenario.schedule1) is None
         assert scenario.schedule1.space.size == 2
 
     def test_seed_override(self):
@@ -208,6 +208,9 @@ class TestConfig:
         {"initial1": {"state": True}},
         {"initial2": {"state": "3"}},
         {"target_set": [0.5]},
+        {"target_set": [True]},
+        {"target_set": [0, True]},
+        {"target_set": [1, True]},  # a set of the two would read {1}
     ])
     def test_bad_value_is_exit_3(self, tmp_path, override):
         path = write_config(tmp_path, demo_config(**override))
@@ -228,7 +231,7 @@ class TestConfig:
 
     def test_integral_sizes_are_read_as_int(self):
         scenario = load_scenario(demo_config(chain1=birth_death_chain(8.0), initial2={"state": 0.0}))
-        assert scenario.spec1.cap == 8 and type(scenario.spec1.cap) is int
+        assert scenario.schedule1.space.size == 9 and type(scenario.schedule1.space.size) is int
         assert scenario.initial2.tolist() == [1.0] + [0.0] * 8
         chain = {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 2.0}
         assert load_scenario(demo_config(chain1=chain, initial1=[1.0, 0.0])).schedule1.space.size == 2
@@ -503,6 +506,28 @@ class TestCliExitCodes:
         report = load_report(tmp_path, "t_bound.json")
         assert report["results"]["bound_holds"] is True
         assert report["results"]["verdict"] == "first_moment_tighter"
+
+    def test_bound_reads_a_birth_death_pair_off_explicit_kernels(self, tmp_path):
+        """The cap-8 birth-death kernels written out as explicit matrices give the
+        birth-death config's results; one entry moved by 1e-3 makes them not birth-death."""
+        matrix = birth_death_schedule(8, [0.75]).tail[0].tolist()
+
+        def explicit(m):
+            return {"states": 9, "body": [], "tail": {"kind": "constant", "matrices": [m]}}
+
+        results = []
+        for cfg in (demo_config(), demo_config(chain1=explicit(matrix), chain2=explicit(matrix))):
+            path = write_config(tmp_path, cfg)
+            assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+            results.append(load_report(tmp_path, "t_bound.json")["results"])
+        assert results[0] == results[1]
+        moved = [row[:] for row in matrix]
+        moved[3][2] -= 1e-3  # to a stay at 3: moved to state 4, it would be birth-death with alpha 0.749
+        moved[3][3] += 1e-3
+        path = write_config(tmp_path, demo_config(chain2=explicit(moved)))
+        assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        error = load_report(tmp_path, "t_bound.json")["results"]["error"]
+        assert error == "the bound pipeline needs birth-death chains on both sides"
 
     def test_exact_subcommand(self, tmp_path):
         cfg = demo_config(

@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
-    BirthDeathSpec,
     DominatingSequence,
-    PeriodicTail,
     RegularityCertificate,
     birth_death_schedule,
     check_domination,
     domination_valid_for,
+    down_probabilities,
     estimate_regularity,
     estimate_renewal_tails,
     exact_regularity,
     first_return_coefficients,
     hitting_time_distribution,
-    periodic_birth_death,
     regularity_from_floor,
     return_floor,
     walk_dominating_sequence,
@@ -220,14 +218,13 @@ class TestExactEnvelope:
         phases = data.draw(st.integers(1, 3), label="phases")
         alpha = st.floats(p, 0.999)
         rows = [np.array(data.draw(st.lists(alpha, min_size=cap, max_size=cap))) for _ in range(phases)]
-        spec = periodic_birth_death(cap, rows)
-        assert domination_valid_for(p, spec.inf_alpha())
+        kernels = birth_death_schedule(cap, rows)
+        assert domination_valid_for(p, down_probabilities(kernels).min())
         envelope = walk_dominating_sequence(p, ENVELOPE_LAGS).values
-        kernels = birth_death_schedule(spec)
         for phase in range(phases):
             # a renewal at time phase: one step by that phase's row 0, then
             # the first hit of 0 under the phases that follow
-            after = birth_death_schedule(periodic_birth_death(cap, rows[phase + 1:] + rows[:phase + 1]))
+            after = birth_death_schedule(cap, rows[phase + 1:] + rows[:phase + 1])
             hit = hitting_time_distribution(after, kernels.at(phase)[0], horizon=ENVELOPE_LAGS - 1)
             tails = np.append(1.0, hit.tails)  # P{gap > k}, k = 0..ENVELOPE_LAGS
             excess = tails - envelope
@@ -300,7 +297,7 @@ class TestScansAgainstExactLaws:
         return np.abs(estimate - exact) <= 4 * np.sqrt(exact * (1 - exact) / n) + 1 / n
 
     def _schedule(self):
-        return birth_death_schedule(periodic_birth_death(50, [0.75, 0.70]))
+        return birth_death_schedule(50, [0.75, 0.70])
 
     def _check_regularity(self, sched, initial, bases, lags):
         scan = estimate_regularity(sched, n0=0, base_times=bases, lags=lags, n_paths=20000,
@@ -317,9 +314,9 @@ class TestScansAgainstExactLaws:
     def test_regularity_grid_with_a_body(self):
         # three body steps ahead of a period-2 cycle, from a spread law
         body = tuple(np.linspace(a, a + 0.2, 20) for a in (0.3, 0.5, 0.7))
-        spec = BirthDeathSpec(cap=20, body=body, tail=PeriodicTail((np.full(20, 0.8), np.full(20, 0.6))))
+        schedule = birth_death_schedule(20, (np.full(20, 0.8), np.full(20, 0.6)), body=body)
         initial = np.linspace(1.0, 0.0, 21) ** 2
-        self._check_regularity(birth_death_schedule(spec), initial / initial.sum(),
+        self._check_regularity(schedule, initial / initial.sum(),
                                [0, 1, 2, 3, 5], [0, 1, 2, 3, 4, 8, 16])
 
     def test_renewal_tails(self):
@@ -355,9 +352,9 @@ class TestCheckDomination:
     def test_flags_match_pointwise_scan(self):
         # every (start time, lag) with est - 3 SE above the envelope, start times
         # in order and lags in order within each, with the surface's floats
-        from renewalsim import birth_death_schedule, constant_birth_death
+        from renewalsim import birth_death_schedule
 
-        sched = birth_death_schedule(constant_birth_death(30, 0.6))
+        sched = birth_death_schedule(30, [0.6])
         surf = estimate_renewal_tails(sched, [0, 2, 5], [0], max_lag=60, n_paths=500, seed=3)
         for env in (walk_dominating_sequence(0.95, 40),
                     DominatingSequence(values=np.linspace(0.5, 0.0, 100), head_mass=1.0, tail_bound=0.0)):
@@ -372,9 +369,9 @@ class TestCheckDomination:
             assert [(f.start_time, f.lag, f.estimate, f.se, f.bound) for f in report.flags] == expected
 
     def test_walk_envelope_dominates_birth_death(self):
-        from renewalsim import birth_death_schedule, constant_birth_death
+        from renewalsim import birth_death_schedule
 
-        sched = birth_death_schedule(constant_birth_death(30, 0.75))
+        sched = birth_death_schedule(30, [0.75])
         surf = estimate_renewal_tails(sched, [0, 1, 3], [0], max_lag=40,
                                       n_paths=4000, seed=31)
         env = walk_dominating_sequence(0.75, 200)
@@ -457,10 +454,10 @@ def schedules_and_laws(draw):
         return tuple(np.array(draw(st.lists(alpha, min_size=cap, max_size=cap))) for _ in range(count))
 
     body = rows(draw(st.integers(0, 3), label="body"))
-    tail = PeriodicTail(rows(draw(st.integers(1, 3), label="period")))
+    tail = rows(draw(st.integers(1, 3), label="period"))
     targets = draw(st.sampled_from([(0,), (0, 1)]), label="targets")
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cap + 1, max_size=cap + 1)))
-    return birth_death_schedule(BirthDeathSpec(cap=cap, body=body, tail=tail), targets), weights / weights.sum()
+    return birth_death_schedule(cap, tail, body=body, target_set=targets), weights / weights.sum()
 
 
 class TestExactRegularity:
@@ -507,7 +504,7 @@ class TestExactRegularity:
         # alternating 0.75 / 0.70 from state 0: by time 2,000 the law has
         # settled on its period-2 limit cycle, so times of 10**9 of the same
         # parity give the same values
-        sched = birth_death_schedule(periodic_birth_death(50, [0.75, 0.70]))
+        sched = birth_death_schedule(50, [0.75, 0.70])
         start = time.perf_counter()
         scan = exact_regularity(sched, 0, [10**9, 10**9 + 1], [10**9, 10**9 + 1], initial=delta(51, 0))
         assert time.perf_counter() - start < 1.0

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
-    ConstantTail,
     KernelSchedule,
-    PeriodicTail,
     SimulationPlan,
     StateSpace,
     birth_death_schedule,
     estimate_joint_renewal,
     hitting_time_distribution,
-    periodic_birth_death,
     product_tail,
 )
 
@@ -71,7 +68,7 @@ class TestHittingTime:
         assert mass_defect(res.table) < 1e-10
 
     def test_conservation_error_stays_at_rounding_level(self):
-        schedule = birth_death_schedule(periodic_birth_death(20, [0.6, 0.55, 0.7]))
+        schedule = birth_death_schedule(20, [0.6, 0.55, 0.7])
         res = hitting_time_distribution(schedule, np.eye(21)[12], horizon=2000)
         assert res.conservation_error < 1e-12
         assert mass_defect(res.table) < 1e-12
@@ -130,14 +127,12 @@ class TestProductTail:
         assert abs(est.mean - res.expectation.low) <= 3 * est.se
 
     def test_time_inhomogeneous_pair(self):
-        from renewalsim import PeriodicTail
-
         space = StateSpace(2, frozenset({0}))
         sched = KernelSchedule(
             space,
             (),
-            PeriodicTail((np.array([[0.5, 0.5], [0.5, 0.5]]),
-                          np.array([[0.9, 0.1], [0.2, 0.8]]))),
+            (np.array([[0.5, 0.5], [0.5, 0.5]]),
+             np.array([[0.9, 0.1], [0.2, 0.8]])),
         )
         res = product_tail(sched, sched, delta(2, 0), delta(2, 1), horizon=600)
         plan = SimulationPlan(sched, sched, delta(2, 0), delta(2, 1),
@@ -151,9 +146,9 @@ class TestTailPrecision:
     """Deep exact tails keep their relative precision (no ``1 - cumsum`` cancellation)."""
 
     def test_tails_match_live_mass(self):
-        from renewalsim import birth_death_schedule, constant_birth_death
+        from renewalsim import birth_death_schedule
 
-        sched = birth_death_schedule(constant_birth_death(50, 0.75))
+        sched = birth_death_schedule(50, [0.75])
         start = delta(51, 0)
         horizon = 300
         res = product_tail(sched, sched, start, start, horizon=horizon)
@@ -170,9 +165,9 @@ class TestTailPrecision:
         np.testing.assert_allclose(res.tails, live, rtol=1e-12, atol=0)
 
     def test_hitting_tails_match_live_mass(self):
-        from renewalsim import birth_death_schedule, constant_birth_death
+        from renewalsim import birth_death_schedule
 
-        sched = birth_death_schedule(constant_birth_death(50, 0.75))
+        sched = birth_death_schedule(50, [0.75])
         horizon = 300
         res = hitting_time_distribution(sched, delta(51, 5), horizon=horizon)
         assert res.tails[horizon] == res.table.residual
@@ -236,7 +231,7 @@ def _kernel(draw, n):
 def _schedule(draw, n, targets):
     body = draw(st.lists(_kernel(n), max_size=4))
     tail = draw(st.lists(_kernel(n), min_size=1, max_size=3))
-    return KernelSchedule(StateSpace(n, frozenset(targets)), tuple(body), PeriodicTail(tuple(tail)))
+    return KernelSchedule(StateSpace(n, frozenset(targets)), tuple(body), tuple(tail))
 
 
 class TestBlockedAbsorption:
@@ -268,7 +263,7 @@ class TestBlockedAbsorption:
         rng = np.random.default_rng(5)
         s1, s2 = (
             KernelSchedule(StateSpace(6, frozenset(targets)), (),
-                           PeriodicTail(tuple(rng.dirichlet(np.ones(6), 6) for _ in range(p))))
+                           tuple(rng.dirichlet(np.ones(6), 6) for _ in range(p)))
             for p in periods
         )
         start = delta(6, 5)
@@ -281,21 +276,21 @@ class TestBlockedAbsorption:
         steps, 32 steps for a cap-50 chain over 2,000 steps, where 64 would
         not pay, and 64 steps for each of exact-slowmix's laws over its 12,000
         steps."""
-        from renewalsim import constant_birth_death, exact
+        from renewalsim import exact
 
         built = []
         block_step = exact._block_step
         monkeypatch.setattr(exact, "_block_step", lambda *a: built.append(a[3]) or block_step(*a))
-        big = birth_death_schedule(constant_birth_death(1000, 0.75))
+        big = birth_death_schedule(1000, [0.75])
         hitting_time_distribution(big, delta(1001, 0), targets=(1000,), horizon=2000)
         assert built == []
 
-        cap50 = birth_death_schedule(constant_birth_death(50, 0.75))
+        cap50 = birth_death_schedule(50, [0.75])
         hitting_time_distribution(cap50, delta(51, 0), targets=(50,), horizon=2000)
         assert built == [32]
 
-        s1 = birth_death_schedule(periodic_birth_death(99, [0.54, 0.52]))
-        s2 = birth_death_schedule(constant_birth_death(99, 0.53))
+        s1 = birth_death_schedule(99, [0.54, 0.52])
+        s2 = birth_death_schedule(99, [0.53])
         i1, i2 = delta(100, 60), delta(100, 40)
         for law in (lambda: product_tail(s1, s2, i1, i2, horizon=12_000),
                     lambda: hitting_time_distribution(s1, i1, horizon=12_000),
@@ -318,7 +313,7 @@ class TestBlockedAbsorption:
         good, so no first meeting falls on an odd step although the pair can
         sit in (0, 0) then: the block solve's rounding there is clipped at 0."""
         kernel = [[0.3, 0, 0, 0.7], [0, 0, 1, 0], [0.13, 0.87, 0, 0], [0, 0, 0, 1]]
-        sched = KernelSchedule(StateSpace(4, frozenset({0})), (), ConstantTail(kernel))
+        sched = KernelSchedule(StateSpace(4, frozenset({0})), (), (kernel,))
         start = delta(4, 1)
         res = product_tail(sched, sched, start, start, horizon=400)
         _assert_tails_match(res, _reference_pair(sched, sched, start, start, [0], 400))
@@ -326,10 +321,9 @@ class TestBlockedAbsorption:
 
     def test_exact_slowmix_matches_reference(self):
         """perfbench's exact-slowmix pair over its 12,000 steps."""
-        from renewalsim import constant_birth_death
 
-        s1 = birth_death_schedule(periodic_birth_death(99, [0.54, 0.52]))
-        s2 = birth_death_schedule(constant_birth_death(99, 0.53))
+        s1 = birth_death_schedule(99, [0.54, 0.52])
+        s2 = birth_death_schedule(99, [0.53])
         i1, i2 = delta(100, 60), delta(100, 40)
         res = product_tail(s1, s2, i1, i2, horizon=12_000)
         tails = _reference_pair(s1, s2, i1, i2, [0], 12_000)
@@ -344,9 +338,9 @@ class TestSharedSides:
     def test_law_after_a_law_on_another_schedule_of_the_same_shape(self):
         """Same size, target, start and span, other kernels: every law still
         matches the per-step loop, and each schedule gets its own build."""
-        from renewalsim import constant_birth_death, exact
+        from renewalsim import exact
 
-        pairs = [[birth_death_schedule(constant_birth_death(7, a), (7,)) for a in alphas]
+        pairs = [[birth_death_schedule(7, [a], target_set=(7,)) for a in alphas]
                  for alphas in ((0.7, 0.72), (0.75, 0.65))]
         start = delta(8, 0)
         exact._side.cache_clear()
@@ -361,7 +355,7 @@ class TestSharedSides:
     def test_cached_operators_are_read_only(self):
         from renewalsim import exact
 
-        sched = birth_death_schedule(periodic_birth_death(9, [0.6, 0.7]))
+        sched = birth_death_schedule(9, [0.6, 0.7])
         for operator in exact._side(sched, (0,), 0, 32):
             with pytest.raises(ValueError, match="read-only"):
                 operator[...] = 0.0
@@ -405,6 +399,6 @@ class TestTargetsChecked:
 
     def test_targets_checked_against_the_smaller_chain(self):
         small = two_state(0.5, 0.5)
-        big = KernelSchedule(StateSpace(3, frozenset({0})), (), ConstantTail(np.full((3, 3), 1 / 3)))
+        big = KernelSchedule(StateSpace(3, frozenset({0})), (), (np.full((3, 3), 1 / 3),))
         with pytest.raises(ValueError, match="subset"):
             product_tail(big, small, delta(3, 0), delta(2, 0), targets=(2,), horizon=10)

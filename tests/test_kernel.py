@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renewalsim import (
-    BirthDeathSpec,
-    ConstantTail,
-    KernelSchedule,
-    PeriodicTail,
-    StateSpace,
-    birth_death_schedule,
-    constant_birth_death,
-    periodic_birth_death,
-)
+from renewalsim import KernelSchedule, StateSpace, birth_death_schedule, down_probabilities
 from renewalsim import kernel
 from renewalsim.kernel import available_memory, check_fits, physical_memory
 
@@ -40,6 +31,11 @@ class TestStateSpace:
         with pytest.raises(ValueError, match="subset"):
             StateSpace(3, frozenset({0.5}))
 
+    @pytest.mark.parametrize("targets", [[True], [0, True], [1, True]])
+    def test_rejects_bool_target(self, targets):
+        with pytest.raises(ValueError, match="subset"):
+            StateSpace(3, targets)
+
 
 def violations_of(body, tail, size=2):
     """The violations a schedule's construction raises with, or [] if it builds."""
@@ -54,22 +50,22 @@ class TestValidate:
     """Construction runs the kernel rule and lists every violation."""
 
     def test_identity_schedule_is_valid(self):
-        assert violations_of([], ConstantTail(I2)) == []
+        assert violations_of([], (I2,)) == []
 
     def test_bad_row_sum_is_reported(self):
-        assert violations_of([[[0.6, 0.5], [0.5, 0.5]]], ConstantTail(I2)) == [
+        assert violations_of([[[0.6, 0.5], [0.5, 0.5]]], (I2,)) == [
             "body[0], row 0: sums to 1.1, not 1"]
 
     def test_negative_entry_is_reported(self):
-        assert violations_of([], ConstantTail([[1.1, -0.1], [0.5, 0.5]])) == [
+        assert violations_of([], ([[1.1, -0.1], [0.5, 0.5]],)) == [
             "tail[0], row 0: entry 1 is -0.1; entries must be finite and nonnegative"]
 
     def test_shape_mismatch_is_reported(self):
-        assert violations_of([np.eye(3)], ConstantTail(I2)) == ["body[0]: expected shape (2, 2), got (3, 3)"]
+        assert violations_of([np.eye(3)], (I2,)) == ["body[0]: expected shape (2, 2), got (3, 3)"]
 
     def test_non_finite_entry_is_reported(self):
         for value in (float("nan"), float("inf")):
-            assert violations_of([], ConstantTail([[value, 0.5], [0.5, 0.5]])) == [
+            assert violations_of([], ([[value, 0.5], [0.5, 0.5]],)) == [
                 f"tail[0], row 0: entry 0 is {value}; entries must be finite and nonnegative"]
 
 
@@ -78,11 +74,11 @@ class TestKernelRule:
 
     @pytest.mark.parametrize("build, message", [
         # a short row: samplers would give the missing mass to the last state, exact laws would lose it
-        (lambda: make([], ConstantTail([[0.5, 0.5], [0.2, 0.3]])), r"tail\[0\], row 1: sums to 0.5, not 1"),
-        (lambda: make([I2, [[0.5, 0.8], [0.5, 0.5]]], ConstantTail(I2)), r"body\[1\], row 0: sums to 1.3, not 1"),
-        (lambda: make([], PeriodicTail((I2, np.full((3, 3), 1 / 3)))),
+        (lambda: make([], ([[0.5, 0.5], [0.2, 0.3]],)), r"tail\[0\], row 1: sums to 0.5, not 1"),
+        (lambda: make([I2, [[0.5, 0.8], [0.5, 0.5]]], (I2,)), r"body\[1\], row 0: sums to 1.3, not 1"),
+        (lambda: make([], (I2, np.full((3, 3), 1 / 3))),
          r"tail\[1\]: expected shape \(2, 2\), got \(3, 3\)"),
-        (lambda: dataclasses.replace(make([A], ConstantTail(B)), tail=ConstantTail([[0.5, 0.5], [0.2, 0.3]])),
+        (lambda: dataclasses.replace(make([A], (B,)), tail=([[0.5, 0.5], [0.2, 0.3]],)),
          r"tail\[0\], row 1: sums to 0.5, not 1"),
     ], ids=["short-row", "long-row", "wrong-size", "replace"])
     def test_is_rejected_at_construction(self, build, message):
@@ -92,7 +88,7 @@ class TestKernelRule:
     def test_every_violation_is_listed(self):
         bad = [[0.5, 0.5], [0.2, float("nan")]]
         with pytest.raises(kernel.KernelError) as caught:
-            make([[[0.7, 0.7], [0.5, 0.5]]], PeriodicTail((A, bad)))
+            make([[[0.7, 0.7], [0.5, 0.5]]], (A, bad))
         assert caught.value.args == (
             "body[0], row 0: sums to 1.4, not 1",
             "tail[1], row 1: entry 1 is nan; entries must be finite and nonnegative",
@@ -111,85 +107,129 @@ class TestKernelRule:
         weights[np.arange(size) >= rng.integers(1, size + 1, size=shape[:2])[..., None]] = 0.0
         weights[..., 0][weights.sum(axis=-1) == 0.0] = 1.0
         mats = weights / weights.sum(axis=-1, keepdims=True)
-        make(mats[:n_body], PeriodicTail(tuple(mats[n_body:])), size)
+        make(mats[:n_body], tuple(mats[n_body:]), size)
 
 
 class TestKernelAt:
     def test_body_takes_precedence(self):
-        sched = make([A], ConstantTail(B))
+        sched = make([A], (B,))
         assert np.array_equal(sched.at(0), A)
 
     def test_periodic_tail_indexes_by_absolute_time(self):
-        sched = make([A], PeriodicTail((B, D)))
+        sched = make([A], (B, D))
         assert np.array_equal(sched.at(3), D)
         assert np.array_equal(sched.at(2), B)
 
     def test_constant_tail_reaches_far(self):
-        sched = make([], ConstantTail(B))
+        sched = make([], (B,))
         assert np.array_equal(sched.at(10**6), B)
 
     def test_periodic_invariance_past_body(self):
-        sched = make([A], PeriodicTail((B, D)))
-        period = sched.tail.period
+        sched = make([A], (B, D))
+        period = len(sched.tail)
         for t in range(1, 40):
             assert np.array_equal(sched.at(t), sched.at(t + period))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            make([], ConstantTail(I2)).at(-1)
+            make([], (I2,)).at(-1)
 
 
 class TestBirthDeath:
     def test_constant_rows(self):
-        sched = birth_death_schedule(constant_birth_death(3, 0.75))
+        sched = birth_death_schedule(3, [0.75])
         m = sched.at(0)
         assert np.allclose(m[1], [0.75, 0.0, 0.25, 0.0])
         assert np.allclose(m[0], [0.75, 0.25, 0.0, 0.0])
         assert np.allclose(m[3], [0.0, 0.0, 1.0, 0.0])
 
     def test_rows_have_at_most_two_nonzeros_and_sum_to_one(self):
-        spec = periodic_birth_death(6, [0.7, 0.8])
-        sched = birth_death_schedule(spec)
+        sched = birth_death_schedule(6, [0.7, 0.8])
         for t in range(4):
             m = sched.at(t)
             assert ((m != 0).sum(axis=1) <= 2).all()
             assert np.array_equal(m.sum(axis=1), np.ones(7))
 
     def test_periodic_alphas_cycle(self):
-        spec = periodic_birth_death(4, [0.7, 0.8])
-        assert spec.at(0)[2] == 0.7
-        assert spec.at(1)[2] == 0.8
-        assert spec.at(2)[2] == 0.7
+        sched = birth_death_schedule(4, [0.7, 0.8])  # state 2 steps down to 1 w.p. alpha(t, 2)
+        assert sched.at(0)[2, 1] == 0.7
+        assert sched.at(1)[2, 1] == 0.8
+        assert sched.at(2)[2, 1] == 0.7
 
     def test_alpha_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            constant_birth_death(3, 1.0)
-        with pytest.raises(ValueError):
-            constant_birth_death(3, 0.0)
+        with pytest.raises(ValueError, match=r"^tail\[0\]: down probabilities must lie strictly in \(0, 1\)$"):
+            birth_death_schedule(3, [1.0])
+        with pytest.raises(ValueError, match=r"^body\[1\]: down probabilities must lie strictly in \(0, 1\)$"):
+            birth_death_schedule(3, [0.5], body=[0.5, 0.0])
 
     def test_nan_alpha_rejected(self):
         with pytest.raises(ValueError):
-            constant_birth_death(3, float("nan"))
+            birth_death_schedule(3, [float("nan")])
 
     def test_cap_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            constant_birth_death(1, 0.7)
+        with pytest.raises(ValueError, match="^cap must be at least 2$"):
+            birth_death_schedule(1, [0.7])
+
+    def test_row_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^tail\[1\]: expected 3 down probabilities, got \(2,\)$"):
+            birth_death_schedule(3, [0.7, [0.7, 0.8]])
 
     def test_extrema_over_body_and_tail(self):
-        spec = BirthDeathSpec(
-            cap=3,
+        alphas = down_probabilities(birth_death_schedule(
+            3,
+            (np.array([0.7, 0.75, 0.8]), np.array([0.8, 0.72, 0.9])),
             body=(np.array([0.9, 0.8, 0.85]),),
-            tail=PeriodicTail((np.array([0.7, 0.75, 0.8]), np.array([0.8, 0.72, 0.9]))),
-        )
-        assert spec.min_alpha_at_zero() == 0.7
-        assert spec.inf_alpha() == 0.7
+        ))
+        assert alphas[:, 0].min() == 0.7
+        assert alphas.min() == 0.7
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.integers(min_value=2, max_value=12))
     def test_generated_rows_always_validate(self, alpha, cap):
         # construction runs the kernel rule
-        sched = birth_death_schedule(constant_birth_death(cap, alpha))
+        sched = birth_death_schedule(cap, [alpha])
         assert np.allclose(sched.at(0).sum(axis=1), 1.0, rtol=0.0, atol=kernel.ROW_SUM_TOL)
 
+
+
+class TestDownProbabilities:
+    """``down_probabilities`` reads a birth-death chain back off its kernels, and nothing else."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_reads_back_the_rows_it_was_built_from(self, data):
+        cap = data.draw(st.integers(2, 12), label="cap")
+        alpha = st.floats(0.01, 0.99)
+        entry = alpha | st.lists(alpha, min_size=cap, max_size=cap)
+        body = data.draw(st.lists(entry, max_size=3), label="body")
+        cycle = data.draw(st.lists(entry, min_size=1, max_size=3), label="cycle")
+        sched = birth_death_schedule(cap, cycle, body=body)
+        rows = np.array([np.broadcast_to(np.asarray(a, dtype=float), cap) for a in (*body, *cycle)])
+        assert np.array_equal(down_probabilities(sched), rows)
+
+        def changed(edit):
+            phases = [m.copy() for m in sched.phases]
+            k = data.draw(st.integers(0, len(phases) - 1), label="phase")
+            edit(phases[k], data.draw(st.integers(0, cap), label="row"))
+            return KernelSchedule(sched.space, phases[:len(body)], phases[len(body):])
+
+        def perturb(m, x):  # one entry, by less than the row-sum tolerance
+            m[x, data.draw(st.integers(0, cap), label="column")] += 1e-13
+
+        def jump(m, x):  # half of a move to a state no birth-death step reaches
+            y = data.draw(st.sampled_from(np.flatnonzero(m[x] == 0).tolist()), label="column")
+            z = np.flatnonzero(m[x])[0]
+            m[x, y] = m[x, z] / 2
+            m[x, z] -= m[x, y]
+
+        assert down_probabilities(changed(perturb)) is None
+        assert down_probabilities(changed(jump)) is None
+
+    def test_two_states_are_not_a_birth_death_chain(self):
+        # the cap-1 matrix of birth_death_schedule's rule, which it refuses to build
+        assert down_probabilities(make([], ([[0.75, 0.25], [1.0, 0.0]],))) is None
+
+    def test_down_probability_one_is_not_read(self):
+        assert down_probabilities(make([], ([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],), 3)) is None
 
 class TestMemoryRule:
     def test_physical_memory_is_positive_or_unknown(self):
@@ -228,4 +268,4 @@ class TestMemoryRule:
         with pytest.raises(MemoryError, match="available memory"):
             walk_dominating_sequence(0.75, 10**9)
         with pytest.raises(MemoryError, match="available memory"):
-            hitting_time_distribution(make([], ConstantTail(A)), [1.0, 0.0], horizon=10**9)
+            hitting_time_distribution(make([], (A,)), [1.0, 0.0], horizon=10**9)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import renewalsim.cli  # noqa: F401  (tracing wraps cli.main)
-from renewalsim import SimulationPlan, birth_death_schedule, periodic_birth_death
+from renewalsim import SimulationPlan, birth_death_schedule
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,7 +32,7 @@ def tracing():
 
 def _small_calls():
     """Span name -> (args, kwargs) of one small call of that function."""
-    schedule = birth_death_schedule(periodic_birth_death(6, [0.75, 0.7]))
+    schedule = birth_death_schedule(6, [0.75, 0.7])
     start = np.eye(7)[0]
     plan = SimulationPlan(schedule, schedule, start, start, horizon=60, n_paths=30, master_seed=4)
     return {
@@ -85,7 +85,7 @@ def test_traced_pass_path_invariants_hold(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(simulate, name, counting(name))
-    schedule = birth_death_schedule(periodic_birth_death(6, [0.75, 0.7]))
+    schedule = birth_death_schedule(6, [0.75, 0.7])
     start = np.eye(7)[0]
     plan = SimulationPlan(schedule, schedule, start, start, horizon=5, n_paths=200, master_seed=4)
     est = simulate.estimate_joint_renewal(plan, workers=1)

@@ -10,14 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from renewalsim import (
     KernelSchedule,
-    PeriodicTail,
     SimulationPlan,
     StateSpace,
     birth_death_schedule,
-    constant_birth_death,
     estimate_joint_renewal,
     hitting_time_distribution,
-    periodic_birth_death,
     sample_path,
     trial_sequence,
 )
@@ -98,15 +95,14 @@ class TestBatchedDraw:
             self._check_table(sampler.tables[sampler.phase(t)], schedule.at(t))
 
     def test_birth_death_schedule(self):
-        spec = periodic_birth_death(12, [0.75, np.linspace(0.55, 0.9, 12)])
-        self._check(birth_death_schedule(spec), steps=3)
+        self._check(birth_death_schedule(12, [0.75, np.linspace(0.55, 0.9, 12)]), steps=3)
 
     def test_dense_schedule_with_short_row(self):
         rng = np.random.default_rng(3)
         dense = rng.random((3, 6, 6))
         dense /= dense.sum(axis=2, keepdims=True)
         schedule = KernelSchedule(StateSpace(6, frozenset({0, 3})), (dense[0],),
-                                  PeriodicTail((dense[1], dense[2])))
+                                  (dense[1], dense[2]))
         self._check(schedule, steps=3)
         # a schedule rejects a row this short, so the table takes it raw
         short = dense[2].copy()
@@ -164,7 +160,7 @@ class TestBatchedDraw:
         rng = np.random.default_rng(seed)
         mats = self._random_rows(rng, (n_body + period, size, size), zero_frac, short_frac, low=1.0 - 1e-13)
         schedule = KernelSchedule(StateSpace(size, frozenset({0})), tuple(mats[:n_body]),
-                                  PeriodicTail(tuple(mats[n_body:])))
+                                  tuple(mats[n_body:]))
         init = self._random_rows(rng, (1, size), zero_frac, 0.0)[0]
         steps, n_paths = n_body + 2 * period + 3, 40
         expected = counter_paths(schedule, init, seed, n_paths, steps)
@@ -173,7 +169,7 @@ class TestBatchedDraw:
         assert sample_path(schedule, init, seed, steps).tolist() == expected[0]
 
     def test_sampler_holds_no_per_row_lists(self):
-        schedule = birth_death_schedule(constant_birth_death(1000, 0.75))
+        schedule = birth_death_schedule(1000, [0.75])
         tracemalloc.start()
         try:
             sampler = _Sampler(schedule)
@@ -198,8 +194,8 @@ class TestJointOracle:
         assert 0 < est.censored < plan.n_paths  # both outcomes occur
 
     def test_period_two_birth_death_pair(self):
-        schedule1 = birth_death_schedule(periodic_birth_death(6, [0.8, 0.55]))
-        schedule2 = birth_death_schedule(periodic_birth_death(6, [0.6, np.linspace(0.5, 0.9, 6)]))
+        schedule1 = birth_death_schedule(6, [0.8, 0.55])
+        schedule2 = birth_death_schedule(6, [0.6, np.linspace(0.5, 0.9, 6)])
         spread = np.array([0.1, 0.0, 0.2, 0.3, 0.0, 0.15, 0.25])
         self._check(SimulationPlan(schedule1, schedule2, delta(7, 3), spread,
                                    horizon=12, n_paths=400, master_seed=11))
@@ -212,8 +208,8 @@ class TestJointOracle:
         mats /= mats.sum(axis=2, keepdims=True)
         mats[1, 3] *= 1.0 - 1e-13  # one short row
         space = StateSpace(5, frozenset({0, 3}))
-        schedule1 = KernelSchedule(space, (mats[0],), PeriodicTail((mats[1], mats[2])))
-        schedule2 = KernelSchedule(space, (mats[2], mats[1]), PeriodicTail((mats[0],)))
+        schedule1 = KernelSchedule(space, (mats[0],), (mats[1], mats[2]))
+        schedule2 = KernelSchedule(space, (mats[2], mats[1]), (mats[0],))
         spread = np.array([0.0, 0.35, 0.25, 0.0, 0.4])
         self._check(SimulationPlan(schedule1, schedule2, spread, spread[::-1].copy(),
                                    horizon=6, n_paths=400, master_seed=5))
@@ -225,8 +221,8 @@ class TestJointOracle:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two ranges on any host
         assert simulate.KEY_CHUNK < 1050
-        schedule1 = birth_death_schedule(periodic_birth_death(6, [0.8, 0.55]))
-        schedule2 = birth_death_schedule(periodic_birth_death(6, [0.6, np.linspace(0.5, 0.9, 6)]))
+        schedule1 = birth_death_schedule(6, [0.8, 0.55])
+        schedule2 = birth_death_schedule(6, [0.6, np.linspace(0.5, 0.9, 6)])
         plan = SimulationPlan(schedule1, schedule2, delta(7, 3), delta(7, 2),
                               horizon=6, n_paths=2100, master_seed=11)
         est = estimate_joint_renewal(plan, workers=2)
@@ -243,7 +239,7 @@ class TestInvalidKernel:
     def _schedule(bad_row):
         good = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 1.0, 0.0]]
         bad = [good[0], bad_row, good[2]]
-        return KernelSchedule(StateSpace(3, frozenset({0})), (np.array(good),), PeriodicTail((np.array(bad),)))
+        return KernelSchedule(StateSpace(3, frozenset({0})), (np.array(good),), (np.array(bad),))
 
     @pytest.mark.parametrize("bad_row", [[1.2, -0.2, 0.0], [np.nan, 0.5, 0.5], [0.5, np.inf, 0.0]])
     def test_every_sampler_rejects_it(self, bad_row):
@@ -277,7 +273,7 @@ class TestPhaseRule:
         # phase k sends every state to state k, so each step shows its phase:
         # two body matrices, then a period-3 cycle
         mats = [np.tile(np.eye(5)[k], (5, 1)) for k in range(5)]
-        return KernelSchedule(StateSpace(5, frozenset({0})), tuple(mats[:2]), PeriodicTail(tuple(mats[2:])))
+        return KernelSchedule(StateSpace(5, frozenset({0})), tuple(mats[:2]), tuple(mats[2:]))
 
     @staticmethod
     def _disagreements(schedule, sampler, steps=31):
@@ -620,7 +616,7 @@ class TestEstimateJointRenewal:
         # state 2 absorbs, so chain 2 never renews and every path runs to the horizon
         mats = [np.array([[0.5, 0.5, 0.0], [0.9, 0.1, 0.0], [0.0, 0.0, 1.0]]),
                 np.array([[0.2, 0.8, 0.0], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])]
-        schedule = KernelSchedule(StateSpace(3, frozenset({0})), (mats[1],), PeriodicTail(tuple(mats)))
+        schedule = KernelSchedule(StateSpace(3, frozenset({0})), (mats[1],), tuple(mats))
         counts = []
         for horizon in (50, 500):
             plan = SimulationPlan(schedule, schedule, delta(3, 1), delta(3, 2),
@@ -656,8 +652,8 @@ class TestEstimateJointRenewal:
 
     def test_mismatched_target_sets_rejected(self):
         a = two_state(0.5, 0.5)
-        from renewalsim import ConstantTail, KernelSchedule, StateSpace
-        b = KernelSchedule(StateSpace(2, frozenset({1})), (), ConstantTail([[0.5, 0.5], [0.5, 0.5]]))
+        from renewalsim import KernelSchedule, StateSpace
+        b = KernelSchedule(StateSpace(2, frozenset({1})), (), ([[0.5, 0.5], [0.5, 0.5]],))
         with pytest.raises(ValueError):
             SimulationPlan(a, b, delta(2, 0), delta(2, 0), horizon=5, n_paths=2, master_seed=0)
 
