@@ -190,9 +190,13 @@ def trial_sequence(
         k += 1
 
 
-# meeting time, both first hits, trial count and trial-run length: one int64
-# each per path; the trial sums add 8 bytes per sum on top
-RESULT_BYTES_PER_PATH = 5 * 8
+# meeting time, both first hits, trial count and trial-run length: one int32
+# each per path; the trial sums add 4 bytes per sum on top
+RESULT_BYTES_PER_PATH = 5 * 4
+# every per-path value lies in [-1, horizon + 1], which must fit an int32: a
+# sum is a renewal time, and each trial before the success lands strictly
+# later than the one before it, so a path has at most horizon + 1 trials
+MAX_HORIZON = np.iinfo(np.int32).max - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +216,10 @@ class SimulationPlan:
         object.__setattr__(self, "initial2", _check_initial(self.initial2, self.schedule2.space.size))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.horizon > np.iinfo(np.int64).max:
-            raise OverflowError(f"horizon {self.horizon} is too large: path times are int64")
+        if self.horizon > MAX_HORIZON:
+            raise OverflowError(
+                f"horizon {self.horizon} is too large: path times are int32, so it must be at most {MAX_HORIZON}"
+            )
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.schedule1.space.target_set != self.schedule2.space.target_set:
@@ -274,12 +280,12 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     seed, horizon = plan.master_seed, plan.horizon
 
     count = stop - start
-    meeting = np.full(count, -1, dtype=np.int64)
-    hit1 = np.full(count, -1, dtype=np.int64)
-    hit2 = np.full(count, -1, dtype=np.int64)
-    n_trials = np.full(count, -1, dtype=np.int64)
-    sums = array("q")  # int64 like the other results, handed to numpy without a copy
-    lengths = np.empty(count, dtype=np.int64)
+    meeting = np.full(count, -1, dtype=np.int32)
+    hit1 = np.full(count, -1, dtype=np.int32)
+    hit2 = np.full(count, -1, dtype=np.int32)
+    n_trials = np.full(count, -1, dtype=np.int32)
+    sums = array("i")  # int32 like the other results, handed to numpy without a copy
+    lengths = np.empty(count, dtype=np.int32)
 
     for offset, (key, head) in enumerate(_path_keys(seed, start, stop)):
         uniform = derive_stream(key, head)
@@ -320,7 +326,7 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
             n_trials[offset] = trials.first_success
         sums.extend(trials.sums)
         lengths[offset] = len(trials.sums)
-    return meeting, hit1, hit2, n_trials, np.frombuffer(sums, dtype=np.int64), lengths
+    return meeting, hit1, hit2, n_trials, np.frombuffer(sums, dtype=np.int32), lengths
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +335,7 @@ class JointRenewalEstimate:
 
     ``trial_sums`` holds every path's landing-trial partial sums end to
     end, in path order; path i contributes ``trial_lengths[i]`` of them.
+    The per-path arrays are int32.
     """
 
     n_paths: int
@@ -388,23 +395,33 @@ def estimate_joint_renewal(
 
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [pool.submit(_simulate_range, plan, a, b, n0, trial_scan) for a, b in ranges]
-            parts = [f.result() for f in futures]
-        # parts come back in range order, so path order is kept
-        arrays = [np.concatenate(column) for column in zip(*parts)]
-        del parts
+            # one list of parts per result, in range order, so path order is kept
+            columns = [list(column) for column in zip(*(f.result() for f in futures))]
+        del futures  # a future holds its result
+        arrays = []
+        for column in columns:
+            arrays.append(np.concatenate(column))
+            column.clear()  # drop this result's parts before merging the next
     meeting, hit1, hit2, n_trials, sums, lengths = arrays
 
     censored_mask = meeting < 0
     censored = int(censored_mask.sum())
     values = meeting.astype(float)
     values[censored_mask] = plan.horizon
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(plan.n_paths)) if plan.n_paths > 1 else 0.0
+    mean = float(values.sum() / plan.n_paths)
+    se = 0.0
+    if plan.n_paths > 1:
+        # the steps of values.std(ddof=1), in its order, on values itself:
+        # the same se bit for bit without a second full-size temporary
+        values -= mean
+        values *= values
+        se = math.sqrt(values.sum() / (plan.n_paths - 1)) / math.sqrt(plan.n_paths)
     del values
 
     # P{T > n} for n = 0..tail_len: the paths meeting at each lag, with
-    # censored paths and meetings past tail_len in the last bin
-    lags = np.minimum(meeting, tail_len + 1)
+    # censored paths and meetings past tail_len in the last bin; intp is
+    # bincount's index type, so it reads the lags without a copy
+    lags = np.minimum(meeting, tail_len + 1, dtype=np.intp)
     lags[censored_mask] = tail_len + 1
     counts = np.bincount(lags, minlength=tail_len + 2)
     tail = suffix_tails(counts[:-1], counts[-1]) / plan.n_paths

@@ -432,10 +432,10 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("sub", ["simulate", "bound"])
     def test_paths_past_physical_memory_are_exit_1(self, tmp_path, capsys, monkeypatch, sub):
-        """30,000 paths hold 1.14 MiB of per-path results: the plan refuses
+        """60,000 paths hold 1.14 MiB of per-path results: the plan refuses
         them against 1 MiB before any path runs."""
         monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
-        path = write_config(tmp_path, demo_config(n_paths=30_000))
+        path = write_config(tmp_path, demo_config(n_paths=60_000))
         assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "cannot allocate the per-path results" in load_report(tmp_path, f"t_{sub}.json")["results"]["error"]
         err = capsys.readouterr().err
@@ -474,6 +474,14 @@ class TestCliExitCodes:
         path = write_config(tmp_path, demo_config(**override))
         assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "too large" in load_report(tmp_path, f"t_{sub}.json")["results"]["error"]
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "Traceback" not in err
+
+    def test_horizon_past_int32_is_exit_1(self, tmp_path, capsys):
+        """Path times are int32, so a horizon of 2**31 is refused before any path runs."""
+        path = write_config(tmp_path, demo_config(horizon=2**31))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "int32" in load_report(tmp_path, "t_simulate.json")["results"]["error"]
         err = capsys.readouterr().err
         assert "validation failure" in err and "Traceback" not in err
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -656,6 +657,42 @@ class TestEstimateJointRenewal:
         b = KernelSchedule(StateSpace(2, frozenset({1})), (), ([[0.5, 0.5], [0.5, 0.5]],))
         with pytest.raises(ValueError):
             SimulationPlan(a, b, delta(2, 0), delta(2, 0), horizon=5, n_paths=2, master_seed=0)
+
+    def test_horizon_past_int32_rejected(self):
+        """Path times are int32: the largest horizon leaves room for horizon + 1 trials."""
+        sched = two_state(0.5, 0.5)
+        SimulationPlan(sched, sched, delta(2, 0), delta(2, 0), horizon=2**31 - 2, n_paths=1, master_seed=0)
+        with pytest.raises(OverflowError, match="int32"):
+            SimulationPlan(sched, sched, delta(2, 0), delta(2, 0), horizon=2**31 - 1, n_paths=1, master_seed=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.integers(0, 1), st.integers(2, 12),
+           st.sampled_from([1, 2, 3, 40, 300]), st.integers(0, 2**32))
+    def test_mean_and_se_are_numpys(self, p00, p10, start, horizon, n_paths, seed):
+        """The in-place summary equals numpy's mean and std bit for bit, the
+        short horizons leaving some paths censored."""
+        sched = two_state(p00, p10)
+        plan = SimulationPlan(sched, sched, delta(2, start), delta(2, 1),
+                              horizon=horizon, n_paths=n_paths, master_seed=seed)
+        est = estimate_joint_renewal(plan)
+        v = np.where(est.meeting_times < 0, plan.horizon, est.meeting_times).astype(float)
+        assert est.mean == v.mean()
+        assert est.se == (v.std(ddof=1) / math.sqrt(n_paths) if n_paths > 1 else 0.0)
+
+    def test_memory_per_path_on_the_bound_floor_pair(self):
+        """tracemalloc's peak over one run on the bound-floor pair: 20 bytes of
+        int32 results per path, 4 per trial sum (2.4 per path) and one float64
+        copy of the meeting times for the summary."""
+        schedule = birth_death_schedule(50, [0.75])
+        plan = SimulationPlan(schedule, schedule, delta(51, 0), delta(51, 0),
+                              horizon=2000, n_paths=20_000, master_seed=20190814)
+        tracemalloc.start()
+        try:
+            estimate_joint_renewal(plan, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / plan.n_paths < 48
 
 
 class TestPathwiseInvariants:
