@@ -264,66 +264,60 @@ class BoundReport:
         }
 
 
-def _analytic_alphas(schedule1: KernelSchedule, schedule2: KernelSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Both chains' :func:`down_probabilities` tables; ValueError unless both
-    are birth-death with target set {0}, where the floor formula was derived."""
+def _analytic_floor(
+    schedule1: KernelSchedule, schedule2: KernelSchedule, p: float, mu_hat: float | None
+) -> tuple[float, float, RegularityCertificate]:
+    """(inf alpha, floor, certificate) of a birth-death pair with target set
+    {0}, where the floor formula was derived; ValueError otherwise.
+
+    inf alpha runs over both chains' steps and states, and the floor is the
+    inf of state 0's stay probability on either chain.  The certificate's
+    mean-bound exponent is ``mu_hat`` when given, else the walk's
+    first-moment constant.
+    """
     tables = down_probabilities(schedule1), down_probabilities(schedule2)
     if tables[0] is None or tables[1] is None:
-        raise ValueError("the analytic certificate needs birth-death chains on both sides")
+        raise ValueError("analytic regularity needs birth-death chains on both sides")
     if schedule1.space.target_set != {0} or schedule2.space.target_set != {0}:
-        raise ValueError("the analytic certificate needs target set {0}")
-    return tables
-
-
-def _floor_certificate(alphas, p: float, mu_hat: float | None) -> tuple[float, RegularityCertificate]:
-    """The floor, inf over steps of state 0's stay probability on either chain,
-    and its certificate; the mean-bound exponent is ``mu_hat`` when given,
-    else the walk's first-moment constant."""
-    floor = return_floor(*(float(table[:, 0].min()) for table in alphas))
-    return floor, regularity_from_floor(floor, walk_moment1(p) if mu_hat is None else mu_hat)
+        raise ValueError("analytic regularity needs target set {0}")
+    floor = return_floor(*(float(table[:, 0].min()) for table in tables))
+    certificate = regularity_from_floor(floor, walk_moment1(p) if mu_hat is None else mu_hat)
+    return min(float(table.min()) for table in tables), floor, certificate
 
 
 def analytic_certificate(
     schedule1: KernelSchedule, schedule2: KernelSchedule, p: float, mu_hat: float | None = None
 ) -> RegularityCertificate:
-    """Certificate from both birth-death chains' floor stay probabilities."""
-    return _floor_certificate(_analytic_alphas(schedule1, schedule2), p, mu_hat)[1]
+    """Certificate from the floor stay probabilities of a birth-death pair with target set {0}."""
+    return _analytic_floor(schedule1, schedule2, p, mu_hat)[2]
 
 
 def full_report(
-    schedule1: KernelSchedule,
-    schedule2: KernelSchedule,
-    initial1,
-    initial2,
+    plan: SimulationPlan,
     *,
     p: float,
     series_len: int = 2000,
-    horizon: int = 2000,
-    n_paths: int = 20_000,
-    master_seed: int = 0,
     mu_hat: float | None = None,
     workers: int = 1,
     tail_len: int = 200,
 ) -> BoundReport:
-    """Run the whole pipeline on a birth-death pair with target set {0}.
+    """Run the whole pipeline on a plan of a birth-death pair with target set {0}.
 
     Rejects the plan before any simulation when a down probability of
     either chain, at any step and state, is below the walk parameter.  The
     mean-bound exponent defaults to the walk's first-moment constant and can
     be overridden with ``mu_hat``.
     """
-    alphas = _analytic_alphas(schedule1, schedule2)
-    inf_alpha = min(float(table.min()) for table in alphas)
+    schedule1, schedule2, initial1, initial2 = plan.schedule1, plan.schedule2, plan.initial1, plan.initial2
+    inf_alpha, floor, certificate = _analytic_floor(schedule1, schedule2, p, mu_hat)
     if not domination_valid_for(p, inf_alpha):
         raise ValueError(
             f"walk parameter p={p} exceeds the chains' inf alpha={inf_alpha:.6g}; "
             "the envelope does not apply"
         )
 
-    floor, certificate = _floor_certificate(alphas, p, mu_hat)
     envelope = walk_dominating_sequence(p, series_len)
-
-    exact_h = max(horizon, 2000)
+    exact_h = max(plan.horizon, 2000)
     hit1 = exact.hitting_time_distribution(
         schedule1, initial1, horizon=exact_h, tail_gamma=certificate.gamma
     )
@@ -331,15 +325,6 @@ def full_report(
         schedule2, initial2, horizon=exact_h, tail_gamma=certificate.gamma
     )
 
-    plan = SimulationPlan(
-        schedule1=schedule1,
-        schedule2=schedule2,
-        initial1=initial1,
-        initial2=initial2,
-        horizon=horizon,
-        n_paths=n_paths,
-        master_seed=master_seed,
-    )
     starts_in_target = _starts_in_target(plan)
     mc = estimate_joint_renewal(plan, workers=workers, tail_len=tail_len, n0=certificate.n0)
 
@@ -351,7 +336,7 @@ def full_report(
         )
     for label, schedule, initial in (("chain1", schedule1, initial1), ("chain2", schedule2, initial2)):
         cap_mass = 1.0 - exact.hitting_time_distribution(
-            schedule, initial, targets=(schedule.space.size - 1,), horizon=horizon
+            schedule, initial, targets=(schedule.space.size - 1,), horizon=plan.horizon
         ).table.residual
         if cap_mass > 1e-9:
             warnings.append(

@@ -21,7 +21,6 @@ from pathlib import Path
 from . import __version__, bounds, domination, exact, rng
 from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
-from .kernel import down_probabilities
 from .simulate import SimulationPlan, estimate_joint_renewal
 
 
@@ -78,28 +77,18 @@ def _rejection(scans: tuple[domination.RegularityScan, ...]) -> str:
             f"lag {pt.lag} ({why}); certificate rejected")
 
 
-def _analytic_chains(scenario: Scenario, subject: str) -> None:
-    """ValidationFailure naming ``subject`` unless both chains are birth-death
-    with target set {0}, where the analytic floor formula was derived."""
-    if down_probabilities(scenario.schedule1) is None or down_probabilities(scenario.schedule2) is None:
-        raise ValidationFailure(f"{subject} needs birth-death chains on both sides")
-    if scenario.schedule1.space.target_set != {0}:
-        raise ValidationFailure(f"{subject} needs target_set [0]")
-
-
 def _certificate(
     scenario: Scenario, p: float
 ) -> tuple[domination.RegularityCertificate | None, tuple[domination.RegularityScan, ...]]:
     """The regularity certificate of the configured source, and the grids behind it.
 
-    The analytic source has no grid and needs :func:`_analytic_chains`.  The
-    empirical source reads the exact grid of each chain from its own initial
-    law, and gamma is the smaller grid minimum; its certificate is None when
-    that minimum is 0.
+    The analytic source has no grid; :func:`bounds.analytic_certificate`
+    states its precondition.  The empirical source reads the exact grid of
+    each chain from its own initial law, and gamma is the smaller grid
+    minimum; its certificate is None when that minimum is 0.
     """
     reg = scenario.regularity
     if reg["source"] == "analytic":
-        _analytic_chains(scenario, "analytic regularity")
         return bounds.analytic_certificate(scenario.schedule1, scenario.schedule2, p, reg.get("mu_hat")), ()
     scans = tuple(
         domination.exact_regularity(
@@ -116,17 +105,13 @@ def _certificate(
     return min(scans, key=lambda scan: scan.gamma_hat).certificate(), scans
 
 
+def _plan(scenario: Scenario) -> SimulationPlan:
+    return SimulationPlan(scenario.schedule1, scenario.schedule2, scenario.initial1, scenario.initial2,
+                          scenario.horizon, scenario.n_paths, scenario.master_seed)
+
+
 def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
-    plan = SimulationPlan(
-        schedule1=scenario.schedule1,
-        schedule2=scenario.schedule2,
-        initial1=scenario.initial1,
-        initial2=scenario.initial2,
-        horizon=scenario.horizon,
-        n_paths=scenario.n_paths,
-        master_seed=scenario.master_seed,
-    )
-    est = estimate_joint_renewal(plan, workers=args.workers, tail_len=scenario.tail_len)
+    est = estimate_joint_renewal(_plan(scenario), workers=args.workers, tail_len=scenario.tail_len)
     report["results"]["meeting_time"] = quantity(est.mean, "mc", est.se)
     report["results"]["mean_is_lower_bound"] = est.mean_is_lower_bound
     report["results"]["censoring_rate"] = quantity(est.censoring_rate, "mc")
@@ -260,19 +245,12 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
 def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
     # the report tags gamma and the bound analytic
-    _analytic_chains(scenario, "the bound pipeline")
     if scenario.regularity["source"] != "analytic":
         raise ValidationFailure("the bound pipeline takes analytic regularity only")
     result = bounds.full_report(
-        scenario.schedule1,
-        scenario.schedule2,
-        scenario.initial1,
-        scenario.initial2,
+        _plan(scenario),
         p=p,
         series_len=scenario.series_len,
-        horizon=scenario.horizon,
-        n_paths=scenario.n_paths,
-        master_seed=scenario.master_seed,
         mu_hat=scenario.regularity.get("mu_hat"),
         workers=args.workers,
         tail_len=scenario.tail_len,

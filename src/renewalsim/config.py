@@ -119,6 +119,10 @@ def _integral(value, where: str) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 REGULARITY_DEFAULTS = {"source": "analytic", "t_grid": [0, 1, 2, 3], "lag_grid": [0, 1, 2, 3, 4],
                        "n0": 0, "n_paths": 5000, "n0_applies_to": "base"}
 
@@ -145,7 +149,7 @@ def _parse_regularity(reg) -> dict:
         out[key] = [_integral(v, f"{where}.{key}[{i}]") for i, v in enumerate(out[key])]
     for key in ("mu_hat", "gamma"):
         value = reg.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        if value is not None and not _is_number(value):
             raise ConfigError(f"{where}.{key} must be a number or null, got {value!r}")
     if not isinstance(out["n0_applies_to"], str):
         raise ConfigError(f"{where}.n0_applies_to must be a string")
@@ -232,6 +236,10 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
             violations.append(f"config.{name}: {err}")
 
     domination = raw.get("domination", {})
+    if not isinstance(domination, dict):
+        raise ConfigError("config.domination must be an object")
+    if "p" in domination and not _is_number(domination["p"]):
+        raise ConfigError(f"config.domination.p must be a number, got {domination['p']!r}")
     regularity = _parse_regularity(raw.get("regularity", {}))
 
     seed = _integral(raw.get("seed", 0), "config.seed") if seed_override is None else int(seed_override)

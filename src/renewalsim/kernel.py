@@ -171,15 +171,10 @@ class KernelSchedule:
         return tuple((f"body[{i}]" if i < n else f"tail[{i - n}]", m) for i, m in enumerate(self.phases))
 
 
-def _birth_death_matrix(row: np.ndarray, cap: int) -> np.ndarray:
-    n = cap + 1
-    m = np.zeros((n, n))
+def _birth_death_matrix(row: np.ndarray) -> np.ndarray:
+    """Stay alpha at 0, down alpha and up 1 - alpha at 1..cap-1, down 1 at cap."""
+    m = np.diag(np.append(row[1:], 1.0), -1) + np.diag(1.0 - row, 1)
     m[0, 0] = row[0]
-    m[0, 1] = 1.0 - row[0]
-    for j in range(1, cap):
-        m[j, j - 1] = row[j]
-        m[j, j + 1] = 1.0 - row[j]
-    m[cap, cap - 1] = 1.0
     return m
 
 
@@ -205,24 +200,29 @@ def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
                 raise ValueError(f"{label}[{i}]: expected {cap} down probabilities, got {row.shape}")
             if not ((row > 0) & (row < 1)).all():
                 raise ValueError(f"{label}[{i}]: down probabilities must lie strictly in (0, 1)")
-    body_kernels, tail_kernels = (tuple(_birth_death_matrix(r, cap) for r in entries) for entries in rows)
+    body_kernels, tail_kernels = (tuple(_birth_death_matrix(r) for r in entries) for entries in rows)
     return KernelSchedule(StateSpace(cap + 1, target_set), body_kernels, tail_kernels)
 
 
 def down_probabilities(schedule: KernelSchedule) -> np.ndarray | None:
     """The (phases, cap) table of down probabilities alpha(phase, j), one row
     per entry of ``phases``, when ``schedule`` is a birth-death chain on
-    0..cap with cap >= 2: every phase equals, entry for entry, the matrix
-    :func:`birth_death_schedule` builds from the alphas read off it (state
-    0's stay and each interior state's down probability), each strictly in
+    0..cap with cap >= 2: in every phase state 0 reaches only 0 and 1, an
+    interior state j only j - 1 and j + 1, and the cap only cap - 1, and each
+    alpha (state 0's stay, an interior state's step down) lies strictly in
     (0, 1).  Otherwise None.
+
+    The up entries are not read: the kernel rule, checked when the schedule
+    is built, holds each row's sum to 1 within ``ROW_SUM_TOL``.
     """
     cap = schedule.space.size - 1
     if cap < 2:
         return None
-    table = np.array([[m[0, 0], *np.diagonal(m, -1)[:-1]] for m in schedule.phases])
-    if not ((table > 0) & (table < 1)).all():
-        return None
-    if not all(np.array_equal(m, _birth_death_matrix(row, cap)) for m, row in zip(schedule.phases, table)):
-        return None
-    return table
+    unreached = ~(np.eye(cap + 1, k=-1, dtype=bool) | np.eye(cap + 1, k=1, dtype=bool))
+    unreached[0, 0] = False
+    table = np.empty((len(schedule.phases), cap))
+    for row, m in zip(table, schedule.phases):
+        if m[unreached].any():
+            return None
+        row[0], row[1:] = m[0, 0], np.diagonal(m, -1)[:-1]
+    return table if ((table > 0) & (table < 1)).all() else None

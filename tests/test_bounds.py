@@ -278,9 +278,9 @@ class TestTrialStatistics:
 class TestFullReport:
     def test_showcase_instance(self):
         sched = birth_death_schedule(30, [0.75])
-        report = full_report(sched, sched, delta(31, 0), delta(31, 0),
-                             p=0.75, series_len=1000, horizon=1000,
-                             n_paths=4000, master_seed=12, tail_len=100)
+        plan = SimulationPlan(sched, sched, delta(31, 0), delta(31, 0),
+                              horizon=1000, n_paths=4000, master_seed=12)
+        report = full_report(plan, p=0.75, series_len=1000, tail_len=100)
         assert report.bound_holds
         assert math.isfinite(report.bound)
         assert report.gamma == pytest.approx(0.75 ** (5 / 0.75), abs=1e-12)
@@ -315,17 +315,17 @@ class TestFullReport:
             for c in (1, 2)
         ]
         start = delta(cap + 1, 0)
-        report = full_report(*schedules, start, start, p=p, series_len=400, horizon=400,
-                             n_paths=4000, master_seed=20190814, tail_len=60)
+        plan = SimulationPlan(*schedules, start, start, horizon=400, n_paths=4000, master_seed=20190814)
+        report = full_report(plan, p=p, series_len=400, tail_len=60)
         exact = product_tail(*schedules, start, start, horizon=60).tails
         assert report.tail_envelope.shape == exact.shape
         assert (report.tail_envelope >= exact - 1e-12).all()
 
     def test_non_target_starts_skip_tail_envelope(self):
         sched = birth_death_schedule(30, [0.75])
-        report = full_report(sched, sched, delta(31, 4), delta(31, 2),
-                             p=0.75, series_len=500, horizon=1500,
-                             n_paths=2000, master_seed=3, tail_len=50)
+        plan = SimulationPlan(sched, sched, delta(31, 4), delta(31, 2),
+                              horizon=1500, n_paths=2000, master_seed=3)
+        report = full_report(plan, p=0.75, series_len=500, tail_len=50)
         assert report.tail_envelope is None
         assert report.mean_hit1.high > 0
         assert report.bound_holds
@@ -333,26 +333,25 @@ class TestFullReport:
     def test_invalid_walk_parameter_rejected_before_simulation(self):
         sched = birth_death_schedule(10, [0.7])  # inf alpha 0.7
         with pytest.raises(ValueError, match="does not apply"):
-            full_report(sched, sched, delta(11, 0), delta(11, 0),
-                        p=0.9, horizon=100, n_paths=10, master_seed=1)
+            full_report(SimulationPlan(sched, sched, delta(11, 0), delta(11, 0),
+                                       horizon=100, n_paths=10, master_seed=1), p=0.9)
 
     def test_upward_drift_side_rejected(self):
         """alpha = 1 - p passed the old p(1-p) >= alpha(1-alpha) test."""
         low = birth_death_schedule(10, [0.18])
         with pytest.raises(ValueError, match="does not apply"):
-            full_report(low, low, delta(11, 0), delta(11, 0),
-                        p=0.82, horizon=100, n_paths=10, master_seed=1)
+            full_report(SimulationPlan(low, low, delta(11, 0), delta(11, 0),
+                                       horizon=100, n_paths=10, master_seed=1), p=0.82)
 
     def test_tight_cap_triggers_truncation_warning(self):
         sched = birth_death_schedule(4, [0.6])
-        report = full_report(sched, sched, delta(5, 3), delta(5, 0),
-                             p=0.6, series_len=300, horizon=400,
-                             n_paths=500, master_seed=8, tail_len=30)
+        plan = SimulationPlan(sched, sched, delta(5, 3), delta(5, 0), horizon=400, n_paths=500, master_seed=8)
+        report = full_report(plan, p=0.6, series_len=300, tail_len=30)
         assert any("truncation" in w for w in report.warnings)
 
     def test_roomy_cap_has_no_truncation_warning(self):
         sched = birth_death_schedule(40, [0.75])
-        report = full_report(sched, sched, delta(41, 0), delta(41, 0),
-                             p=0.75, series_len=300, horizon=300,
-                             n_paths=300, master_seed=8, tail_len=30)
+        plan = SimulationPlan(sched, sched, delta(41, 0), delta(41, 0),
+                              horizon=300, n_paths=300, master_seed=8)
+        report = full_report(plan, p=0.75, series_len=300, tail_len=30)
         assert not any("truncation" in w for w in report.warnings)

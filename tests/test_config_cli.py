@@ -30,6 +30,11 @@ def demo_config(**overrides):
     return cfg
 
 
+# the analytic precondition's messages, the same under every subcommand
+NOT_BIRTH_DEATH = "analytic regularity needs birth-death chains on both sides"
+NOT_TARGET_ZERO = "analytic regularity needs target set {0}"
+
+
 def birth_death_chain(cap):
     return {"birth_death": {"cap": cap, "tail": {"kind": "constant", "alphas": 0.75}}}
 
@@ -211,6 +216,10 @@ class TestConfig:
         {"target_set": [True]},
         {"target_set": [0, True]},
         {"target_set": [1, True]},  # a set of the two would read {1}
+        {"domination": {"p": "0.75", "series_len": 400}},
+        {"domination": {"p": True, "series_len": 400}},
+        {"domination": {"p": None, "series_len": 400}},
+        {"domination": "p"},
     ])
     def test_bad_value_is_exit_3(self, tmp_path, override):
         path = write_config(tmp_path, demo_config(**override))
@@ -517,25 +526,38 @@ class TestCliExitCodes:
 
     def test_bound_reads_a_birth_death_pair_off_explicit_kernels(self, tmp_path):
         """The cap-8 birth-death kernels written out as explicit matrices give the
-        birth-death config's results; one entry moved by 1e-3 makes them not birth-death."""
+        birth-death config's results, also when written by hand with up entries
+        that are not the float 1 - alpha; one entry moved by 1e-3 makes them not
+        birth-death."""
         matrix = birth_death_schedule(8, [0.75]).tail[0].tolist()
+        by_hand = [[0.0] * 9 for _ in range(9)]  # alpha 0.7: up entries 0.3, not 1.0 - 0.7
+        by_hand[0][:2] = [0.7, 0.3]
+        for j in range(1, 8):
+            by_hand[j][j - 1], by_hand[j][j + 1] = 0.7, 0.3
+        by_hand[8][7] = 1.0
+        assert by_hand != birth_death_schedule(8, [0.7]).tail[0].tolist()
 
         def explicit(m):
             return {"states": 9, "body": [], "tail": {"kind": "constant", "matrices": [m]}}
 
-        results = []
-        for cfg in (demo_config(), demo_config(chain1=explicit(matrix), chain2=explicit(matrix))):
-            path = write_config(tmp_path, cfg)
-            assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
-            results.append(load_report(tmp_path, "t_bound.json")["results"])
-        assert results[0] == results[1]
+        alpha_07 = {"birth_death": {"cap": 8, "tail": {"kind": "constant", "alphas": 0.7}}}
+        walk_07 = {"p": 0.7, "series_len": 400}
+        for pair in ((demo_config(), demo_config(chain1=explicit(matrix), chain2=explicit(matrix))),
+                     (demo_config(chain1=alpha_07, chain2=alpha_07, domination=walk_07),
+                      demo_config(chain1=explicit(by_hand), chain2=explicit(by_hand), domination=walk_07))):
+            results = []
+            for cfg in pair:
+                path = write_config(tmp_path, cfg)
+                assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+                results.append(load_report(tmp_path, "t_bound.json")["results"])
+            assert results[0] == results[1]
         moved = [row[:] for row in matrix]
         moved[3][2] -= 1e-3  # to a stay at 3: moved to state 4, it would be birth-death with alpha 0.749
         moved[3][3] += 1e-3
         path = write_config(tmp_path, demo_config(chain2=explicit(moved)))
         assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         error = load_report(tmp_path, "t_bound.json")["results"]["error"]
-        assert error == "the bound pipeline needs birth-death chains on both sides"
+        assert error == NOT_BIRTH_DEATH
 
     def test_exact_subcommand(self, tmp_path):
         cfg = demo_config(
@@ -699,17 +721,27 @@ class TestCliExitCodes:
         path = write_config(tmp_path, demo_config(**override))
         assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         report = load_report(tmp_path, f"t_{sub}.json")
-        assert "the bound pipeline" in report["results"]["error"]
+        source_only = "the bound pipeline takes analytic regularity only"
+        assert report["results"]["error"] == (source_only if "regularity" in override else NOT_TARGET_ZERO)
         assert "bound" not in report["results"]
 
-    @pytest.mark.parametrize("sub", ["condition-check", "compare"])
+    @pytest.mark.parametrize("sub", ["condition-check", "compare", "bound", "birth-death-demo"])
     def test_analytic_gamma_needs_target_set_zero(self, tmp_path, sub):
         # the floor formula is about the stay probability at state 0
         chain = {"birth_death": {"cap": 20, "tail": {"kind": "constant", "alphas": 0.8}}}
         path = write_config(tmp_path, demo_config(target_set=[0, 1], chain1=chain, chain2=chain))
         assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         results = load_report(tmp_path, f"t_{sub}.json")["results"]
-        assert results["error"] == "analytic regularity needs target_set [0]"
+        assert results["error"] == NOT_TARGET_ZERO
+        assert "gamma" not in results
+
+    @pytest.mark.parametrize("sub", ["condition-check", "compare", "bound", "birth-death-demo"])
+    def test_analytic_gamma_needs_birth_death_chains(self, tmp_path, sub):
+        path = write_config(tmp_path, demo_config(chain2=explicit_chain([[0.5, 0.5], [0.5, 0.5]]),
+                                                  initial2={"state": 0}))
+        assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        results = load_report(tmp_path, f"t_{sub}.json")["results"]
+        assert results["error"] == NOT_BIRTH_DEATH
         assert "gamma" not in results
 
     @pytest.mark.parametrize("source, provenance", [("analytic", "analytic"), ("empirical", "exact")])

@@ -206,14 +206,25 @@ class TestDownProbabilities:
         rows = np.array([np.broadcast_to(np.asarray(a, dtype=float), cap) for a in (*body, *cycle)])
         assert np.array_equal(down_probabilities(sched), rows)
 
+        edited = {}
+
         def changed(edit):
             phases = [m.copy() for m in sched.phases]
             k = data.draw(st.integers(0, len(phases) - 1), label="phase")
-            edit(phases[k], data.draw(st.integers(0, cap), label="row"))
+            edited.update(phase=k, row=data.draw(st.integers(0, cap), label="row"))
+            edit(phases[k], edited["row"])
             return KernelSchedule(sched.space, phases[:len(body)], phases[len(body):])
 
-        def perturb(m, x):  # one entry, by less than the row-sum tolerance
-            m[x, data.draw(st.integers(0, cap), label="column")] += 1e-13
+        def reached(x):  # the columns a birth-death step from state x reaches
+            return {0: [0, 1], cap: [cap - 1]}.get(x, [x - 1, x + 1])
+
+        def perturb(inside):  # one entry, by less than the row-sum tolerance
+            def edit(m, x):
+                columns = [y for y in range(cap + 1) if (y in reached(x)) == inside]
+                edited["column"] = y = data.draw(st.sampled_from(columns), label="column")
+                m[x, y] += 1e-13
+                edited["value"] = m[x, y]
+            return edit
 
         def jump(m, x):  # half of a move to a state no birth-death step reaches
             y = data.draw(st.sampled_from(np.flatnonzero(m[x] == 0).tolist()), label="column")
@@ -221,7 +232,13 @@ class TestDownProbabilities:
             m[x, y] = m[x, z] / 2
             m[x, z] -= m[x, y]
 
-        assert down_probabilities(changed(perturb)) is None
+        moved = down_probabilities(changed(perturb(inside=True)))
+        k, x, y = edited["phase"], edited["row"], edited["column"]
+        expected = rows.copy()
+        if 0 < x < cap and y == x - 1 or x == y == 0:  # a down entry: alpha(k, x) moved
+            expected[k, x] = edited["value"]
+        assert np.array_equal(moved, expected)
+        assert down_probabilities(changed(perturb(inside=False))) is None
         assert down_probabilities(changed(jump)) is None
 
     def test_two_states_are_not_a_birth_death_chain(self):
