@@ -61,49 +61,3 @@ from .simulate import (
     sample_path,
     trial_sequence,
 )
-
-__all__ = [
-    "BoundComparison",
-    "BoundReport",
-    "DistributionTable",
-    "DominatingSequence",
-    "DominationReport",
-    "ExpectationBracket",
-    "HittingResult",
-    "JointRenewalEstimate",
-    "KernelSchedule",
-    "RegularityCertificate",
-    "RegularityScan",
-    "RenewalTailSurface",
-    "SimulationPlan",
-    "StateSpace",
-    "TrialSequence",
-    "TrialStats",
-    "birth_death_schedule",
-    "bound_via_first_moment",
-    "bound_via_second_moment",
-    "check_domination",
-    "compare_bounds",
-    "domination_valid_for",
-    "down_probabilities",
-    "estimate_joint_renewal",
-    "estimate_regularity",
-    "estimate_renewal_tails",
-    "exact_regularity",
-    "expectation_bound",
-    "first_return_coefficients",
-    "full_report",
-    "hitting_time_distribution",
-    "meeting_tail_envelope",
-    "product_tail",
-    "regularity_from_floor",
-    "return_floor",
-    "sample_path",
-    "trial_sequence",
-    "trial_statistics",
-    "trial_tail_bound",
-    "walk_dominating_sequence",
-    "walk_moment1",
-    "walk_moment2",
-    "walk_return_law",
-]

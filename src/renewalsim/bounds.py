@@ -265,15 +265,15 @@ class BoundReport:
 
 
 def _analytic_floor(
-    schedule1: KernelSchedule, schedule2: KernelSchedule, p: float, mu_hat: float | None
-) -> tuple[float, float, RegularityCertificate]:
-    """(inf alpha, floor, certificate) of a birth-death pair with target set
-    {0}, where the floor formula was derived; ValueError otherwise.
+    schedule1: KernelSchedule, schedule2: KernelSchedule, p: float, mu_hat: float | None, *, envelope: bool
+) -> tuple[float, RegularityCertificate]:
+    """(floor, certificate) of a birth-death pair with target set {0}, where
+    the floor formula was derived; ValueError otherwise.
 
-    inf alpha runs over both chains' steps and states, and the floor is the
-    inf of state 0's stay probability on either chain.  The certificate's
-    mean-bound exponent is ``mu_hat`` when given, else the walk's
-    first-moment constant.
+    The floor is the inf of state 0's stay probability on either chain.  The
+    certificate's mean-bound exponent is ``mu_hat`` when given, else the
+    walk's first-moment constant.  Where the walk's envelope or exponent is
+    in use, every down probability of both chains must be at least p.
     """
     tables = down_probabilities(schedule1), down_probabilities(schedule2)
     if tables[0] is None or tables[1] is None:
@@ -282,14 +282,18 @@ def _analytic_floor(
         raise ValueError("analytic regularity needs target set {0}")
     floor = return_floor(*(float(table[:, 0].min()) for table in tables))
     certificate = regularity_from_floor(floor, walk_moment1(p) if mu_hat is None else mu_hat)
-    return min(float(table.min()) for table in tables), floor, certificate
+    inf_alpha = min(float(table.min()) for table in tables)
+    if (envelope or mu_hat is None) and not domination_valid_for(p, inf_alpha):
+        raise ValueError(f"walk parameter p={p} exceeds the chains' inf alpha={inf_alpha:.6g}; "
+                         "the envelope does not apply")
+    return floor, certificate
 
 
 def analytic_certificate(
     schedule1: KernelSchedule, schedule2: KernelSchedule, p: float, mu_hat: float | None = None
 ) -> RegularityCertificate:
     """Certificate from the floor stay probabilities of a birth-death pair with target set {0}."""
-    return _analytic_floor(schedule1, schedule2, p, mu_hat)[2]
+    return _analytic_floor(schedule1, schedule2, p, mu_hat, envelope=False)[1]
 
 
 def full_report(
@@ -309,12 +313,7 @@ def full_report(
     be overridden with ``mu_hat``.
     """
     schedule1, schedule2, initial1, initial2 = plan.schedule1, plan.schedule2, plan.initial1, plan.initial2
-    inf_alpha, floor, certificate = _analytic_floor(schedule1, schedule2, p, mu_hat)
-    if not domination_valid_for(p, inf_alpha):
-        raise ValueError(
-            f"walk parameter p={p} exceeds the chains' inf alpha={inf_alpha:.6g}; "
-            "the envelope does not apply"
-        )
+    floor, certificate = _analytic_floor(schedule1, schedule2, p, mu_hat, envelope=True)
 
     envelope = walk_dominating_sequence(p, series_len)
     exact_h = max(plan.horizon, 2000)

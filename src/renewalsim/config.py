@@ -15,7 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .kernel import KernelError, KernelSchedule, StateSpace, _check_initial, birth_death_schedule, check_fits
+from .kernel import (KernelError, KernelSchedule, StateSpace, _check_initial, birth_death_schedule, build_bytes,
+                     check_fits)
 
 SCHEMA_VERSION = 1
 
@@ -62,8 +63,9 @@ def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> tupl
 
 
 def _dense_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where: str) -> None:
-    """MemoryError unless the chain's dense kernels, size² float64 entries
-    for each body and tail entry as written, fit in physical memory.
+    """MemoryError unless building the chain's dense kernels, one size x size
+    matrix for each body and tail entry as written, fits in physical memory
+    (:func:`kernel.build_bytes`).
 
     Runs before any array of the chain is built; a constant tail is one
     entry, and an entry list that is not a list counts as one.
@@ -72,7 +74,7 @@ def _dense_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where
     tail = tail if isinstance(tail, dict) else {}
     entries = None if tail.get("kind") == "constant" else tail.get(tail_key)
     phases = sum(len(e) if isinstance(e, list) else 1 for e in (obj.get(body_key, []), entries))
-    check_fits(phases * size * size * 8, f"{where}: {phases} dense {size}x{size} kernel(s)")
+    check_fits(build_bytes(phases, size), f"{where}: {phases} dense {size}x{size} kernel(s)")
 
 
 def _parse_birth_death(obj: dict, target_set, where: str) -> KernelSchedule:

@@ -12,17 +12,11 @@ from __future__ import annotations
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12  # for kernel rows and initial laws alike
-
-
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.flags.writeable = False
-    return out
 
 
 def _sysconf_bytes(pages_name: str) -> int | None:
@@ -59,15 +53,20 @@ def check_fits(nbytes: int, what: str, *, available: bool = False) -> None:
                           f"{total:,} bytes of {kind} memory")
 
 
-def _row_violations(m: np.ndarray, name: str) -> list[str]:
-    """``"{name}, row {x}: …"`` for every row x of ``m`` that is not a
-    probability law: its first entry that is not finite and nonnegative,
+def _row_violations(m: np.ndarray, label: Callable[[int], str]) -> list[tuple[int, str]]:
+    """``(i, "{label(i)}, row {x}: …")`` for every row x of every ``m[i]`` that is not
+    a probability law, in order: its first entry that is not finite and nonnegative
+    (its minimum, NaN if any entry is, is not >= 0, or its sum is not finite),
     else its sum when that is more than ``ROW_SUM_TOL`` from 1."""
-    bad = ~(np.isfinite(m) & (m >= 0))
-    sums, j = m.sum(axis=1), bad.argmax(axis=1)
-    rows = np.flatnonzero(bad.any(axis=1) | (np.abs(sums - 1.0) > ROW_SUM_TOL))
-    return [f"{name}, row {x}: entry {j[x]} is {float(m[x, j[x]])}; entries must be finite and nonnegative"
-            if bad[x, j[x]] else f"{name}, row {x}: sums to {float(sums[x]):.12g}, not 1" for x in rows]
+    sums = m.sum(axis=-1)
+    bad = ~(m.min(axis=-1) >= 0) | ~np.isfinite(sums)
+    out = []
+    for i, x in zip(*(a.tolist() for a in np.nonzero(bad | (np.abs(sums - 1.0) > ROW_SUM_TOL)))):
+        row = m[i, x]
+        j = int(np.argmin(np.isfinite(row) & (row >= 0)))
+        out.append((i, f"{label(i)}, row {x}: entry {j} is {float(row[j])}; entries must be finite and nonnegative"
+                    if bad[i, x] else f"{label(i)}, row {x}: sums to {float(sums[i, x]):.12g}, not 1"))
+    return out
 
 
 class KernelError(ValueError):
@@ -85,7 +84,7 @@ def _check_initial(initial, size: int) -> np.ndarray:
     if (init < 0).any():
         raise ValueError("initial vector has a negative entry")
     if not np.isfinite(init).all():
-        raise ValueError(_row_violations(init[None, :], "initial law")[0])
+        raise ValueError(_row_violations(init[None, None], lambda i: "initial law")[0][1])
     if abs(float(init.sum()) - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"initial vector sums to {float(init.sum()):.12g}, not 1")
     return init
@@ -122,37 +121,76 @@ class StateSpace:
         object.__setattr__(self, "target_set", frozenset(_target_states(self.target_set, self.size)))
 
 
+def _labels(n_body: int) -> Callable[[int], str]:
+    """Names of a schedule's phases in messages: ``body[i]``, then ``tail[k]``."""
+    return lambda i: f"body[{i}]" if i < n_body else f"tail[{i - n_body}]"
+
+
+def _checked_stack(entries: tuple, n: int, label: Callable[[int], str]) -> np.ndarray:
+    """``entries`` copied into one float (len(entries), n, n) array that keeps
+    the kernel rule; else KernelError listing, phase by phase, each entry that
+    is not (n, n) and each bad row of the others."""
+    try:
+        stack = np.asarray(entries, dtype=float)
+        good = range(len(entries)) if stack.shape == (len(entries), n, n) else None
+    except ValueError:  # entries of different shapes
+        good = None
+    found = []
+    if good is None:
+        mats = [np.asarray(m, dtype=float) for m in entries]
+        good = [i for i, m in enumerate(mats) if m.shape == (n, n)]
+        found = [(i, f"{label(i)}: expected shape {(n, n)}, got {m.shape}")
+                 for i, m in enumerate(mats) if m.shape != (n, n)]
+        stack = np.array([mats[i] for i in good])
+    if good:
+        found += [(good[k], v) for k, v in _row_violations(stack, lambda k: label(good[k]))]
+    if found:
+        raise KernelError(*(v for _, v in sorted(found, key=lambda pair: pair[0])))
+    return stack
+
+
+def build_bytes(phases: int, size: int) -> int:
+    """What building a schedule of ``phases`` dense size x size kernels peaks
+    at: two float64 copies of each entry (the caller's matrices and their
+    stack), 64 bytes a row (row reductions, down probabilities), and 256
+    bytes a phase and 16 KiB a schedule of Python objects."""
+    return phases * (size * (16 * size + 64) + 256) + 2**14
+
+
 @dataclass(frozen=True, eq=False)
 class KernelSchedule:
     """One transition matrix per step: body matrices for t < len(body), then
     the tail cycle, anchored at absolute time: step t uses ``tail[t % len(tail)]``.
 
-    ``phases`` is the body, then one tail cycle, and ``phase(t)`` indexes
-    it.  The joint estimator's step loop applies the same rule to its
-    sampler's body and cycle tables itself, with no call per step;
-    ``TestJointOracle`` checks it against ``at``.
+    Construction copies the body and one tail cycle into ``phases``, one
+    read-only (phases, n, n) float array that ``phase(t)`` indexes and whose
+    views ``body`` and ``tail`` become.  The joint estimator's step loop
+    applies the rule of ``phase`` itself; ``TestJointOracle`` checks it.
 
     Construction runs the kernel rule that every sampler and exact law relies
-    on: each phase is (n, n), each row finite, nonnegative and summing to 1
-    within ``ROW_SUM_TOL``; otherwise :class:`KernelError` lists every violation.
+    on, in one pass over the stack: each phase is (n, n), each row finite,
+    nonnegative and summing to 1 within ``ROW_SUM_TOL``; otherwise
+    :class:`KernelError` lists every violation, phase by phase and row by row.
     """
 
     space: StateSpace
-    body: tuple[np.ndarray, ...]
-    tail: tuple[np.ndarray, ...]
+    body: np.ndarray
+    tail: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "body", tuple(_frozen_array(m) for m in self.body))
-        object.__setattr__(self, "tail", tuple(_frozen_array(m) for m in self.tail))
-        if not self.tail:
+        body, tail = tuple(self.body), tuple(self.tail)
+        if not tail:
             raise ValueError("periodic tail needs at least one entry")
-        object.__setattr__(self, "phases", (*self.body, *self.tail))
-        n = self.space.size
-        violations = [v for label, m in self.labeled()
-                      for v in (_row_violations(m, label) if m.shape == (n, n)
-                                else [f"{label}: expected shape {(n, n)}, got {m.shape}"])]
-        if violations:
-            raise KernelError(*violations)
+        n_body = len(body)
+        phases = _checked_stack(body + tail, self.space.size, _labels(n_body))
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "body", phases[:n_body])
+        object.__setattr__(self, "tail", phases[n_body:])
+
+    def __reduce__(self):
+        """Pickles the stack once, as ``body`` and ``tail`` (a view pickles apart from its base)."""
+        return KernelSchedule, (self.space, self.body, self.tail)
 
     def phase(self, t: int) -> int:
         """Index into ``phases`` of the entry governing the step from time t."""
@@ -164,18 +202,6 @@ class KernelSchedule:
     def at(self, t: int) -> np.ndarray:
         """The matrix governing the step from time t to time t + 1."""
         return self.phases[self.phase(t)]
-
-    def labeled(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """All distinct matrices the schedule can produce, with labels."""
-        n = len(self.body)
-        return tuple((f"body[{i}]" if i < n else f"tail[{i - n}]", m) for i, m in enumerate(self.phases))
-
-
-def _birth_death_matrix(row: np.ndarray) -> np.ndarray:
-    """Stay alpha at 0, down alpha and up 1 - alpha at 1..cap-1, down 1 at cap."""
-    m = np.diag(np.append(row[1:], 1.0), -1) + np.diag(1.0 - row, 1)
-    m[0, 0] = row[0]
-    return m
 
 
 def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
@@ -192,16 +218,25 @@ def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    rows = [tuple(np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in entries)
-            for entries in (body, alphas)]
-    for label, entries in zip(("body", "tail"), rows):
-        for i, row in enumerate(entries):
-            if row.shape != (cap,):
-                raise ValueError(f"{label}[{i}]: expected {cap} down probabilities, got {row.shape}")
-            if not ((row > 0) & (row < 1)).all():
-                raise ValueError(f"{label}[{i}]: down probabilities must lie strictly in (0, 1)")
-    body_kernels, tail_kernels = (tuple(_birth_death_matrix(r) for r in entries) for entries in rows)
-    return KernelSchedule(StateSpace(cap + 1, target_set), body_kernels, tail_kernels)
+    body, alphas = tuple(body), tuple(alphas)
+    label = _labels(len(body))
+    rows = [np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in body + alphas]
+    # the first entry at fault is named, so the rows before a wrong-length one are checked first
+    shaped = next((i for i, row in enumerate(rows) if row.shape != (cap,)), len(rows))
+    table = np.array(rows[:shaped]).reshape(shaped, cap)
+    outside = ~((table > 0) & (table < 1)).all(axis=1)
+    if outside.any():
+        raise ValueError(f"{label(int(outside.argmax()))}: down probabilities must lie strictly in (0, 1)")
+    if shaped < len(rows):
+        raise ValueError(f"{label(shaped)}: expected {cap} down probabilities, got {rows[shaped].shape}")
+    # j < cap steps up w.p. 1 - alpha(j), an interior j down w.p. alpha(j), 0 stays w.p. alpha(0)
+    stack = np.zeros((len(table), cap + 1, cap + 1))
+    j = np.arange(cap)
+    stack[:, j, j + 1] = 1.0 - table
+    stack[:, j[1:], j[:-1]] = table[:, 1:]
+    stack[:, 0, 0] = table[:, 0]
+    stack[:, cap, cap - 1] = 1.0
+    return KernelSchedule(StateSpace(cap + 1, target_set), stack[:len(body)], stack[len(body):])
 
 
 def down_probabilities(schedule: KernelSchedule) -> np.ndarray | None:
@@ -220,9 +255,7 @@ def down_probabilities(schedule: KernelSchedule) -> np.ndarray | None:
         return None
     unreached = ~(np.eye(cap + 1, k=-1, dtype=bool) | np.eye(cap + 1, k=1, dtype=bool))
     unreached[0, 0] = False
-    table = np.empty((len(schedule.phases), cap))
-    for row, m in zip(table, schedule.phases):
-        if m[unreached].any():
-            return None
-        row[0], row[1:] = m[0, 0], np.diagonal(m, -1)[:-1]
+    if schedule.phases.any(axis=0)[unreached].any():
+        return None
+    table = np.hstack((schedule.phases[:, :1, 0], np.diagonal(schedule.phases, -1, 1, 2)[:, :-1]))
     return table if ((table > 0) & (table < 1)).all() else None

@@ -28,19 +28,20 @@ from .rng import derive_stream, stream_keys, uniforms
 
 
 class _Sampler:
-    """Every Monte Carlo loop's reader of a schedule: one :class:`_InverseCdf` per entry of
-    ``schedule.phases`` (``n_body`` body tables, then the cycle's), picked by ``phase(t)``."""
+    """Every Monte Carlo loop's reader of a schedule: one :class:`_InverseCdf` over the
+    rows of ``schedule.phases`` end to end, where the step from t at state x reads row
+    ``phase(t) * size + x``; padding rows to the widest phase (``+inf``) changes no draw."""
 
-    __slots__ = ("phase", "tables", "n_body")
+    __slots__ = ("phase", "size", "table")
 
     def __init__(self, schedule: KernelSchedule):
         self.phase = schedule.phase
-        self.tables = [_InverseCdf(m) for m in schedule.phases]
-        self.n_body = len(schedule.body)
+        self.size = schedule.space.size
+        self.table = _InverseCdf(schedule.phases.reshape(-1, self.size))
 
     def draw(self, t: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next states of chains at ``states`` for the step from t, given uniforms u."""
-        return self.tables[self.phase(t)](states, u)
+        return self.table(self.phase(t) * self.size + states, u)
 
     def paths(self, init: np.ndarray, keys: np.ndarray, steps: int):
         """X_0..X_steps per counter stream: draw 0 against ``init``, then draw t + 1 for the step from t."""
@@ -73,12 +74,18 @@ class _InverseCdf:
 
     def __init__(self, kernel: np.ndarray):
         n, size = kernel.shape
-        kept = kernel > 0
-        self.width = 1 << int(kept.sum(axis=1).max()).bit_length()
-        rows, cols = np.nonzero(kept)
-        at = rows * self.width + np.cumsum(kept, axis=1)[kept] - 1
-        self.values = np.full(n * self.width, np.inf)
-        self.values[at] = np.cumsum(kernel, axis=1)[kept]
+        # row x's k-th kept entry goes to slot x * width + k: past the mask no
+        # temporary is n * size long; a zero adds nothing to a cumulative sum
+        flat = np.flatnonzero(kernel > 0)
+        rows, cols = np.divmod(flat, size)
+        counts = np.bincount(rows, minlength=n)
+        self.width = 1 << int(counts.max()).bit_length()
+        at = rows * self.width + np.arange(len(flat)) - (np.cumsum(counts) - counts)[rows]
+        values = np.zeros((n, self.width))
+        values.reshape(-1)[at] = kernel.take(flat)
+        np.cumsum(values, axis=1, out=values)
+        values[np.arange(self.width) >= counts[:, None]] = np.inf
+        self.values = values.reshape(-1)
         self.states = np.full(n * self.width, size - 1, dtype=np.int64)
         self.states[at] = cols
         # round with step s compares u against values[at + s - 1]
@@ -255,8 +262,9 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
 
     Path i draws from ``derive_stream(key, head)`` with the key and head of
     :func:`_path_keys`: the two initial states, then chain 1 and chain 2 at
-    every step.  The step from t reads each chain's body table t, then its
-    cycle table ``t % period``, the rule of :meth:`KernelSchedule.phase`.
+    every step.  The step from t at state x reads row x of body phase t, then of
+    cycle phase ``t % period`` (:meth:`KernelSchedule.phase`), in its sampler's
+    table as flat lists, past the offset of that phase's first row.
 
     The trial scan runs at every joint renewal t >= 1 (the first is the
     meeting time) until it succeeds, and once more on the full renewal
@@ -268,15 +276,18 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
     step.  Each scan resumes the path's previous unresolved one, whose
     renewal lists are prefixes of the current ones.
     """
-    sampler1, sampler2 = _Sampler(plan.schedule1), _Sampler(plan.schedule2)
-    lists1, lists2 = ([table.lists() for table in sampler.tables] for sampler in (sampler1, sampler2))
-    body1, cycle1 = lists1[:sampler1.n_body], lists1[sampler1.n_body:]
-    body2, cycle2 = lists2[:sampler2.n_body], lists2[sampler2.n_body:]
-    n1, period1, n2, period2 = len(body1), len(cycle1), len(body2), len(cycle2)
-    (values1, states1, _), (values2, states2, _) = (
-        _InverseCdf(init[None, :]).lists() for init in (plan.initial1, plan.initial2)
-    )
-    in1, in2 = (_target_mask(schedule.space).tolist() for schedule in (plan.schedule1, plan.schedule2))
+    schedule1, schedule2 = plan.schedule1, plan.schedule2
+    (values1, states1, width1), (values2, states2, width2) = (
+        _Sampler(schedule).table.lists() for schedule in (schedule1, schedule2))
+    # each phase's first row as an offset into its chain's flat lists
+    first1 = list(range(0, len(values1), schedule1.space.size * width1))
+    first2 = list(range(0, len(values2), schedule2.space.size * width2))
+    n1, n2 = len(schedule1.body), len(schedule2.body)
+    body1, cycle1, body2, cycle2 = first1[:n1], first1[n1:], first2[:n2], first2[n2:]
+    period1, period2 = len(cycle1), len(cycle2)
+    (init_values1, init_states1, _), (init_values2, init_states2, _) = (
+        _InverseCdf(init[None, :]).lists() for init in (plan.initial1, plan.initial2))
+    in1, in2 = (_target_mask(schedule.space).tolist() for schedule in (schedule1, schedule2))
     seed, horizon = plan.master_seed, plan.horizon
 
     count = stop - start
@@ -289,18 +300,18 @@ def _simulate_range(plan: SimulationPlan, start: int, stop: int, n0: int, scan: 
 
     for offset, (key, head) in enumerate(_path_keys(seed, start, stop)):
         uniform = derive_stream(key, head)
-        x1 = states1[bisect_right(values1, uniform())]
-        x2 = states2[bisect_right(values2, uniform())]
+        x1 = init_states1[bisect_right(init_values1, uniform())]
+        x2 = init_states2[bisect_right(init_values2, uniform())]
         r1 = [0] if in1[x1] else []
         r2 = [0] if in2[x2] else []
         t_meet: int | None = None
         trials: TrialSequence | None = None
         t = 0
         while t < horizon:
-            values, states, width = body1[t] if t < n1 else cycle1[t % period1]
-            x1 = states[bisect_right(values, uniform(), x1 * width, (x1 + 1) * width)]
-            values, states, width = body2[t] if t < n2 else cycle2[t % period2]
-            x2 = states[bisect_right(values, uniform(), x2 * width, (x2 + 1) * width)]
+            at = (body1[t] if t < n1 else cycle1[t % period1]) + x1 * width1
+            x1 = states1[bisect_right(values1, uniform(), at, at + width1)]
+            at = (body2[t] if t < n2 else cycle2[t % period2]) + x2 * width2
+            x2 = states2[bisect_right(values2, uniform(), at, at + width2)]
             t += 1
             if in1[x1]:
                 r1.append(t)

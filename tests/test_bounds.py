@@ -343,6 +343,15 @@ class TestFullReport:
             full_report(SimulationPlan(low, low, delta(11, 0), delta(11, 0),
                                        horizon=100, n_paths=10, master_seed=1), p=0.82)
 
+    def test_walk_exponent_needs_the_walk_to_dominate(self):
+        """The analytic certificate takes the walk's exponent only where every
+        alpha is at least p; a caller's ``mu_hat`` replaces the exponent, and
+        the check with it."""
+        low = birth_death_schedule(10, [0.15])
+        with pytest.raises(ValueError, match="the envelope does not apply"):
+            bounds.analytic_certificate(low, low, 0.82)
+        assert bounds.analytic_certificate(low, low, 0.82, mu_hat=3.0).gamma > 0.0
+
     def test_tight_cap_triggers_truncation_warning(self):
         sched = birth_death_schedule(4, [0.6])
         plan = SimulationPlan(sched, sched, delta(5, 3), delta(5, 0), horizon=400, n_paths=500, master_seed=8)

@@ -374,6 +374,14 @@ class TestCliExitCodes:
                 assert "row 0" in report["results"]["error"]
                 assert bool(report["results"].get("violations")) == (sub == "validate")
 
+    def test_validate_lists_a_wrong_shape_and_a_bad_row_in_phase_order(self, tmp_path):
+        chain = {"states": 2, "body": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                 "tail": {"kind": "periodic", "matrices": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.2, 0.3]]]}}
+        path = write_config(tmp_path, demo_config(chain1=chain, initial1=[1.0, 0.0]))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
+            "body[0]: expected shape (2, 2), got (3, 3)", "tail[1], row 1: sums to 0.5, not 1"]
+
     def test_config_error_comes_before_kernel_violations(self, tmp_path, capsys):
         cfg = demo_config(chain1=explicit_chain([[0.5, 0.5], [0.2, 0.3]]), initial1=[1.0, 0.0], tail_len=-1)
         path = write_config(tmp_path, cfg)
@@ -416,16 +424,21 @@ class TestCliExitCodes:
         assert "config error" in err and "allocate" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", [
-        {"chain1": birth_death_chain(400)},  # one 401x401 kernel: 1.23 MiB
-        # four 201x201 kernels of 0.31 MiB each, from the body and from the tail
+        {"chain1": birth_death_chain(400)},  # one 401x401 kernel: 2.5 MiB to build
+        # four 201x201 kernels, from the body and from the tail
         {"chain1": {"birth_death": {"cap": 200, "alpha_table": [0.75, 0.75, 0.75],
                                     "tail": {"kind": "constant", "alphas": 0.75}}}},
         {"chain1": {"birth_death": {"cap": 200, "tail": {"kind": "periodic", "alphas": [0.75] * 4}}}},
         {"chain1": {**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "states": 400}, "initial1": {"state": 1}},
+        {"chain1": birth_death_chain(251)},  # one 252x252 kernel: 1,048,832 bytes to build
+        # three 201x201 kernels: 1.9 MiB to build, though their stack alone takes 0.92 MiB
+        {"chain1": {"birth_death": {"cap": 200, "alpha_table": [0.75, 0.75],
+                                    "tail": {"kind": "constant", "alphas": 0.75}}}},
     ])
     def test_kernels_past_physical_memory_are_exit_3(self, tmp_path, capsys, monkeypatch, override):
-        """The loader counts a chain's dense kernels against physical memory
-        (1 MiB here) before it builds any array of that chain."""
+        """The loader counts what building a chain's dense kernels peaks at
+        (``kernel.build_bytes``) against physical memory (1 MiB here) before
+        it builds any array of that chain."""
         monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
         path = write_config(tmp_path, demo_config(**override))
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
@@ -434,9 +447,8 @@ class TestCliExitCodes:
 
     def test_kernels_within_physical_memory_load(self, tmp_path, monkeypatch):
         monkeypatch.setattr(kernel, "physical_memory", lambda: 2**20)
-        three = {"birth_death": {"cap": 200, "alpha_table": [0.75, 0.75],  # 0.92 MiB in all
-                                 "tail": {"kind": "constant", "alphas": 0.75}}}
-        path = write_config(tmp_path, demo_config(chain1=three))
+        # one 251x251 kernel: 1,040,720 bytes to build
+        path = write_config(tmp_path, demo_config(chain1=birth_death_chain(250)))
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("sub", ["simulate", "bound"])
@@ -508,14 +520,17 @@ class TestCliExitCodes:
 
     def test_upward_drift_pair_is_exit_1(self, tmp_path):
         """alpha = 0.15 on both chains drifts away from 0 and p = 0.82: the
-        envelope does not dominate (P(T > 11) is about 0.95), so no bound."""
+        envelope does not dominate (P(T > 11) is about 0.95), so no bound, and
+        the walk's exponent gives no analytic gamma."""
         drift = {"birth_death": {"cap": 10, "tail": {"kind": "constant", "alphas": 0.15}}}
         cfg = demo_config(chain1=drift, chain2=drift, domination={"p": 0.82, "series_len": 400})
         path = write_config(tmp_path, cfg)
-        assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
-        report = load_report(tmp_path, "t_bound.json")
-        assert "does not apply" in report["results"]["error"]
-        assert "bound" not in report["results"]
+        for sub in ("bound", "birth-death-demo", "compare", "condition-check"):
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1, sub
+            report = load_report(tmp_path, f"t_{sub}.json")
+            assert report["results"]["error"] == (
+                "walk parameter p=0.82 exceeds the chains' inf alpha=0.15; the envelope does not apply")
+            assert "bound" not in report["results"] and "gamma" not in report["results"]
 
     def test_bound_pipeline_ok(self, tmp_path):
         path = write_config(tmp_path, demo_config())

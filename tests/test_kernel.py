@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ D = np.array([[0.9, 0.1], [0.3, 0.7]])
 
 def make(body, tail, size=2, targets=(0,)):
     return KernelSchedule(StateSpace(size, frozenset(targets)), tuple(body), tail)
+
+
+def long_body(phases=2000, cap=50):
+    """A (phases, cap) table of down probabilities that decay toward 0.75 with
+    t and vary with the state, after the long-body pair's first chain."""
+    decay = 0.2 * np.exp(-np.arange(phases) / 300)
+    return 0.75 + decay[:, None] * np.linspace(0.5, 1.0, cap)
 
 
 class TestStateSpace:
@@ -94,6 +102,24 @@ class TestKernelRule:
             "tail[1], row 1: entry 1 is nan; entries must be finite and nonnegative",
         )
         assert str(caught.value) == "; ".join(caught.value.args)
+
+    def test_wrong_shape_and_bad_row_are_listed_in_phase_order(self):
+        short = [[0.5, 0.5], [0.2, 0.3]]
+        assert violations_of([np.eye(3)], (I2, short)) == [
+            "body[0]: expected shape (2, 2), got (3, 3)",
+            "tail[1], row 1: sums to 0.5, not 1",
+        ]
+        assert violations_of([short], (I2, np.eye(3))) == [
+            "body[0], row 1: sums to 0.5, not 1",
+            "tail[1]: expected shape (2, 2), got (3, 3)",
+        ]
+
+    def test_one_bad_row_in_a_long_body_is_named(self):
+        mats = np.array(birth_death_schedule(50, [0.75], body=long_body()).phases)
+        mats[1500, 7, 6] += 1e-9
+        with pytest.raises(kernel.KernelError) as caught:
+            KernelSchedule(StateSpace(51, frozenset({0})), tuple(mats[:2000]), tuple(mats[2000:]))
+        assert caught.value.args == ("body[1500], row 7: sums to 1.000000001, not 1",)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(size=st.integers(1, 300), n_body=st.integers(0, 3), period=st.integers(1, 3),
@@ -241,6 +267,11 @@ class TestDownProbabilities:
         assert down_probabilities(changed(perturb(inside=False))) is None
         assert down_probabilities(changed(jump)) is None
 
+    def test_reads_a_long_body_back_exactly(self):
+        body = long_body()
+        sched = birth_death_schedule(50, [0.75, 0.8], body=body)
+        assert np.array_equal(down_probabilities(sched), np.vstack([body, np.full((2, 50), [[0.75], [0.8]])]))
+
     def test_two_states_are_not_a_birth_death_chain(self):
         # the cap-1 matrix of birth_death_schedule's rule, which it refuses to build
         assert down_probabilities(make([], ([[0.75, 0.25], [1.0, 0.0]],))) is None
@@ -275,6 +306,30 @@ class TestMemoryRule:
     def test_available_memory_is_at_most_physical(self):
         free, total = available_memory(), physical_memory()
         assert free is None or total is None or 0 < free <= total
+
+    @staticmethod
+    def _peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_building_a_long_body_peaks_within_the_loaders_rule(self):
+        """The loader's rule (``build_bytes``) covers what building the long
+        body's 2,001 cap-50 kernels peaks at: from its down probabilities, and
+        from explicit float matrices made inside the measurement."""
+        body = long_body()
+        rule = kernel.build_bytes(2001, 51)
+        assert self._peak(lambda: birth_death_schedule(50, [0.75], body=body)) <= rule
+        mats = np.array(birth_death_schedule(50, [0.75], body=body).phases)
+
+        def explicit():
+            copies = [np.array(m) for m in mats]
+            return KernelSchedule(StateSpace(51, frozenset({0})), tuple(copies[:2000]), tuple(copies[2000:]))
+
+        assert self._peak(explicit) <= rule
 
     def test_step_counts_near_a_billion_are_refused_before_any_work(self, monkeypatch):
         """Both step counts fail the rule on 8 GiB free before any array or loop

@@ -61,6 +61,27 @@ class TestSamplePath:
             sample_path(sched, [-0.1, 1.1], seed=1, horizon=5)
 
 
+class _PhaseTable:
+    """Phase k's rows of a sampler's one table, read as a table of that phase alone."""
+
+    def __init__(self, sampler, k):
+        self.sampler, self.first = sampler, k * sampler.size
+
+    def __call__(self, states, u):
+        return self.sampler.table(self.first + states, u)
+
+    def lists(self):
+        values, states, width = self.sampler.table.lists()
+        lo, hi = self.first * width, (self.first + self.sampler.size) * width
+        return values[lo:hi], states[lo:hi], width
+
+
+def _phase_tables(sampler):
+    """One reader per entry of the schedule's ``phases``, in order."""
+    table = sampler.table
+    return [_PhaseTable(sampler, k) for k in range(len(table.states) // (sampler.size * table.width))]
+
+
 def _scalar_reader(table):
     """The joint estimator's draw: one ``bisect`` over row x's slice of the table's flat lists."""
     values, states, width = table.lists()
@@ -77,15 +98,21 @@ class TestBatchedDraw:
         us = [0.0, *cum, *np.nextafter(cum, -1.0), *np.linspace(0.0, 1.0, 7, endpoint=False)]
         return [u for u in us if 0.0 <= u < 1.0]
 
-    def _check_table(self, table, kernel):
+    @classmethod
+    def _cases(cls, kernel):
+        """(states, uniforms, the oracle's next states) over every row's edge uniforms."""
         size = kernel.shape[1]
         states, us, expected = [], [], []
         for x, row in enumerate(kernel):
             cum = np.cumsum(row)
-            edge = self._edge_uniforms(cum)
+            edge = cls._edge_uniforms(cum)
             states += [x] * len(edge)
             us += edge
             expected += [_draw(cum, u, size) for u in edge]
+        return states, us, expected
+
+    def _check_table(self, table, kernel):
+        states, us, expected = self._cases(kernel)
         assert table(np.array(states, dtype=np.int64), np.array(us)).tolist() == expected
         scalar = _scalar_reader(table)
         assert [scalar(x, u) for x, u in zip(states, us)] == expected
@@ -93,10 +120,23 @@ class TestBatchedDraw:
     def _check(self, schedule, steps):
         sampler = _Sampler(schedule)
         for t in range(steps):
-            self._check_table(sampler.tables[sampler.phase(t)], schedule.at(t))
+            self._check_table(_phase_tables(sampler)[sampler.phase(t)], schedule.at(t))
 
     def test_birth_death_schedule(self):
         self._check(birth_death_schedule(12, [0.75, np.linspace(0.55, 0.9, 12)]), steps=3)
+
+    def test_long_birth_death_body(self):
+        """On a 2,000-phase body, ``draw`` and the scalar reader give the
+        oracle's states inside the body, at the body/cycle seam and past it."""
+        decay = 0.2 * np.exp(-np.arange(2000) / 300)
+        body = 0.75 + decay[:, None] * np.linspace(0.5, 1.0, 50)
+        schedule = birth_death_schedule(50, [0.75, np.linspace(0.6, 0.9, 50)], body=body)
+        sampler = _Sampler(schedule)
+        for t in (0, 1000, 1999, 2000, 2001, 2002, 10**6 + 1):
+            states, us, expected = self._cases(schedule.at(t))
+            assert sampler.draw(t, np.array(states, dtype=np.int64), np.array(us)).tolist() == expected
+            scalar = _scalar_reader(_phase_tables(sampler)[sampler.phase(t)])
+            assert [scalar(x, u) for x, u in zip(states, us)] == expected
 
     def test_dense_schedule_with_short_row(self):
         rng = np.random.default_rng(3)
@@ -177,7 +217,7 @@ class TestBatchedDraw:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(sampler.tables) == 1
+        assert len(_phase_tables(sampler)) == 1
         assert held < 2**20
 
 
@@ -214,6 +254,16 @@ class TestJointOracle:
         spread = np.array([0.0, 0.35, 0.25, 0.0, 0.4])
         self._check(SimulationPlan(schedule1, schedule2, spread, spread[::-1].copy(),
                                    horizon=6, n_paths=400, master_seed=5))
+
+    def test_bodies_of_different_lengths(self):
+        """Chain 1 leaves its 31-phase body for a period-2 cycle, chain 2 its
+        44-phase body for a period-3 cycle; neither body is a whole number of
+        periods, so a cycle anchored at the body's end would differ."""
+        rng = np.random.default_rng(4)
+        schedule1 = birth_death_schedule(6, [0.8, 0.55], body=rng.uniform(0.3, 0.9, (31, 6)))
+        schedule2 = birth_death_schedule(6, [0.6, 0.85, 0.5], body=rng.uniform(0.3, 0.9, (44, 6)))
+        self._check(SimulationPlan(schedule1, schedule2, delta(7, 5), delta(7, 6),
+                                   horizon=60, n_paths=300, master_seed=3))
 
     def test_two_ranges_past_one_key_chunk(self, monkeypatch):
         """The second worker's range starts at path 1,050, inside a chunk of
@@ -282,7 +332,7 @@ class TestPhaseRule:
         out = []
         for t in range(steps):
             expected = t if t < 2 else 2 + t % 3
-            scalar = _scalar_reader(sampler.tables[sampler.phase(t)])
+            scalar = _scalar_reader(_phase_tables(sampler)[sampler.phase(t)])
             picked = {
                 "at": {_draw(np.cumsum(row), 0.5, len(row)) for row in schedule.at(t)},
                 "scalar": {scalar(x, 0.5) for x in states.tolist()},
