@@ -3,7 +3,8 @@
 Subcommands: validate, simulate, exact, condition-check, bound, compare,
 and birth-death-demo.  Every run writes one JSON report (and optional
 CSVs with --format csv) into --out-dir.  Exit codes: 0 success, 1
-validation failure, 2 statistical-check failure, 3 I/O or config error.
+validation failure, 2 statistical-check failure, 3 usage, I/O or config
+error.
 Every subcommand exits 1 before any work on a kernel or initial-law
 violation the config loader lists; ``validate`` reports them all.
 """
@@ -122,17 +123,9 @@ def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
         "provenance": "mc",
     }
     if args.format == "csv":
-        rows = [
-            (
-                i,
-                int(est.meeting_times[i]),
-                int(est.first_hit1[i]),
-                int(est.first_hit2[i]),
-                int(est.trials_to_success[i]),
-                int(est.meeting_times[i] < 0),
-            )
-            for i in range(est.n_paths)
-        ]
+        columns = (est.meeting_times, est.first_hit1, est.first_hit2, est.trials_to_success,
+                   (est.meeting_times < 0).astype(int))
+        rows = zip(range(est.n_paths), *(column.tolist() for column in columns))
         path = _write_csv(
             args.out_dir,
             f"{scenario.name}_paths",
@@ -168,10 +161,8 @@ def _cmd_exact(scenario: Scenario, report: dict, args) -> None:
         "provenance": "exact",
     }
     if args.format == "csv":
-        rows = [
-            (n, float(meeting.tails[n]), float(meeting.table.mass[n]))
-            for n in range(tail_len + 1)
-        ]
+        rows = zip(range(tail_len + 1), meeting.tails[:tail_len + 1].tolist(),
+                   meeting.table.mass[:tail_len + 1].tolist())
         path = _write_csv(args.out_dir, f"{scenario.name}_exact_tail", ["n", "tail", "mass"], rows)
         report["results"]["csv"] = path.name
 
@@ -302,15 +293,30 @@ DEMO_CONFIG = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main() reports it and exits 3, where argparse exits 2
+        raise argparse.ArgumentError(None, message)
+
+
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renewalsim",
         description="Simultaneous renewal times of Markov chain pairs: "
         "simulation, exact oracles, and certified bounds.",
     )
     parser.add_argument("subcommand", choices=list(COMMANDS))
     parser.add_argument("--config", type=Path, default=None, help="scenario JSON file")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    parser.add_argument("--workers", type=_worker_count, default=1, help="parallel worker count")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="report directory")
     parser.add_argument("--format", choices=["json", "csv"], default="json",
@@ -359,7 +365,11 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 3
     return run(args)
 
 

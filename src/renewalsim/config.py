@@ -31,69 +31,52 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _as_alpha_row(value, cap: int, where: str) -> np.ndarray:
-    if isinstance(value, (int, float)):
-        return np.full(cap, float(value))
-    row = np.asarray(value, dtype=float)
-    if row.shape != (cap,):
-        raise ConfigError(f"{where}: expected {cap} down probabilities, got shape {row.shape}")
-    return row
+def _chain_entries(obj: dict, size: int, body_key: str, tail_key: str, where: str,
+                   one_entry: bool) -> tuple[list, list]:
+    """A chain's body and tail entries as the config writes them: the kernel
+    module converts and checks each one.
 
-
-def _parse_tail(obj: dict, key: str, parse, where: str, one_entry: bool) -> tuple:
-    """The ``tail`` object: ``kind`` constant (the period-1 cycle) or periodic.
-
-    ``one_entry`` means a constant tail gives its entry bare, not as a
-    one-element list.
+    The ``tail`` object has ``kind`` constant (the period-1 cycle) or
+    periodic; ``one_entry`` means a constant tail gives its entry bare, not
+    as a one-element list.  MemoryError unless building one dense size x size
+    kernel per entry fits in physical memory (:func:`kernel.build_bytes`),
+    checked here, before any array of the chain is built.
     """
+    body = obj.get(body_key, [])
+    if not isinstance(body, list):
+        raise ConfigError(f"{where}.{body_key} must be a list")
     tail_obj = _require(obj, "tail", where)
-    where = f"{where}.tail"
-    kind = _require(tail_obj, "kind", where)
-    values = _require(tail_obj, key, where)
+    kind = _require(tail_obj, "kind", f"{where}.tail")
+    tail = _require(tail_obj, tail_key, f"{where}.tail")
     if kind not in ("constant", "periodic"):
-        raise ConfigError(f"{where}.kind must be 'constant' or 'periodic', got '{kind}'")
+        raise ConfigError(f"{where}.tail.kind must be 'constant' or 'periodic', got '{kind}'")
     if kind == "constant" and one_entry:
-        return (parse(values, f"{where}.{key}"),)
-    entries = tuple(parse(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
-    if not entries:
-        raise ConfigError(f"{where}.{key} must be nonempty")
-    if kind == "constant" and len(entries) > 1:
-        raise ConfigError(f"{where}.{key}: a constant tail takes one entry, got {len(entries)}")
-    return entries
-
-
-def _dense_kernels_fit(obj: dict, size: int, body_key: str, tail_key: str, where: str) -> None:
-    """MemoryError unless building the chain's dense kernels, one size x size
-    matrix for each body and tail entry as written, fits in physical memory
-    (:func:`kernel.build_bytes`).
-
-    Runs before any array of the chain is built; a constant tail is one
-    entry, and an entry list that is not a list counts as one.
-    """
-    tail = obj.get("tail")
-    tail = tail if isinstance(tail, dict) else {}
-    entries = None if tail.get("kind") == "constant" else tail.get(tail_key)
-    phases = sum(len(e) if isinstance(e, list) else 1 for e in (obj.get(body_key, []), entries))
+        tail = [tail]
+    if not isinstance(tail, list) or not tail:
+        raise ConfigError(f"{where}.tail.{tail_key} must be a nonempty list")
+    if kind == "constant" and len(tail) > 1:
+        raise ConfigError(f"{where}.tail.{tail_key}: a constant tail takes one entry, got {len(tail)}")
+    phases = len(body) + len(tail)
     check_fits(build_bytes(phases, size), f"{where}: {phases} dense {size}x{size} kernel(s)")
+    return body, tail
 
 
 def _parse_birth_death(obj: dict, target_set, where: str) -> KernelSchedule:
+    """The birth-death chain of ``obj``; the kernel module's message about an
+    α entry, which names it ``body[i]`` or ``tail[k]``, gets ``where`` in front."""
     cap = _integral(_require(obj, "cap", where), f"{where}.cap")
-    _dense_kernels_fit(obj, cap + 1, "alpha_table", "alphas", where)
-    body = tuple(_as_alpha_row(r, cap, f"{where}.alpha_table[{i}]")
-                 for i, r in enumerate(obj.get("alpha_table", [])))
-    tail = _parse_tail(obj, "alphas", lambda r, at: _as_alpha_row(r, cap, at), where, one_entry=True)
+    body, tail = _chain_entries(obj, cap + 1, "alpha_table", "alphas", where, one_entry=True)
     try:
         return birth_death_schedule(cap, tail, body=body, target_set=target_set)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _parse_explicit(obj: dict, target_set, where: str) -> tuple[StateSpace, tuple, tuple]:
+def _parse_explicit(obj: dict, target_set, where: str) -> tuple[StateSpace, list, list]:
+    """The state space and the matrices as written of the explicit chain of
+    ``obj``; ``KernelSchedule`` converts and checks them."""
     states = _integral(_require(obj, "states", where), f"{where}.states")
-    _dense_kernels_fit(obj, states, "body", "matrices", where)
-    body = tuple(np.asarray(m, dtype=float) for m in obj.get("body", []))
-    tail = _parse_tail(obj, "matrices", lambda m, at: np.asarray(m, dtype=float), where, one_entry=False)
+    body, tail = _chain_entries(obj, states, "body", "matrices", where, one_entry=False)
     try:
         space = StateSpace(states, target_set)
     except ValueError as err:

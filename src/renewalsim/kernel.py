@@ -151,8 +151,9 @@ def _checked_stack(entries: tuple, n: int, label: Callable[[int], str]) -> np.nd
 
 def build_bytes(phases: int, size: int) -> int:
     """What building a schedule of ``phases`` dense size x size kernels peaks
-    at: two float64 copies of each entry (the caller's matrices and their
-    stack), 64 bytes a row (row reductions, down probabilities), and 256
+    at: two float64 copies of each entry (a birth-death build's stack and
+    ``KernelSchedule``'s copy of it; nested lists convert straight into the
+    one stack), 64 bytes a row (row reductions, down probabilities), and 256
     bytes a phase and 16 KiB a schedule of Python objects."""
     return phases * (size * (16 * size + 64) + 256) + 2**14
 
@@ -162,10 +163,11 @@ class KernelSchedule:
     """One transition matrix per step: body matrices for t < len(body), then
     the tail cycle, anchored at absolute time: step t uses ``tail[t % len(tail)]``.
 
-    Construction copies the body and one tail cycle into ``phases``, one
-    read-only (phases, n, n) float array that ``phase(t)`` indexes and whose
-    views ``body`` and ``tail`` become.  The joint estimator's step loop
-    applies the rule of ``phase`` itself; ``TestJointOracle`` checks it.
+    Construction copies the body and one tail cycle, matrices as arrays or
+    as nested lists, into ``phases``, one read-only (phases, n, n) float
+    array that ``phase(t)`` indexes and whose views ``body`` and ``tail``
+    become.  The joint estimator's step loop applies the rule of ``phase``
+    itself; ``TestJointOracle`` checks it.
 
     Construction runs the kernel rule that every sampler and exact law relies
     on, in one pass over the stack: each phase is (n, n), each row finite,
@@ -215,6 +217,8 @@ def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
     t < len(body), then ``alphas`` is the cycle.  Each entry is a scalar,
     the same alpha at every state, or a row of alpha(t, j) for
     j = 0..cap-1 (the cap row is deterministic and carries no parameter).
+    ValueError names the first entry of the wrong length or out of range,
+    ``body[i]`` or ``tail[k]``.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")

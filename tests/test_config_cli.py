@@ -1,13 +1,16 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renewalsim import birth_death_schedule, down_probabilities, kernel
-from renewalsim.cli import COMMANDS, main
+from renewalsim import KernelSchedule, StateSpace, birth_death_schedule, down_probabilities, kernel
+from renewalsim.cli import COMMANDS, _plan, main
 from renewalsim.config import ConfigError, load_scenario
+from renewalsim.kernel import KernelError
+from renewalsim.simulate import estimate_joint_renewal
 
 
 def demo_config(**overrides):
@@ -279,6 +282,142 @@ class TestConfig:
             pass
 
 
+ALPHA = st.floats(0.05, 0.95)
+
+
+@st.composite
+def alpha_entries(draw, cap):
+    """A birth-death α entry as a config writes it: a scalar or a length-cap row."""
+    return draw(ALPHA | st.lists(ALPHA, min_size=cap, max_size=cap))
+
+
+@st.composite
+def stochastic_matrices(draw, n):
+    """An n x n kernel as nested lists of floats, each row integer weights over their sum."""
+    rows = draw(st.lists(st.lists(st.integers(1, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+    return [[w / sum(row) for w in row] for row in rows]
+
+
+@st.composite
+def chain_specs(draw, entry, size):
+    """``(size, body, cycle, kind)``: 0-3 body entries and a constant or periodic tail."""
+    n = draw(size)
+    body = draw(st.lists(entry(n), max_size=3))
+    kind = draw(st.sampled_from(["constant", "periodic"]))
+    cycle = draw(st.lists(entry(n), min_size=1, max_size=1 if kind == "constant" else 3))
+    return n, body, cycle, kind
+
+
+def birth_death_spec(cap, body, cycle, kind):
+    alphas = cycle[0] if kind == "constant" else cycle
+    return {"birth_death": {"cap": cap, "alpha_table": body, "tail": {"kind": kind, "alphas": alphas}}}
+
+
+def explicit_spec(states, body, cycle, kind):
+    return {"states": states, "body": body, "tail": {"kind": kind, "matrices": cycle}}
+
+
+class TestOneReader:
+    """The loader hands a chain's entries to the kernel module as written: the
+    loaded phases, and the faults reported, are those of a direct build."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(chain_specs(alpha_entries, st.integers(2, 6)), st.data())
+    def test_birth_death_chain_is_the_kernel_modules_build(self, spec, data):
+        cap, body, cycle, kind = spec
+        direct = birth_death_schedule(cap, cycle, body=body)
+        loaded = load_scenario(demo_config(chain1=birth_death_spec(*spec))).schedule1
+        assert loaded.phases.shape == direct.phases.shape
+        assert loaded.phases.tobytes() == direct.phases.tobytes()
+        assert len(loaded.body) == len(body)
+
+        # one entry out of (0, 1) or of the wrong length
+        entries = body + cycle
+        at = data.draw(st.integers(0, len(entries) - 1), label="fault at")
+        entries[at] = data.draw(st.sampled_from([0.0, 1.5, [0.5] * (cap - 1), [0.5] * (cap + 1),
+                                                 [0.5] * (cap - 1) + [1.0]]), label="fault")
+        body, cycle = entries[:len(body)], entries[len(body):]
+        with pytest.raises(ValueError) as direct_error:
+            birth_death_schedule(cap, cycle, body=body)
+        with pytest.raises(ConfigError) as loaded_error:
+            load_scenario(demo_config(chain1=birth_death_spec(cap, body, cycle, kind)))
+        assert str(loaded_error.value) == f"config.chain1.birth_death: {direct_error.value}"
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(chain_specs(stochastic_matrices, st.integers(1, 4)), st.data())
+    def test_explicit_chain_is_the_kernel_modules_build(self, spec, data):
+        states, body, cycle, kind = spec
+        space = StateSpace(states, frozenset({0}))
+        direct = KernelSchedule(space, body, cycle)
+        scenario = load_scenario(demo_config(chain1=explicit_spec(*spec)))
+        assert scenario.violations == ()
+        assert scenario.schedule1.phases.shape == direct.phases.shape
+        assert scenario.schedule1.phases.tobytes() == direct.phases.tobytes()
+        assert len(scenario.schedule1.body) == len(body)
+
+        # one entry of the wrong shape, or with a negative entry or a row off 1
+        entries = body + cycle
+        at = data.draw(st.integers(0, len(entries) - 1), label="fault at")
+        bad = [row[:] for row in entries[at]]
+        fault = data.draw(st.sampled_from(["shape", "negative", "sum"]), label="fault")
+        if fault == "shape":
+            bad = [row + [0.0] for row in bad] + [[0.0] * states + [1.0]]
+        else:
+            bad[-1][0] = -0.5 if fault == "negative" else bad[-1][0] + 0.25
+        entries[at] = bad
+        body, cycle = entries[:len(body)], entries[len(body):]
+        with pytest.raises(KernelError) as direct_error:
+            KernelSchedule(space, body, cycle)
+        scenario = load_scenario(demo_config(chain1=explicit_spec(states, body, cycle, kind)))
+        assert scenario.schedule1 is None
+        assert scenario.violations == direct_error.value.args
+
+    def test_loading_a_long_explicit_chain_peaks_near_its_stack(self):
+        """Loading a 2,000-phase cap-50 explicit chain from parsed JSON peaks at
+        no more than 1.2 times its stack: ``KernelSchedule`` converts the nested
+        lists into the stack in one step, with no float copy of each matrix
+        before it.  Every phase is one parsed matrix, which keeps the test's
+        own lists small; numpy converts each phase all the same."""
+        matrix = birth_death_schedule(50, [0.75]).tail[0].tolist()
+        chain = {"states": 51, "body": [matrix] * 1999, "tail": {"kind": "constant", "matrices": [matrix]}}
+        cfg = demo_config(chain1=chain)
+        tracemalloc.start()
+        try:
+            scenario = load_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scenario.schedule1.phases.shape == (2000, 51, 51)
+        assert peak <= 1.2 * scenario.schedule1.phases.nbytes
+
+    def test_a_body_fault_is_named_before_a_tail_fault(self, tmp_path, capsys):
+        """α 1.5 in ``alpha_table[1]`` and a wrong-length tail row: the kernel
+        module names the first entry at fault, the body's."""
+        chain = {"birth_death": {"cap": 8, "alpha_table": [0.5, 1.5],
+                                 "tail": {"kind": "periodic", "alphas": [0.75, [0.5] * 3]}}}
+        path = write_config(tmp_path, demo_config(chain1=chain))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "config error: config.chain1.birth_death: body[1]: down probabilities must lie strictly in (0, 1)\n")
+
+    @pytest.mark.parametrize("chain, key", [
+        ({"birth_death": {"cap": 8, "alpha_table": "ab", "tail": {"kind": "constant", "alphas": 0.75}}},
+         "birth_death.alpha_table"),
+        ({"birth_death": {"cap": 8, "alpha_table": {}, "tail": {"kind": "constant", "alphas": 0.75}}},
+         "birth_death.alpha_table"),
+        ({"birth_death": {"cap": 8, "tail": {"kind": "periodic", "alphas": "ab"}}}, "birth_death.tail.alphas"),
+        ({"birth_death": {"cap": 8, "tail": {"kind": "periodic", "alphas": 0.75}}}, "birth_death.tail.alphas"),
+        ({**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "body": "ab"}, "body"),
+        ({**explicit_chain([[0.5, 0.5], [0.5, 0.5]]), "body": 5}, "body"),
+        ({"states": 2, "tail": {"kind": "constant", "matrices": "ab"}}, "tail.matrices"),
+        ({"states": 2, "tail": {"kind": "periodic", "matrices": "ab"}}, "tail.matrices"),
+    ])
+    def test_an_entry_list_that_is_not_a_list_is_exit_3(self, tmp_path, capsys, chain, key):
+        path = write_config(tmp_path, demo_config(chain1=chain, initial1=[1.0] + [0.0] * 8))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: config.chain1.{key} must be a")
+
+
 class TestCliExitCodes:
     @settings(max_examples=100, deadline=None)
     @given(any_config())
@@ -349,6 +488,20 @@ class TestCliExitCodes:
         assert report["results"]["meeting_time"]["provenance"] == "mc"
         assert "se" in report["results"]["meeting_time"]
 
+    def test_simulate_csv_rows_are_the_per_path_results(self, tmp_path):
+        """One row per path in path order, −1 for a censored value and
+        ``censored`` 1 exactly where the meeting time is −1."""
+        cfg = demo_config(horizon=12, n_paths=300, initial1={"state": 8}, initial2={"state": 3})
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path), "--format", "csv"]) == 0
+        est = estimate_joint_renewal(_plan(load_scenario(cfg)))
+        assert 0 < est.censored < est.n_paths
+        rows = [f"{i},{t},{h1},{h2},{n},{int(t < 0)}" for i, (t, h1, h2, n) in enumerate(zip(
+            est.meeting_times.tolist(), est.first_hit1.tolist(), est.first_hit2.tolist(),
+            est.trials_to_success.tolist()))]
+        assert (tmp_path / "t_paths.csv").read_text().splitlines() == [
+            "path_id,T,theta0_1,theta0_2,tau_trials,censored", *rows]
+
     def test_missing_config_is_exit_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == 3
@@ -357,6 +510,23 @@ class TestCliExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"], ["validate", "--workers", "x"], ["validate", "--workers", "0"], ["validate", "--workers", "-3"],
+    ])
+    def test_usage_error_is_exit_3(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, demo_config())
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "--workers" in capsys.readouterr().out
 
     def test_invalid_matrix_is_exit_1(self, tmp_path):
         # every subcommand validates; only validate lists the violations
