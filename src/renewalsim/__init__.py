@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundComparison,
     BoundReport,
-    TrialStats,
     bound_via_first_moment,
     bound_via_second_moment,
     compare_bounds,

@@ -8,8 +8,9 @@ chains, the envelope head and mass, and the regularity constant:
 For the nearest-neighbour family two closed-form specializations exist,
 one driven by second-moment constants of the dominating walk (the legacy
 route) and one by first moments only; this module computes both, checks
-the algebraic identity tying them together, and assembles the full
-pipeline report for a birth-death pair.
+the algebraic identity tying them together, and runs the full pipeline
+for a birth-death pair.  It returns numbers and objects only; the report
+form of each is written by :mod:`renewalsim.cli`.
 """
 
 from __future__ import annotations
@@ -32,19 +33,6 @@ from .kernel import KernelSchedule, _target_mask, check_fits, down_probabilities
 from .simulate import JointRenewalEstimate, SimulationPlan, estimate_joint_renewal
 
 
-def quantity(value, provenance: str, se=None) -> dict:
-    """One reported number tagged with its kind: exact, analytic or mc (with its SE)."""
-    out = {"value": value, "provenance": provenance}
-    if se is not None:
-        out["se"] = se
-    return out
-
-
-def exact_bracket(bracket: exact.ExpectationBracket) -> dict:
-    """Report form of an exact expectation bracket."""
-    return {"low": bracket.low, "high": bracket.high, "provenance": "exact"}
-
-
 def expectation_bound(
     m1: float, m2: float, n0: int, head: float, mass: float, gamma: float
 ) -> float:
@@ -64,36 +52,21 @@ def trial_tail_bound(gamma: float, n: int) -> float:
     return (1.0 - gamma) ** n
 
 
-@dataclass(frozen=True, eq=False)
-class TrialStats:
-    """Estimated table P{trial sums hit j at trial k, scan still running}.
-
-    ``table[k, j]`` estimates the probability that the k-th partial sum of
-    the trial gaps equals j while the first success has not occurred
-    before trial k.  Built from paths where both chains start inside the
-    target set.
-    """
-
-    table: np.ndarray
-    n_paths: int
-
-    @property
-    def by_sum(self) -> np.ndarray:
-        """Column sums: the per-j renewal mass entering the tail envelope."""
-        return self.table.sum(axis=0)
-
-
 # paths per chunk of trial_statistics: its per-sum temporaries span one chunk's sums
 TRIAL_CHUNK_PATHS = 1024
 
 
 def trial_statistics(
     estimate: JointRenewalEstimate, max_sum: int, max_trials: int | None = None
-) -> TrialStats:
-    """Accumulate the trial-sum table from an estimate whose chains both start in the target set.
+) -> np.ndarray:
+    """The (max_trials + 1, max_sum + 1) table of P{trial sums hit j at trial k,
+    scan still running}, from an estimate whose chains both start in the target set.
 
-    Paths are read ``TRIAL_CHUNK_PATHS`` at a time, so no per-sum index
-    array spans all of ``trial_sums``; counts go straight into the table.
+    ``table[k, j]`` estimates the probability that the k-th partial sum of
+    the trial gaps equals j while the first success has not occurred
+    before trial k.  Paths are read ``TRIAL_CHUNK_PATHS`` at a time, so no
+    per-sum index array spans all of ``trial_sums``; counts go straight
+    into the table.
     """
     if (estimate.first_hit1 != 0).any() or (estimate.first_hit2 != 0).any():
         raise ValueError("trial statistics require both chains to start in the target set")
@@ -116,13 +89,14 @@ def trial_statistics(
         counts = np.bincount(k[keep] * width + chunk[keep])
         cells[: len(counts)] += counts
     table /= estimate.n_paths
-    return TrialStats(table=table, n_paths=estimate.n_paths)
+    return table
 
 
 def meeting_tail_envelope(
-    envelope: DominatingSequence, n0: int, stats: TrialStats, length: int
+    envelope: DominatingSequence, n0: int, table: np.ndarray, length: int
 ) -> np.ndarray:
-    """Double-sum part of the meeting-time tail envelope.
+    """Double-sum part of the meeting-time tail envelope, from the table of
+    :func:`trial_statistics`.
 
     Entry n is ``sum_j envelope[n - j - n0] * sum_{k<=j} table[k, j]``
     with negative envelope indices resolving to the head value.  When
@@ -134,7 +108,7 @@ def meeting_tail_envelope(
     """
     if length >= envelope.length + n0:
         raise ValueError("envelope too short for the requested length")
-    return np.convolve(_shifted(envelope, n0, length), stats.by_sum)[: length + 1]
+    return np.convolve(_shifted(envelope, n0, length), table.sum(axis=0))[: length + 1]
 
 
 def _shifted(envelope: DominatingSequence, n0: int, length: int) -> np.ndarray:
@@ -216,52 +190,19 @@ def compare_bounds(p: float, gamma: float) -> BoundComparison:
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """All inputs and outputs of the full bound pipeline."""
+    """All inputs and outputs of the full bound pipeline; ``comparison`` holds p."""
 
-    p: float
-    gamma: float
-    n0: int
     floor: float
+    certificate: RegularityCertificate
+    envelope: DominatingSequence
     mean_hit1: exact.ExpectationBracket
     mean_hit2: exact.ExpectationBracket
-    envelope_head: float
-    envelope_mass: float
     bound: float
     comparison: BoundComparison
     mc: JointRenewalEstimate
     tail_envelope: np.ndarray | None
     bound_holds: bool
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        c = self.comparison
-        analytic = {
-            "p": self.p,
-            "gamma": self.gamma,
-            "n0": self.n0,
-            "floor": self.floor,
-            "envelope_head": self.envelope_head,
-            "envelope_mass": self.envelope_mass,
-            "bound": self.bound,
-            "second_moment_bound": c.second_moment_bound,
-            "first_moment_bound": c.first_moment_bound,
-            "walk_moment1": c.walk_moment1,
-            "walk_moment2": c.walk_moment2,
-            "identity_residual": c.identity_residual,
-        }
-        return {
-            **{key: quantity(value, "analytic") for key, value in analytic.items()},
-            "mean_hit1": exact_bracket(self.mean_hit1),
-            "mean_hit2": exact_bracket(self.mean_hit2),
-            "verdict": self.comparison.verdict,
-            "mc_mean": quantity(self.mc.mean, "mc", self.mc.se),
-            "mc_censoring_rate": quantity(self.mc.censoring_rate, "mc"),
-            "tail_envelope": None
-            if self.tail_envelope is None
-            else [float(v) for v in self.tail_envelope],
-            "bound_holds": self.bound_holds,
-            "warnings": list(self.warnings),
-        }
 
 
 def _analytic_floor(
@@ -317,14 +258,9 @@ def full_report(
 
     envelope = walk_dominating_sequence(p, series_len)
     exact_h = max(plan.horizon, 2000)
-    hit1 = exact.hitting_time_distribution(
-        schedule1, initial1, horizon=exact_h, tail_gamma=certificate.gamma
-    )
-    hit2 = exact.hitting_time_distribution(
-        schedule2, initial2, horizon=exact_h, tail_gamma=certificate.gamma
-    )
+    hit1, hit2 = (exact.hitting_time_distribution(schedule, initial, horizon=exact_h, tail_gamma=certificate.gamma)
+                  for schedule, initial in ((schedule1, initial1), (schedule2, initial2)))
 
-    starts_in_target = _starts_in_target(plan)
     mc = estimate_joint_renewal(plan, workers=workers, tail_len=tail_len, n0=certificate.n0)
 
     warnings: list[str] = []
@@ -344,32 +280,23 @@ def full_report(
             )
 
     tail_env = None
-    if starts_in_target:
-        stats = trial_statistics(mc, max_sum=tail_len)
-        tail_env = meeting_tail_envelope(envelope, certificate.n0, stats, tail_len)
+    if _starts_in_target(plan):
+        table = trial_statistics(mc, max_sum=tail_len)
+        tail_env = meeting_tail_envelope(envelope, certificate.n0, table, tail_len)
         # first-gap term of the decomposition: P(S_0 > n) <= envelope[n - n0]
         tail_env += _shifted(envelope, certificate.n0, tail_len)
 
-    bound = expectation_bound(
-        hit1.expectation.high,
-        hit2.expectation.high,
-        certificate.n0,
-        envelope.head,
-        envelope.total_mass,
-        certificate.gamma,
-    )
+    bound = expectation_bound(hit1.expectation.high, hit2.expectation.high, certificate.n0, envelope.head,
+                              envelope.total_mass, certificate.gamma)
     comparison = compare_bounds(p, certificate.gamma)
     bound_holds = mc.mean - 3.0 * mc.se <= bound
 
     return BoundReport(
-        p=p,
-        gamma=certificate.gamma,
-        n0=certificate.n0,
         floor=floor,
+        certificate=certificate,
+        envelope=envelope,
         mean_hit1=hit1.expectation,
         mean_hit2=hit2.expectation,
-        envelope_head=envelope.head,
-        envelope_mass=envelope.total_mass,
         bound=bound,
         comparison=comparison,
         mc=mc,

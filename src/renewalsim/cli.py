@@ -6,7 +6,9 @@ CSVs with --format csv) into --out-dir.  Exit codes: 0 success, 1
 validation failure, 2 statistical-check failure, 3 usage, I/O or config
 error.
 Every subcommand exits 1 before any work on a kernel or initial-law
-violation the config loader lists; ``validate`` reports them all.
+violation the config loader lists; ``validate`` reports them all.  This
+module alone writes the report format, every field and its provenance
+tag, from the numbers and objects the library returns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, bounds, domination, exact, rng
-from .bounds import exact_bracket, quantity
 from .config import ConfigError, Scenario, load_scenario
 from .simulate import SimulationPlan, estimate_joint_renewal
 
@@ -61,6 +62,46 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def _quantity(value, provenance: str, se=None) -> dict:
+    """One reported number tagged with its kind: exact, analytic or mc (with its SE)."""
+    out = {"value": value, "provenance": provenance}
+    if se is not None:
+        out["se"] = se
+    return out
+
+
+def _bracket(bracket: exact.ExpectationBracket) -> dict:
+    """Report form of an exact expectation bracket."""
+    return {"low": bracket.low, "high": bracket.high, "provenance": "exact"}
+
+
+def _series(values, provenance: str, se=None) -> dict:
+    """Report form of a tail curve; a Monte Carlo one carries its per-entry SE."""
+    out = {"values": [float(v) for v in values], "provenance": provenance}
+    if se is not None:
+        out["se"] = [float(v) for v in se]
+    return out
+
+
+def _bound_results(result: bounds.BoundReport) -> dict:
+    """The ``results`` fields of a ``bound`` report."""
+    analytic = asdict(result.comparison)
+    verdict = analytic.pop("verdict")
+    analytic.update(n0=result.certificate.n0, floor=result.floor, envelope_head=result.envelope.head,
+                    envelope_mass=result.envelope.total_mass, bound=result.bound)
+    return {
+        **{key: _quantity(value, "analytic") for key, value in analytic.items()},
+        "mean_hit1": _bracket(result.mean_hit1),
+        "mean_hit2": _bracket(result.mean_hit2),
+        "verdict": verdict,
+        "mc_mean": _quantity(result.mc.mean, "mc", result.mc.se),
+        "mc_censoring_rate": _quantity(result.mc.censoring_rate, "mc"),
+        "tail_envelope": None if result.tail_envelope is None else [float(v) for v in result.tail_envelope],
+        "bound_holds": result.bound_holds,
+        "warnings": list(result.warnings),
+    }
 
 
 def _require_p(scenario: Scenario) -> float:
@@ -113,15 +154,11 @@ def _plan(scenario: Scenario) -> SimulationPlan:
 
 def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
     est = estimate_joint_renewal(_plan(scenario), workers=args.workers, tail_len=scenario.tail_len)
-    report["results"]["meeting_time"] = quantity(est.mean, "mc", est.se)
+    report["results"]["meeting_time"] = _quantity(est.mean, "mc", est.se)
     report["results"]["mean_is_lower_bound"] = est.mean_is_lower_bound
-    report["results"]["censoring_rate"] = quantity(est.censoring_rate, "mc")
+    report["results"]["censoring_rate"] = _quantity(est.censoring_rate, "mc")
     report["results"]["status"] = est.status
-    report["results"]["tail"] = {
-        "values": [float(v) for v in est.tail],
-        "se": [float(v) for v in est.tail_se],
-        "provenance": "mc",
-    }
+    report["results"]["tail"] = _series(est.tail, "mc", est.tail_se)
     if args.format == "csv":
         columns = (est.meeting_times, est.first_hit1, est.first_hit2, est.trials_to_success,
                    (est.meeting_times < 0).astype(int))
@@ -143,23 +180,17 @@ def _cmd_exact(scenario: Scenario, report: dict, args) -> None:
         scenario.initial2,
         horizon=scenario.horizon,
     )
-    hit1 = exact.hitting_time_distribution(
-        scenario.schedule1, scenario.initial1, horizon=scenario.horizon
-    )
-    hit2 = exact.hitting_time_distribution(
-        scenario.schedule2, scenario.initial2, horizon=scenario.horizon
-    )
+    hit1, hit2 = (exact.hitting_time_distribution(schedule, initial, horizon=scenario.horizon)
+                  for schedule, initial in ((scenario.schedule1, scenario.initial1),
+                                            (scenario.schedule2, scenario.initial2)))
     report["results"]["meeting_time"] = {
-        **exact_bracket(meeting.expectation), "unbounded": meeting.expectation.unbounded
+        **_bracket(meeting.expectation), "unbounded": meeting.expectation.unbounded
     }
-    report["results"]["residual"] = quantity(meeting.table.residual, "exact")
-    report["results"]["mean_hit1"] = exact_bracket(hit1.expectation)
-    report["results"]["mean_hit2"] = exact_bracket(hit2.expectation)
+    report["results"]["residual"] = _quantity(meeting.table.residual, "exact")
+    report["results"]["mean_hit1"] = _bracket(hit1.expectation)
+    report["results"]["mean_hit2"] = _bracket(hit2.expectation)
     tail_len = min(scenario.tail_len, scenario.horizon)
-    report["results"]["tail"] = {
-        "values": [float(v) for v in meeting.tails[: tail_len + 1]],
-        "provenance": "exact",
-    }
+    report["results"]["tail"] = _series(meeting.tails[: tail_len + 1], "exact")
     if args.format == "csv":
         rows = zip(range(tail_len + 1), meeting.tails[:tail_len + 1].tolist(),
                    meeting.table.mass[:tail_len + 1].tolist())
@@ -180,8 +211,8 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         seed=scenario.master_seed,
     )
     dom_report = domination.check_domination(surface, envelope)
-    report["results"]["envelope_head"] = quantity(envelope.head, "analytic")
-    report["results"]["envelope_mass"] = quantity(envelope.total_mass, "analytic")
+    report["results"]["envelope_head"] = _quantity(envelope.head, "analytic")
+    report["results"]["envelope_mass"] = _quantity(envelope.total_mass, "analytic")
     report["results"]["domination_passed"] = dom_report.passed
     report["results"]["domination_flags"] = [
         {"start_time": f.start_time, "lag": f.lag, "estimate": f.estimate, "se": f.se, "bound": f.bound}
@@ -197,9 +228,9 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
             for chain, pt in grid
         ]
         lowest = min(scans, key=lambda scan: scan.gamma_hat)
-        report["results"]["gamma_hat"] = quantity(lowest.gamma_hat, lowest.provenance)
+        report["results"]["gamma_hat"] = _quantity(lowest.gamma_hat, lowest.provenance)
     if certificate is not None:
-        report["results"]["gamma"] = quantity(certificate.gamma, certificate.provenance)
+        report["results"]["gamma"] = _quantity(certificate.gamma, certificate.provenance)
         report["results"]["n0"] = certificate.n0
 
     if args.format == "csv":
@@ -246,7 +277,7 @@ def _cmd_bound(scenario: Scenario, report: dict, args) -> None:
         workers=args.workers,
         tail_len=scenario.tail_len,
     )
-    report["results"].update(result.to_dict())
+    report["results"].update(_bound_results(result))
     if not result.bound_holds:
         raise StatisticalCheckFailure(
             f"Monte Carlo mean {result.mc.mean:.6g} (SE {result.mc.se:.3g}) exceeds "

@@ -26,6 +26,8 @@ class ConfigError(Exception):
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
     if key not in obj:
         raise ConfigError(f"{where}: missing required key '{key}'")
     return obj[key]
@@ -63,12 +65,13 @@ def _chain_entries(obj: dict, size: int, body_key: str, tail_key: str, where: st
 
 def _parse_birth_death(obj: dict, target_set, where: str) -> KernelSchedule:
     """The birth-death chain of ``obj``; the kernel module's message about an
-    α entry, which names it ``body[i]`` or ``tail[k]``, gets ``where`` in front."""
+    α entry, which names it ``body[i]`` or ``tail[k]``, gets ``where`` in front,
+    also for an entry that is not numbers."""
     cap = _integral(_require(obj, "cap", where), f"{where}.cap")
     body, tail = _chain_entries(obj, cap + 1, "alpha_table", "alphas", where, one_entry=True)
     try:
         return birth_death_schedule(cap, tail, body=body, target_set=target_set)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
@@ -92,10 +95,11 @@ def _parse_initial(value, size: int, where: str) -> np.ndarray:
         out = np.zeros(size)
         out[state] = 1.0
         return out
-    out = np.asarray(value, dtype=float)
-    if out.shape != (size,):
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ConfigError(f"{where} must be {{\"state\": k}} or a list of numbers")
+    if len(value) != size:
         raise ConfigError(f"{where}: expected a length-{size} probability vector")
-    return out
+    return np.asarray(value, dtype=float)
 
 
 def _integral(value, where: str) -> int:
@@ -200,7 +204,7 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
     for key in ("chain1", "chain2"):
         obj = _require(raw, key, "config")
         schedule = None
-        if "birth_death" in obj:
+        if isinstance(obj, dict) and "birth_death" in obj:
             schedule = _parse_birth_death(obj["birth_death"], target_set, f"config.{key}.birth_death")
             sizes.append(schedule.space.size)
         else:
@@ -210,6 +214,8 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
                 schedule = KernelSchedule(space, body, tail)
             except KernelError as err:
                 violations += err.args
+            except TypeError as err:  # an entry that is not numbers
+                raise ConfigError(f"config.{key}: {err}") from err
         chains.append(schedule)
 
     initial1 = _parse_initial(_require(raw, "initial1", "config"), sizes[0], "config.initial1")

@@ -377,6 +377,8 @@ def _regularity_grid(n0: int, base_times: Sequence[int], lags: Sequence[int], n0
     """Base times and lags left after ``n0`` (see :func:`estimate_regularity`), in the given order."""
     if n0_applies_to not in ("base", "lag"):
         raise ValueError("n0_applies_to must be 'base' or 'lag'")
+    if min(base_times, default=0) < 0 or min(lags, default=0) < 0:
+        raise ValueError("base times and lags must be nonnegative")
     if n0_applies_to == "base":
         bases = tuple(b for b in base_times if b >= n0)
         lag_grid = tuple(lags)
@@ -385,8 +387,6 @@ def _regularity_grid(n0: int, base_times: Sequence[int], lags: Sequence[int], n0
         lag_grid = tuple(t for t in lags if t >= n0)
     if not bases or not lag_grid:
         raise ValueError("grids must be nonempty after applying n0")
-    if min(bases) < 0 or min(lag_grid) < 0:
-        raise ValueError("base times and lags must be nonnegative")
     return bases, lag_grid
 
 

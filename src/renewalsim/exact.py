@@ -220,7 +220,6 @@ def product_tail(
     targets: Iterable[int] | None = None,
     horizon: int = 1000,
     cap: int = 10_000,
-    tail_gamma: float | None = None,
 ) -> HittingResult:
     """Propagate the joint law of the independent pair with absorption.
 
@@ -228,7 +227,8 @@ def product_tail(
     ``K1^T @ J @ K2``.  The pair is absorbed the first time both
     coordinates sit in the target set at the same step t >= 1; the meeting
     time is strictly positive by definition, so both chains starting
-    inside the set still yields mass at step 1, not 0.
+    inside the set still yields mass at step 1, not 0.  The expectation
+    bracket's upper end is infinite while mass is left at the horizon.
     """
     n1, n2 = schedule1.space.size, schedule2.space.size
     if n1 * n2 > cap:
@@ -239,4 +239,4 @@ def product_tail(
         targets = schedule1.space.target_set
     target = _target_states(targets, min(n1, n2))
     joint = np.outer(_check_initial(initial1, n1), _check_initial(initial2, n2))
-    return _absorb(joint, (schedule1, target), (schedule2, target), 1, horizon, tail_gamma)
+    return _absorb(joint, (schedule1, target), (schedule2, target), 1, horizon, None)

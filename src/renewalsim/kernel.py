@@ -126,10 +126,41 @@ def _labels(n_body: int) -> Callable[[int], str]:
     return lambda i: f"body[{i}]" if i < n_body else f"tail[{i - n_body}]"
 
 
+def _check_numbers(entries: tuple, label: Callable[[int], str], *, matrices: bool) -> None:
+    """TypeError naming the first entry, ``body[i]`` or ``tail[k]``, that holds
+    a value other than a number (a string, a bool, None, an object).
+
+    A list entry, a matrix or a row, is first summed in C, which raises at a
+    string, None or an object and adds a bool as 0 or 1.  Only an entry that
+    fails, or whose total is not a float (ints and bools alone), is walked
+    value by value, so a bool among a matrix's floats passes (a bool down
+    probability, 0 or 1, is out of range anyway).  Numpy arrays pass.
+    """
+    total = (lambda m: sum(map(sum, m))) if matrices else sum
+    for i, entry in enumerate(entries):
+        try:
+            if isinstance(entry, list) and isinstance(total(entry), float):
+                continue
+        except TypeError:
+            pass
+        pending = [entry]
+        while pending:
+            v = pending.pop()
+            if isinstance(v, (list, tuple)):
+                pending.extend(v)
+            elif isinstance(v, bool) or not isinstance(v, (numbers.Real, np.ndarray)):
+                raise TypeError(f"{label(i)}: entries must be numbers, not {type(v).__name__}")
+
+
 def _checked_stack(entries: tuple, n: int, label: Callable[[int], str]) -> np.ndarray:
     """``entries`` copied into one float (len(entries), n, n) array that keeps
     the kernel rule; else KernelError listing, phase by phase, each entry that
-    is not (n, n) and each bad row of the others."""
+    is not (n, n) and each bad row of the others.
+
+    TypeError first if an entry holds a value other than a number
+    (:func:`_check_numbers`), before numpy would parse a numeric string.
+    """
+    _check_numbers(entries, label, matrices=True)
     try:
         stack = np.asarray(entries, dtype=float)
         good = range(len(entries)) if stack.shape == (len(entries), n, n) else None
@@ -224,6 +255,7 @@ def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
         raise ValueError("cap must be at least 2")
     body, alphas = tuple(body), tuple(alphas)
     label = _labels(len(body))
+    _check_numbers(body + alphas, label, matrices=False)
     rows = [np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in body + alphas]
     # the first entry at fault is named, so the rows before a wrong-length one are checked first
     shaped = next((i for i, row in enumerate(rows) if row.shape != (cap,)), len(rows))

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from renewalsim import (
     DominatingSequence,
     SimulationPlan,
-    TrialStats,
     bound_via_first_moment,
     bound_via_second_moment,
     compare_bounds,
     birth_death_schedule,
     estimate_joint_renewal,
+    exact_regularity,
     expectation_bound,
     full_report,
     meeting_tail_envelope,
@@ -26,7 +26,7 @@ from renewalsim import (
     walk_moment2,
 )
 
-from renewalsim import bounds, kernel
+from renewalsim import bounds, cli, kernel
 
 from conftest import delta
 from oracles import joint_renewal_paths, trial_table
@@ -119,7 +119,7 @@ class TestCompareBounds:
 
 class TestMeetingTailEnvelope:
     def _stats(self, table):
-        return TrialStats(table=np.asarray(table, float), n_paths=1)
+        return np.asarray(table, float)
 
     def test_single_atom(self):
         env = DominatingSequence(values=np.array([1.0, 0.5, 0.25]), head_mass=1.75,
@@ -180,10 +180,10 @@ class TestTrialStatistics:
 
     def test_table_masses_are_probabilities(self):
         stats = trial_statistics(self._estimate(), max_sum=50)
-        assert (stats.table >= 0).all()
+        assert (stats >= 0).all()
         # row k mass equals P(scan alive at trial k with sum <= 50)
-        assert stats.table[0].sum() == pytest.approx(1.0, abs=0.05)
-        assert stats.table.sum(axis=1).max() <= 1.0 + 1e-12
+        assert stats[0].sum() == pytest.approx(1.0, abs=0.05)
+        assert stats.sum(axis=1).max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("scan", ["printed", "time"])
     @pytest.mark.parametrize("horizon, n0, max_sum, max_trials", [
@@ -204,9 +204,8 @@ class TestTrialStatistics:
         stats = trial_statistics(est, max_sum=max_sum, max_trials=max_trials)
         scans = [trials for *_, trials in joint_renewal_paths(plan, n0, scan)]
         reference = _reference_table(scans, max_sum, max_trials)
-        assert stats.table.shape == reference.shape
-        assert (stats.table == reference).all()
-        assert stats.n_paths == plan.n_paths
+        assert stats.shape == reference.shape
+        assert (stats == reference).all()
 
     def test_requires_starts_in_target(self):
         sched = birth_death_schedule(10, [0.75])
@@ -243,8 +242,8 @@ class TestTrialStatistics:
         if max_trials is None:
             max_trials = int(estimate.trials_to_success.max(initial=0))
         expected = trial_table(estimate.trial_sums, lengths, len(runs), max_sum, max_trials)
-        assert stats.table.shape == expected.shape
-        assert (stats.table == expected).all()
+        assert stats.shape == expected.shape
+        assert (stats == expected).all()
 
     def test_max_sum_past_a_machine_integer_overflows_before_allocating(self):
         with pytest.raises(OverflowError):
@@ -270,7 +269,7 @@ class TestTrialStatistics:
             tracemalloc.stop()
         returned = sum(a.nbytes for a in (
             est.meeting_times, est.first_hit1, est.first_hit2, est.trials_to_success,
-            est.trial_sums, est.trial_lengths, est.tail, est.tail_se, stats.table,
+            est.trial_sums, est.trial_lengths, est.tail, est.tail_se, stats,
         ))
         assert peak <= 1.5 * returned
 
@@ -283,9 +282,9 @@ class TestFullReport:
         report = full_report(plan, p=0.75, series_len=1000, tail_len=100)
         assert report.bound_holds
         assert math.isfinite(report.bound)
-        assert report.gamma == pytest.approx(0.75 ** (5 / 0.75), abs=1e-12)
+        assert report.certificate.gamma == pytest.approx(0.75 ** (5 / 0.75), abs=1e-12)
         assert report.mean_hit1.high == pytest.approx(0.0, abs=1e-9)
-        assert report.envelope_head == pytest.approx(4 / 3, abs=1e-12)
+        assert report.envelope.head == pytest.approx(4 / 3, abs=1e-12)
         assert report.comparison.verdict == "first_moment_tighter"
         assert report.mc.mean + 3 * report.mc.se < report.bound
         assert report.tail_envelope is not None
@@ -294,7 +293,7 @@ class TestFullReport:
         # the first-gap term keeps lag 0 at the head value 1/p, above P(T > 0) = 1
         assert report.tail_envelope[0] == pytest.approx(4 / 3, abs=1e-12)
         assert (report.tail_envelope >= exact - 1e-12).all()
-        d = report.to_dict()
+        d = cli._bound_results(report)
         assert d["bound"]["provenance"] == "analytic"
         assert d["mc_mean"]["provenance"] == "mc" and "se" in d["mc_mean"]
 
@@ -364,3 +363,28 @@ class TestFullReport:
                               horizon=300, n_paths=300, master_seed=8)
         report = full_report(plan, p=0.75, series_len=300, tail_len=30)
         assert not any("truncation" in w for w in report.warnings)
+
+
+class TestAnalyticCertificate:
+    LAGS = list(range(17)) + [32, 64, 128, 256, 512, 1000]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gamma_is_at_most_every_exact_regularity_point(self, data):
+        """The analytic gamma of a random accepted birth-death pair (every alpha
+        in [p, 0.98]) is at most P(X_{b+l} = 0 | X_b = 0) on each chain started
+        at 0, for base times 0-11 and lags up to 1,000."""
+        p = data.draw(st.floats(0.55, 0.9), label="p")
+        alpha = st.floats(p, 0.98)
+        schedules = []
+        for c in (1, 2):
+            cap = data.draw(st.integers(3, 24), label=f"cap{c}")
+            row = st.lists(alpha, min_size=cap, max_size=cap)
+            schedules.append(birth_death_schedule(
+                cap, data.draw(st.lists(row, min_size=1, max_size=3), label=f"tail{c}"),
+                body=data.draw(st.lists(row, max_size=3), label=f"body{c}")))
+        certificate = bounds.analytic_certificate(*schedules, p)
+        for schedule in schedules:
+            scan = exact_regularity(schedule, certificate.n0, range(12), self.LAGS,
+                                    initial=delta(schedule.space.size, 0))
+            assert all(certificate.gamma <= pt.estimate for pt in scan.points)

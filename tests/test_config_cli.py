@@ -418,6 +418,43 @@ class TestOneReader:
         assert capsys.readouterr().err.startswith(f"config error: config.chain1.{key} must be a")
 
 
+STRINGS = explicit_chain([["a", "b"], ["c", "d"]])
+
+
+@pytest.mark.parametrize("override, prefix", [
+    ({"chain1": STRINGS, "initial1": [1.0, 0.0]}, "config.chain1: tail[0]: "),
+    ({"chain1": explicit_chain([["1", "0"], ["0.5", "0.5"]]), "initial1": [1.0, 0.0]}, "config.chain1: tail[0]: "),
+    ({"chain1": explicit_chain([[True, False], [False, True]]), "initial1": [1.0, 0.0]},
+     "config.chain1: tail[0]: "),
+    ({"chain1": explicit_chain([[None, 1.0], [0.5, 0.5]]), "initial1": [1.0, 0.0]}, "config.chain1: tail[0]: "),
+    ({"chain1": {**STRINGS, "body": ["ab"]}, "initial1": [1.0, 0.0]}, "config.chain1: body[0]: "),
+    ({"chain1": {"birth_death": {"cap": 8, "tail": {"kind": "periodic", "alphas": [{"a": 1}]}}}},
+     "config.chain1.birth_death: tail[0]: "),
+    ({"chain1": {"birth_death": {"cap": 8, "tail": {"kind": "constant", "alphas": "0.8"}}}},
+     "config.chain1.birth_death: tail[0]: "),
+    ({"chain1": {"birth_death": {"cap": 8, "alpha_table": [[0.8] * 7 + ["0.8"]],
+                                 "tail": {"kind": "constant", "alphas": 0.8}}}},
+     "config.chain1.birth_death: body[0]: "),
+    ({"initial1": ["a"] + [0] * 8}, "config.initial1 "),
+    ({"initial1": ["1"] + ["0"] * 8}, "config.initial1 "),
+    ({"initial1": [True] + [False] * 8}, "config.initial1 "),
+    ({"chain1": 5}, "config.chain1 must be an object"),
+    ({"chain1": "x"}, "config.chain1 must be an object"),
+    ({"chain1": {"birth_death": 5}}, "config.chain1.birth_death must be an object"),
+    ({"chain1": {"birth_death": {"cap": 8, "tail": 5}}}, "config.chain1.birth_death.tail must be an object"),
+    ({"chain1": {"states": 2, "tail": 5}, "initial1": [1.0, 0.0]}, "config.chain1.tail must be an object"),
+])
+@pytest.mark.parametrize("sub", ["validate", "simulate"])
+def test_a_value_of_the_wrong_type_is_named(tmp_path, capsys, sub, override, prefix):
+    """Chain and initial-law entries are JSON numbers: anything else exits 3
+    with one line naming its place, not the loader's catch-all."""
+    path = write_config(tmp_path, demo_config(**override))
+    assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1
+    assert "invalid config value" not in err
+
+
 class TestCliExitCodes:
     @settings(max_examples=100, deadline=None)
     @given(any_config())
@@ -957,6 +994,16 @@ class TestCliExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "underflows" in load_report(tmp_path, "t_compare.json")["results"]["error"]
+
+    @pytest.mark.parametrize("grids", [{"t_grid": [-3, 0]}, {"t_grid": [-3]},
+                                       {"lag_grid": [-1, 2], "n0_applies_to": "lag"}])
+    def test_negative_grid_entry_is_exit_1(self, tmp_path, grids):
+        """A negative base time or lag is refused under either n0 reading, not
+        dropped with the entries below n0."""
+        path = write_config(tmp_path, demo_config(regularity={"source": "empirical", **grids}))
+        assert main(["compare", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert load_report(tmp_path, "t_compare.json")["results"]["error"] == (
+            "base times and lags must be nonnegative")
 
     def test_demo_runs_without_config(self, tmp_path):
         code = main(["birth-death-demo", "--out-dir", str(tmp_path), "--seed", "4"])

@@ -543,6 +543,10 @@ class TestExactRegularity:
         sched = two_state(0.5, 0.5)
         for kwargs, message in (({"n0_applies_to": "x"}, "n0_applies_to"),
                                 ({"base_times": [-1, 0], "n0_applies_to": "lag"}, "nonnegative"),
+                                # a negative entry on the axis n0 filters is refused, not dropped
+                                ({"base_times": [-3, 0]}, "nonnegative"),
+                                ({"base_times": [-3]}, "nonnegative"),
+                                ({"lags": [-1, 2], "n0_applies_to": "lag"}, "nonnegative"),
                                 ({"n0": 5}, "grids must be nonempty")):
             args = {"n0": 0, "base_times": [0, 1], "lags": [1], **kwargs}
             with pytest.raises(ValueError, match=message):
