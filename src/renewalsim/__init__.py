@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .domination import (
     DominatingSequence,
-    DominationReport,
     RegularityCertificate,
     RegularityScan,
     RenewalTailSurface,

@@ -190,7 +190,8 @@ def compare_bounds(p: float, gamma: float) -> BoundComparison:
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """All inputs and outputs of the full bound pipeline; ``comparison`` holds p."""
+    """All inputs and outputs of the full bound pipeline; ``comparison`` holds p, and
+    ``cap_mass`` each chain's probability of touching its cap state within the horizon."""
 
     floor: float
     certificate: RegularityCertificate
@@ -202,7 +203,7 @@ class BoundReport:
     mc: JointRenewalEstimate
     tail_envelope: np.ndarray | None
     bound_holds: bool
-    warnings: tuple[str, ...]
+    cap_mass: tuple[float, float]
 
 
 def _analytic_floor(
@@ -249,7 +250,10 @@ def full_report(
     """Run the whole pipeline on a plan of a birth-death pair with target set {0}.
 
     Rejects the plan before any simulation when a down probability of
-    either chain, at any step and state, is below the walk parameter.  The
+    either chain, at any step and state, is below the walk parameter, and
+    when both chains start in the target set and ``tail_len`` exceeds
+    ``series_len`` (plus n0): their meeting-tail envelope needs the walk
+    envelope at every lag up to ``tail_len``.  The
     mean-bound exponent defaults to the walk's first-moment constant and can
     be overridden with ``mu_hat``.
     """
@@ -257,30 +261,26 @@ def full_report(
     floor, certificate = _analytic_floor(schedule1, schedule2, p, mu_hat, envelope=True)
 
     envelope = walk_dominating_sequence(p, series_len)
+    starts_in_target = _starts_in_target(plan)
+    # np.int64: a tail_len past a machine integer is an OverflowError, as in trial_statistics
+    if starts_in_target and np.int64(tail_len) >= envelope.length + certificate.n0:
+        raise ValueError(f"tail_len {tail_len} exceeds series_len {series_len}: the tail envelope "
+                         "needs the dominating sequence up to lag tail_len")
     exact_h = max(plan.horizon, 2000)
     hit1, hit2 = (exact.hitting_time_distribution(schedule, initial, horizon=exact_h, tail_gamma=certificate.gamma)
                   for schedule, initial in ((schedule1, initial1), (schedule2, initial2)))
 
     mc = estimate_joint_renewal(plan, workers=workers, tail_len=tail_len, n0=certificate.n0)
 
-    warnings: list[str] = []
-    if mc.censoring_rate > 0:
-        warnings.append(
-            f"{mc.censored} of {mc.n_paths} paths were censored at the horizon; "
-            "the Monte Carlo mean is a lower bound"
-        )
-    for label, schedule, initial in (("chain1", schedule1, initial1), ("chain2", schedule2, initial2)):
-        cap_mass = 1.0 - exact.hitting_time_distribution(
+    cap_mass = tuple(
+        1.0 - exact.hitting_time_distribution(
             schedule, initial, targets=(schedule.space.size - 1,), horizon=plan.horizon
         ).table.residual
-        if cap_mass > 1e-9:
-            warnings.append(
-                f"truncation: {label} touches the cap state within the horizon "
-                f"with probability {cap_mass:.3g}; consider a larger cap"
-            )
+        for schedule, initial in ((schedule1, initial1), (schedule2, initial2))
+    )
 
     tail_env = None
-    if _starts_in_target(plan):
+    if starts_in_target:
         table = trial_statistics(mc, max_sum=tail_len)
         tail_env = meeting_tail_envelope(envelope, certificate.n0, table, tail_len)
         # first-gap term of the decomposition: P(S_0 > n) <= envelope[n - n0]
@@ -302,7 +302,7 @@ def full_report(
         mc=mc,
         tail_envelope=tail_env,
         bound_holds=bound_holds,
-        warnings=tuple(warnings),
+        cap_mass=cap_mass,
     )
 
 

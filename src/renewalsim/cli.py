@@ -7,8 +7,9 @@ validation failure, 2 statistical-check failure, 3 usage, I/O or config
 error.
 Every subcommand exits 1 before any work on a kernel or initial-law
 violation the config loader lists; ``validate`` reports them all.  This
-module alone writes the report format, every field and its provenance
-tag, from the numbers and objects the library returns.
+module alone writes the report format, every field, word and provenance
+tag, and every flag derived for a report, from the numbers, arrays and
+objects the library returns.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -97,11 +99,21 @@ def _bound_results(result: bounds.BoundReport) -> dict:
         "mean_hit2": _bracket(result.mean_hit2),
         "verdict": verdict,
         "mc_mean": _quantity(result.mc.mean, "mc", result.mc.se),
-        "mc_censoring_rate": _quantity(result.mc.censoring_rate, "mc"),
+        "mc_censoring_rate": _quantity(result.mc.censored / result.mc.n_paths, "mc"),
         "tail_envelope": None if result.tail_envelope is None else [float(v) for v in result.tail_envelope],
         "bound_holds": result.bound_holds,
-        "warnings": list(result.warnings),
+        "warnings": _bound_warnings(result),
     }
+
+
+def _bound_warnings(result: bounds.BoundReport) -> list[str]:
+    """Censored paths, then each chain that touches its cap with probability above 1e-9."""
+    mc = result.mc
+    warnings = [f"{mc.censored} of {mc.n_paths} paths were censored at the horizon; "
+                "the Monte Carlo mean is a lower bound"] if mc.censored else []
+    return warnings + [f"truncation: chain{chain} touches the cap state within the horizon "
+                       f"with probability {mass:.3g}; consider a larger cap"
+                       for chain, mass in enumerate(result.cap_mass, 1) if mass > 1e-9]
 
 
 def _require_p(scenario: Scenario) -> float:
@@ -155,9 +167,9 @@ def _plan(scenario: Scenario) -> SimulationPlan:
 def _cmd_simulate(scenario: Scenario, report: dict, args) -> None:
     est = estimate_joint_renewal(_plan(scenario), workers=args.workers, tail_len=scenario.tail_len)
     report["results"]["meeting_time"] = _quantity(est.mean, "mc", est.se)
-    report["results"]["mean_is_lower_bound"] = est.mean_is_lower_bound
-    report["results"]["censoring_rate"] = _quantity(est.censoring_rate, "mc")
-    report["results"]["status"] = est.status
+    report["results"]["mean_is_lower_bound"] = est.censored > 0
+    report["results"]["censoring_rate"] = _quantity(est.censored / est.n_paths, "mc")
+    report["results"]["status"] = "all-censored" if est.censored == est.n_paths else "ok"
     report["results"]["tail"] = _series(est.tail, "mc", est.tail_se)
     if args.format == "csv":
         columns = (est.meeting_times, est.first_hit1, est.first_hit2, est.trials_to_success,
@@ -184,7 +196,7 @@ def _cmd_exact(scenario: Scenario, report: dict, args) -> None:
                   for schedule, initial in ((scenario.schedule1, scenario.initial1),
                                             (scenario.schedule2, scenario.initial2)))
     report["results"]["meeting_time"] = {
-        **_bracket(meeting.expectation), "unbounded": meeting.expectation.unbounded
+        **_bracket(meeting.expectation), "unbounded": math.isinf(meeting.expectation.high)
     }
     report["results"]["residual"] = _quantity(meeting.table.residual, "exact")
     report["results"]["mean_hit1"] = _bracket(hit1.expectation)
@@ -200,6 +212,7 @@ def _cmd_exact(scenario: Scenario, report: dict, args) -> None:
 
 def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
     p = _require_p(scenario)
+    certificate, scans = _certificate(scenario, p)
     envelope = domination.walk_dominating_sequence(p, scenario.series_len)
     targets = sorted(scenario.schedule1.space.target_set)
     surface = domination.estimate_renewal_tails(
@@ -210,16 +223,18 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         n_paths=min(scenario.n_paths, 5000),
         seed=scenario.master_seed,
     )
-    dom_report = domination.check_domination(surface, envelope)
+    exceeds = domination.check_domination(surface, envelope)
+    # nonzero walks the mask row by row: start times in order, lags within each
+    flags = [
+        {"start_time": surface.start_times[ti], "lag": lag, "estimate": float(surface.tails[ti, lag]),
+         "se": float(surface.se[ti, lag]), "bound": envelope.at(lag)}
+        for ti, lag in zip(*(index.tolist() for index in exceeds.nonzero()))
+    ]
     report["results"]["envelope_head"] = _quantity(envelope.head, "analytic")
     report["results"]["envelope_mass"] = _quantity(envelope.total_mass, "analytic")
-    report["results"]["domination_passed"] = dom_report.passed
-    report["results"]["domination_flags"] = [
-        {"start_time": f.start_time, "lag": f.lag, "estimate": f.estimate, "se": f.se, "bound": f.bound}
-        for f in dom_report.flags
-    ]
+    report["results"]["domination_passed"] = not flags
+    report["results"]["domination_flags"] = flags
 
-    certificate, scans = _certificate(scenario, p)
     grid = [(chain, pt) for chain, scan in enumerate(scans, 1) for pt in scan.points]
     if scans:
         report["results"]["gamma_grid"] = [
@@ -237,7 +252,7 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
         rows = [
             (t0, lag, float(surface.tails[ti, lag]), float(surface.se[ti, lag]), envelope.at(lag))
             for ti, t0 in enumerate(surface.start_times)
-            for lag in range(dom_report.checked_lags + 1)
+            for lag in range(exceeds.shape[1])
         ]
         path = _write_csv(
             args.out_dir,
@@ -256,10 +271,8 @@ def _cmd_condition_check(scenario: Scenario, report: dict, args) -> None:
             )
             report["results"]["gamma_csv"] = grid_path.name
 
-    if not dom_report.passed:
-        raise StatisticalCheckFailure(
-            f"{len(dom_report.flags)} grid point(s) exceed the envelope by more than 3 SE"
-        )
+    if flags:
+        raise StatisticalCheckFailure(f"{len(flags)} grid point(s) exceed the envelope by more than 3 SE")
     if certificate is None:
         raise StatisticalCheckFailure(_rejection(scans))
 

@@ -163,13 +163,12 @@ class RenewalTailSurface:
 
     ``tails[i, n]`` is the estimated probability, maximized over the start
     states, that a renewal observed at ``start_times[i]`` is not followed
-    by another one within n steps; ``se`` carries the binomial standard
-    error of the maximizing state.
+    by another one within n steps, for n up to the ``max_lag`` it was drawn
+    to; ``se`` carries the binomial standard error of the maximizing state.
     """
 
     start_times: tuple[int, ...]
     start_states: tuple[int, ...]
-    max_lag: int
     n_paths: int
     tails: np.ndarray
     se: np.ndarray
@@ -228,49 +227,18 @@ def estimate_renewal_tails(
     return RenewalTailSurface(
         start_times=times,
         start_states=states,
-        max_lag=max_lag,
         n_paths=n_paths,
         tails=tails,
         se=se,
     )
 
 
-@dataclass(frozen=True)
-class DominationFlag:
-    start_time: int
-    lag: int
-    estimate: float
-    se: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Outcome of checking an envelope against an empirical tail surface."""
-
-    flags: tuple[DominationFlag, ...]
-    checked_lags: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.flags
-
-
-def check_domination(surface: RenewalTailSurface, envelope: DominatingSequence) -> DominationReport:
-    """Flag every grid point whose tail estimate exceeds the envelope by
-    more than three standard errors."""
-    lags = min(surface.max_lag, envelope.length - 1)
-    est = surface.tails[:, : lags + 1]
-    se = surface.se[:, : lags + 1]
-    bound = envelope.values[: lags + 1]
-    # nonzero walks the grid row by row: start times in order, lags within each
-    flags = tuple(
-        DominationFlag(
-            surface.start_times[ti], int(lag), float(est[ti, lag]), float(se[ti, lag]), float(bound[lag])
-        )
-        for ti, lag in zip(*np.nonzero(est - 3.0 * se > bound))
-    )
-    return DominationReport(flags=flags, checked_lags=lags)
+def check_domination(surface: RenewalTailSurface, envelope: DominatingSequence) -> np.ndarray:
+    """The (start times, checked lags) mask of the grid points whose tail
+    estimate exceeds the envelope by more than three standard errors; the
+    lags run to the last one both the surface and the envelope hold."""
+    width = min(surface.tails.shape[1], envelope.length)
+    return surface.tails[:, :width] - 3.0 * surface.se[:, :width] > envelope.values[:width]
 
 
 def return_floor(alpha_inf: float, beta_inf: float) -> float:
@@ -344,7 +312,7 @@ class RegularityScan:
 
     ``gamma_hat`` is the minimum over the grid points of the estimate
     minus three standard errors (conservative), floored at zero.  A grid
-    point whose conditioning event never occurred is kept and flagged, and
+    point whose conditioning event never occurred is kept, unobserved, and
     sets ``gamma_hat`` to zero: a point without evidence certifies nothing.
     ``provenance`` tags ``gamma_hat``: ``"mc"`` for a sampled scan (with
     ``n_paths`` paths), ``"exact"`` for a grid read off the kernels
@@ -360,10 +328,6 @@ class RegularityScan:
     def gamma_hat(self) -> float:
         # an exact point's se is 0.0, so its term is its estimate
         return max(0.0, min(pt.estimate - 3.0 * pt.se if pt.observed else 0.0 for pt in self.points))
-
-    @property
-    def flagged(self) -> tuple[RegularityPoint, ...]:
-        return tuple(p for p in self.points if not p.observed)
 
     def certificate(self) -> RegularityCertificate | None:
         """Certificate of the scan, or None when it is consistent with

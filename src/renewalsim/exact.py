@@ -53,10 +53,6 @@ class ExpectationBracket:
     low: float
     high: float
 
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.high)
-
 
 def _tail_bracket(low: float, residual: float, tail_gamma: float | None) -> ExpectationBracket:
     if residual <= 0.0:

@@ -152,10 +152,18 @@ def _check_numbers(entries: tuple, label: Callable[[int], str], *, matrices: boo
                 raise TypeError(f"{label(i)}: entries must be numbers, not {type(v).__name__}")
 
 
+def _matrix(entry) -> np.ndarray | None:
+    """``entry`` as a float array, or None when its rows differ in length or a row holds a list."""
+    try:
+        return np.asarray(entry, dtype=float)
+    except ValueError:
+        return None
+
+
 def _checked_stack(entries: tuple, n: int, label: Callable[[int], str]) -> np.ndarray:
     """``entries`` copied into one float (len(entries), n, n) array that keeps
     the kernel rule; else KernelError listing, phase by phase, each entry that
-    is not (n, n) and each bad row of the others.
+    is not (n, n), ragged ones included, and each bad row of the others.
 
     TypeError first if an entry holds a value other than a number
     (:func:`_check_numbers`), before numpy would parse a numeric string.
@@ -168,10 +176,10 @@ def _checked_stack(entries: tuple, n: int, label: Callable[[int], str]) -> np.nd
         good = None
     found = []
     if good is None:
-        mats = [np.asarray(m, dtype=float) for m in entries]
-        good = [i for i, m in enumerate(mats) if m.shape == (n, n)]
-        found = [(i, f"{label(i)}: expected shape {(n, n)}, got {m.shape}")
-                 for i, m in enumerate(mats) if m.shape != (n, n)]
+        mats = [_matrix(m) for m in entries]
+        good = [i for i, m in enumerate(mats) if m is not None and m.shape == (n, n)]
+        found = [(i, f"{label(i)}: expected shape {(n, n)}, got {'ragged rows' if m is None else m.shape}")
+                 for i, m in enumerate(mats) if m is None or m.shape != (n, n)]
         stack = np.array([mats[i] for i in good])
     if good:
         found += [(good[k], v) for k, v in _row_violations(stack, lambda k: label(good[k]))]

@@ -351,13 +351,9 @@ class JointRenewalEstimate:
 
     n_paths: int
     horizon: int
-    master_seed: int
-    status: str
     censored: int
-    censoring_rate: float
     mean: float
     se: float
-    mean_is_lower_bound: bool
     tail: np.ndarray
     tail_se: np.ndarray
     meeting_times: np.ndarray
@@ -441,13 +437,9 @@ def estimate_joint_renewal(
     return JointRenewalEstimate(
         n_paths=plan.n_paths,
         horizon=plan.horizon,
-        master_seed=plan.master_seed,
-        status="all-censored" if censored == plan.n_paths else "ok",
         censored=censored,
-        censoring_rate=censored / plan.n_paths,
         mean=mean,
         se=se,
-        mean_is_lower_bound=censored > 0,
         tail=tail,
         tail_se=tail_se,
         meeting_times=meeting,

@@ -588,6 +588,15 @@ class TestCliExitCodes:
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
             "body[0]: expected shape (2, 2), got (3, 3)", "tail[1], row 1: sums to 0.5, not 1"]
+        # ragged entries are wrong shapes too, and every subcommand refuses them
+        chain = {"states": 2, "body": [[[0.5, 0.5], [1.0]]],
+                 "tail": {"kind": "periodic", "matrices": [[[0.5, [0.5]], [0.5, 0.5]], [[0.5, 0.5], [0.2, 0.3]]]}}
+        path = write_config(tmp_path, demo_config(chain1=chain, initial1=[1.0, 0.0]))
+        for sub in COMMANDS:
+            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1, sub
+        assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
+            "body[0]: expected shape (2, 2), got ragged rows", "tail[0]: expected shape (2, 2), got ragged rows",
+            "tail[1], row 1: sums to 0.5, not 1"]
 
     def test_config_error_comes_before_kernel_violations(self, tmp_path, capsys):
         cfg = demo_config(chain1=explicit_chain([[0.5, 0.5], [0.2, 0.3]]), initial1=[1.0, 0.0], tail_len=-1)
@@ -868,6 +877,30 @@ class TestCliExitCodes:
         path = write_config(tmp_path, demo_config(n_paths=400, regularity={"source": "empirical"}))
         for sub in ("condition-check", "compare"):
             assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+
+    def test_short_envelope_is_refused_before_the_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        from renewalsim import bounds
+
+        calls = []
+        monkeypatch.setattr(bounds, "estimate_joint_renewal", lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path, demo_config(domination={"p": 0.75, "series_len": 30}))
+        assert main(["bound", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert load_report(tmp_path, "t_bound.json")["results"]["error"].startswith(
+            "tail_len 40 exceeds series_len 30")
+        assert "tail_len 40 exceeds series_len 30" in capsys.readouterr().err
+        assert calls == []
+
+    def test_refused_certificate_draws_no_surface(self, tmp_path, monkeypatch):
+        from renewalsim import domination
+
+        calls = []
+        monkeypatch.setattr(domination, "estimate_renewal_tails", lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path, demo_config(domination={"p": 0.8, "series_len": 400}))
+        assert main(["condition-check", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        results = load_report(tmp_path, "t_condition-check.json")["results"]
+        assert results == {"error": "walk parameter p=0.8 exceeds the chains' inf alpha=0.75; "
+                                    "the envelope does not apply"}
+        assert calls == []
 
     def test_regularity_scan_checks_its_initial_law(self, tmp_path):
         # sums to 1 but has a negative entry; simulate and exact already refuse it

@@ -40,7 +40,7 @@ def time_variant_points(surf, family_alpha=0.005):
     ``family_alpha`` (normal approximation).
     """
     pairs = list(itertools.combinations(range(len(surf.start_times)), 2))
-    lags = range(surf.max_lag + 1)
+    lags = range(surf.tails.shape[1])
     z = NormalDist().inv_cdf(1 - family_alpha / (2 * len(pairs) * len(lags)))
     return [(n, i, j) for n in lags for i, j in pairs
             if abs(surf.tails[i, n] - surf.tails[j, n]) > z * math.hypot(surf.se[i, n], surf.se[j, n])]
@@ -342,31 +342,29 @@ class TestCheckDomination:
     def test_zero_envelope_fails(self):
         surf = self._surface()
         env = DominatingSequence(values=np.zeros(30), head_mass=0.0, tail_bound=0.0)
-        assert not check_domination(surf, env).passed
+        assert check_domination(surf, env).any()
 
     def test_unit_envelope_passes(self):
         surf = self._surface()
         env = DominatingSequence(values=np.ones(30), head_mass=30.0, tail_bound=None)
-        assert check_domination(surf, env).passed
+        assert not check_domination(surf, env).any()
 
     def test_flags_match_pointwise_scan(self):
-        # every (start time, lag) with est - 3 SE above the envelope, start times
-        # in order and lags in order within each, with the surface's floats
+        # every (start time, lag) with est - 3 SE above the envelope, over the
+        # lags both the surface and the envelope hold
         from renewalsim import birth_death_schedule
 
         sched = birth_death_schedule(30, [0.6])
         surf = estimate_renewal_tails(sched, [0, 2, 5], [0], max_lag=60, n_paths=500, seed=3)
-        for env in (walk_dominating_sequence(0.95, 40),
-                    DominatingSequence(values=np.linspace(0.5, 0.0, 100), head_mass=1.0, tail_bound=0.0)):
-            report = check_domination(surf, env)
+        for env, lags in ((walk_dominating_sequence(0.95, 40), 41),
+                          (DominatingSequence(values=np.linspace(0.5, 0.0, 100), head_mass=1.0, tail_bound=0.0), 61)):
+            mask = check_domination(surf, env)
             expected = [
-                (t0, lag, float(surf.tails[i, lag]), float(surf.se[i, lag]), env.at(lag))
-                for i, t0 in enumerate(surf.start_times)
-                for lag in range(report.checked_lags + 1)
-                if surf.tails[i, lag] - 3.0 * surf.se[i, lag] > env.at(lag)
+                [surf.tails[i, lag] - 3.0 * surf.se[i, lag] > env.at(lag) for lag in range(lags)]
+                for i in range(len(surf.start_times))
             ]
-            assert expected
-            assert [(f.start_time, f.lag, f.estimate, f.se, f.bound) for f in report.flags] == expected
+            assert any(map(any, expected))
+            assert mask.tolist() == expected
 
     def test_walk_envelope_dominates_birth_death(self):
         from renewalsim import birth_death_schedule
@@ -375,8 +373,8 @@ class TestCheckDomination:
         surf = estimate_renewal_tails(sched, [0, 1, 3], [0], max_lag=40,
                                       n_paths=4000, seed=31)
         env = walk_dominating_sequence(0.75, 200)
-        report = check_domination(surf, env)
-        assert report.passed, report.flags
+        mask = check_domination(surf, env)
+        assert not mask.any(), mask.nonzero()
 
 
 class TestRegularity:
@@ -428,7 +426,6 @@ class TestRegularity:
         # starting at 0 deterministically, the chain is never in C at odd times
         scan = estimate_regularity(flip_flop, n0=0, base_times=[1], lags=[1],
                                    n_paths=100, seed=9, initial=delta(2, 0))
-        assert scan.flagged
         assert not scan.points[0].observed
         assert (scan.points[0].estimate, scan.points[0].se) == (None, None)
         # a point without evidence rejects the scan

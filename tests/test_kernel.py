@@ -88,7 +88,10 @@ class TestKernelRule:
          r"tail\[1\]: expected shape \(2, 2\), got \(3, 3\)"),
         (lambda: dataclasses.replace(make([A], (B,)), tail=([[0.5, 0.5], [0.2, 0.3]],)),
          r"tail\[0\], row 1: sums to 0.5, not 1"),
-    ], ids=["short-row", "long-row", "wrong-size", "replace"])
+        # rows of different lengths, or a row holding a list, have no shape to stack
+        (lambda: make([[[0.5, 0.5], [1.0]]], ([[0.5, [0.5]], [0.5, 0.5]],)),
+         r"body\[0\]: expected shape \(2, 2\), got ragged rows; tail\[0\]: expected shape \(2, 2\), got ragged rows"),
+    ], ids=["short-row", "long-row", "wrong-size", "replace", "ragged"])
     def test_is_rejected_at_construction(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()

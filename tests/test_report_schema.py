@@ -67,7 +67,7 @@ SCHEMAS = {
     ("pair", "condition-check"): (0, {**ENVELOPE, "gamma": "analytic", "n0": None}),
     ("empirical", "condition-check"): (0, {**ENVELOPE, "gamma": "exact", "gamma_grid": None,
                                            "gamma_hat": "exact", "n0": None}),
-    ("schema", "condition-check"): (1, {**ENVELOPE, **FAILED}),
+    ("schema", "condition-check"): (1, FAILED),
     ("pair", "bound"): (0, BOUND),
     ("empirical", "bound"): (1, FAILED),
     ("schema", "bound"): (1, FAILED),
