@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -63,28 +63,25 @@ def _chain_entries(obj: dict, size: int, body_key: str, tail_key: str, where: st
     return body, tail
 
 
-def _parse_birth_death(obj: dict, target_set, where: str) -> KernelSchedule:
-    """The birth-death chain of ``obj``; the kernel module's message about an
-    α entry, which names it ``body[i]`` or ``tail[k]``, gets ``where`` in front,
-    also for an entry that is not numbers."""
-    cap = _integral(_require(obj, "cap", where), f"{where}.cap")
-    body, tail = _chain_entries(obj, cap + 1, "alpha_table", "alphas", where, one_entry=True)
-    try:
-        return birth_death_schedule(cap, tail, body=body, target_set=target_set)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _parse_chain(obj, target_set, where: str) -> tuple[int, Callable[[], KernelSchedule], str]:
+    """``(size, build, path)`` of the chain ``obj`` at ``where``: its state
+    count, a call that builds its schedule, and its config path,
+    ``where.birth_death`` for a birth-death chain.
 
-
-def _parse_explicit(obj: dict, target_set, where: str) -> tuple[StateSpace, list, list]:
-    """The state space and the matrices as written of the explicit chain of
-    ``obj``; ``KernelSchedule`` converts and checks them."""
+    ``build`` hands the chain's entries, α entries or matrices, to the kernel
+    module as written, which converts and checks them: a ``KernelError`` lists
+    every entry at fault, named ``body[i]`` or ``tail[k]``, and a TypeError or
+    ValueError names an entry that is not numbers, a ``cap`` below 2 or a bad
+    target set.
+    """
+    if isinstance(obj, dict) and "birth_death" in obj:
+        where, obj = f"{where}.birth_death", obj["birth_death"]
+        cap = _integral(_require(obj, "cap", where), f"{where}.cap")
+        body, tail = _chain_entries(obj, cap + 1, "alpha_table", "alphas", where, one_entry=True)
+        return cap + 1, lambda: birth_death_schedule(cap, tail, body=body, target_set=target_set), where
     states = _integral(_require(obj, "states", where), f"{where}.states")
     body, tail = _chain_entries(obj, states, "body", "matrices", where, one_entry=False)
-    try:
-        space = StateSpace(states, target_set)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-    return space, body, tail
+    return states, lambda: KernelSchedule(StateSpace(states, target_set), body, tail), where
 
 
 def _parse_initial(value, size: int, where: str) -> np.ndarray:
@@ -97,8 +94,6 @@ def _parse_initial(value, size: int, where: str) -> np.ndarray:
         return out
     if not isinstance(value, list) or not all(map(_is_number, value)):
         raise ConfigError(f"{where} must be {{\"state\": k}} or a list of numbers")
-    if len(value) != size:
-        raise ConfigError(f"{where}: expected a length-{size} probability vector")
     return np.asarray(value, dtype=float)
 
 
@@ -170,7 +165,8 @@ def load_scenario(source: str | Path | dict, seed_override: int | None = None) -
 
     Every malformed input raises ``ConfigError``, including values of the
     wrong type or out of range for their key.  Kernel and initial-law
-    violations raise nothing but go to ``Scenario.violations``.
+    violations raise nothing but go to ``Scenario.violations``, each under
+    its config path.
     """
     if isinstance(source, dict):
         raw = source
@@ -202,29 +198,23 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
     chains: list[KernelSchedule | None] = []
     sizes, violations = [], []
     for key in ("chain1", "chain2"):
-        obj = _require(raw, key, "config")
-        schedule = None
-        if isinstance(obj, dict) and "birth_death" in obj:
-            schedule = _parse_birth_death(obj["birth_death"], target_set, f"config.{key}.birth_death")
-            sizes.append(schedule.space.size)
-        else:
-            space, body, tail = _parse_explicit(obj, target_set, f"config.{key}")
-            sizes.append(space.size)
-            try:
-                schedule = KernelSchedule(space, body, tail)
-            except KernelError as err:
-                violations += err.args
-            except TypeError as err:  # an entry that is not numbers
-                raise ConfigError(f"config.{key}: {err}") from err
-        chains.append(schedule)
-
-    initial1 = _parse_initial(_require(raw, "initial1", "config"), sizes[0], "config.initial1")
-    initial2 = _parse_initial(_require(raw, "initial2", "config"), sizes[1], "config.initial2")
-    for name, initial in (("initial1", initial1), ("initial2", initial2)):
+        size, build, where = _parse_chain(_require(raw, key, "config"), target_set, f"config.{key}")
+        sizes.append(size)
         try:
-            _check_initial(initial, len(initial))
+            chains.append(build())
+        except KernelError as err:
+            chains.append(None)
+            violations += [f"{where}: {v}" for v in err.args]
+        except (TypeError, ValueError) as err:  # entries that are not numbers, cap < 2, a bad target set
+            raise ConfigError(f"{where}: {err}") from err
+
+    initials = []
+    for key, size in zip(("initial1", "initial2"), sizes):
+        initials.append(_parse_initial(_require(raw, key, "config"), size, f"config.{key}"))
+        try:
+            _check_initial(initials[-1], size)
         except ValueError as err:
-            violations.append(f"config.{name}: {err}")
+            violations.append(f"config.{key}: {err}")
 
     domination = raw.get("domination", {})
     if not isinstance(domination, dict):
@@ -245,8 +235,8 @@ def _resolve(raw, seed_override: int | None) -> Scenario:
         raw=raw,
         schedule1=chains[0],
         schedule2=chains[1],
-        initial1=initial1,
-        initial2=initial2,
+        initial1=initials[0],
+        initial2=initials[1],
         horizon=_integral(raw.get("horizon", 1000), "config.horizon"),
         n_paths=_integral(raw.get("n_paths", 10_000), "config.n_paths"),
         master_seed=seed,

@@ -152,7 +152,7 @@ def _check_numbers(entries: tuple, label: Callable[[int], str], *, matrices: boo
                 raise TypeError(f"{label(i)}: entries must be numbers, not {type(v).__name__}")
 
 
-def _matrix(entry) -> np.ndarray | None:
+def _array(entry) -> np.ndarray | None:
     """``entry`` as a float array, or None when its rows differ in length or a row holds a list."""
     try:
         return np.asarray(entry, dtype=float)
@@ -160,29 +160,31 @@ def _matrix(entry) -> np.ndarray | None:
         return None
 
 
-def _checked_stack(entries: tuple, n: int, label: Callable[[int], str]) -> np.ndarray:
-    """``entries`` copied into one float (len(entries), n, n) array that keeps
-    the kernel rule; else KernelError listing, phase by phase, each entry that
-    is not (n, n), ragged ones included, and each bad row of the others.
+def _checked_stack(entries: tuple, shape: tuple[int, ...], label: Callable[[int], str],
+                   rule: Callable[[np.ndarray, Callable[[int], str]], list[tuple[int, str]]]) -> np.ndarray:
+    """The one reader of chain entries, ``(n, n)`` matrices or ``(cap,)`` α
+    rows: ``entries`` copied into one float ``(len(entries), *shape)`` array;
+    else KernelError listing, phase by phase, each entry not of ``shape``,
+    ragged ones included, and each fault ``rule`` finds in the stack of the
+    others, ``(k, message)`` as :func:`_row_violations` gives them.
 
     TypeError first if an entry holds a value other than a number
     (:func:`_check_numbers`), before numpy would parse a numeric string.
     """
-    _check_numbers(entries, label, matrices=True)
+    _check_numbers(entries, label, matrices=len(shape) == 2)
     try:
         stack = np.asarray(entries, dtype=float)
-        good = range(len(entries)) if stack.shape == (len(entries), n, n) else None
+        good = range(len(entries)) if stack.shape == (len(entries), *shape) else None
     except ValueError:  # entries of different shapes
         good = None
     found = []
     if good is None:
-        mats = [_matrix(m) for m in entries]
-        good = [i for i, m in enumerate(mats) if m is not None and m.shape == (n, n)]
-        found = [(i, f"{label(i)}: expected shape {(n, n)}, got {'ragged rows' if m is None else m.shape}")
-                 for i, m in enumerate(mats) if m is None or m.shape != (n, n)]
-        stack = np.array([mats[i] for i in good])
-    if good:
-        found += [(good[k], v) for k, v in _row_violations(stack, lambda k: label(good[k]))]
+        arrays = [_array(entry) for entry in entries]
+        good = [i for i, a in enumerate(arrays) if a is not None and a.shape == shape]
+        found = [(i, f"{label(i)}: expected shape {shape}, got {'ragged rows' if a is None else a.shape}")
+                 for i, a in enumerate(arrays) if a is None or a.shape != shape]
+        stack = np.array([arrays[i] for i in good]).reshape(len(good), *shape)
+    found += [(good[k], v) for k, v in rule(stack, lambda k: label(good[k]))]
     if found:
         raise KernelError(*(v for _, v in sorted(found, key=lambda pair: pair[0])))
     return stack
@@ -222,8 +224,8 @@ class KernelSchedule:
         body, tail = tuple(self.body), tuple(self.tail)
         if not tail:
             raise ValueError("periodic tail needs at least one entry")
-        n_body = len(body)
-        phases = _checked_stack(body + tail, self.space.size, _labels(n_body))
+        n_body, n = len(body), self.space.size
+        phases = _checked_stack(body + tail, (n, n), _labels(n_body), _row_violations)
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "body", phases[:n_body])
@@ -256,23 +258,18 @@ def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
     t < len(body), then ``alphas`` is the cycle.  Each entry is a scalar,
     the same alpha at every state, or a row of alpha(t, j) for
     j = 0..cap-1 (the cap row is deterministic and carries no parameter).
-    ValueError names the first entry of the wrong length or out of range,
-    ``body[i]`` or ``tail[k]``.
+    KernelError lists every entry, ``body[i]`` or ``tail[k]``, of the wrong
+    shape (ragged ones included) or with an alpha outside (0, 1), in phase
+    order; ValueError if ``cap < 2`` or for a bad target set, checked first.
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
+    space = StateSpace(cap + 1, target_set)
     body, alphas = tuple(body), tuple(alphas)
-    label = _labels(len(body))
-    _check_numbers(body + alphas, label, matrices=False)
-    rows = [np.full(cap, float(a)) if np.isscalar(a) else np.asarray(a, float) for a in body + alphas]
-    # the first entry at fault is named, so the rows before a wrong-length one are checked first
-    shaped = next((i for i, row in enumerate(rows) if row.shape != (cap,)), len(rows))
-    table = np.array(rows[:shaped]).reshape(shaped, cap)
-    outside = ~((table > 0) & (table < 1)).all(axis=1)
-    if outside.any():
-        raise ValueError(f"{label(int(outside.argmax()))}: down probabilities must lie strictly in (0, 1)")
-    if shaped < len(rows):
-        raise ValueError(f"{label(shaped)}: expected {cap} down probabilities, got {rows[shaped].shape}")
+    entries = tuple([a] * cap if isinstance(a, numbers.Real) else a for a in body + alphas)
+    table = _checked_stack(entries, (cap,), _labels(len(body)), lambda t, label: [
+        (k, f"{label(k)}: down probabilities must lie strictly in (0, 1)")
+        for k in np.flatnonzero(~((t > 0) & (t < 1)).all(axis=1)).tolist()])
     # j < cap steps up w.p. 1 - alpha(j), an interior j down w.p. alpha(j), 0 stays w.p. alpha(0)
     stack = np.zeros((len(table), cap + 1, cap + 1))
     j = np.arange(cap)
@@ -280,7 +277,7 @@ def birth_death_schedule(cap: int, alphas: Iterable[float | Iterable[float]], *,
     stack[:, j[1:], j[:-1]] = table[:, 1:]
     stack[:, 0, 0] = table[:, 0]
     stack[:, cap, cap - 1] = 1.0
-    return KernelSchedule(StateSpace(cap + 1, target_set), stack[:len(body)], stack[len(body):])
+    return KernelSchedule(space, stack[:len(body)], stack[len(body):])
 
 
 def down_probabilities(schedule: KernelSchedule) -> np.ndarray | None:

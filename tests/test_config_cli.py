@@ -337,11 +337,11 @@ class TestOneReader:
         entries[at] = data.draw(st.sampled_from([0.0, 1.5, [0.5] * (cap - 1), [0.5] * (cap + 1),
                                                  [0.5] * (cap - 1) + [1.0]]), label="fault")
         body, cycle = entries[:len(body)], entries[len(body):]
-        with pytest.raises(ValueError) as direct_error:
+        with pytest.raises(KernelError) as direct_error:
             birth_death_schedule(cap, cycle, body=body)
-        with pytest.raises(ConfigError) as loaded_error:
-            load_scenario(demo_config(chain1=birth_death_spec(cap, body, cycle, kind)))
-        assert str(loaded_error.value) == f"config.chain1.birth_death: {direct_error.value}"
+        scenario = load_scenario(demo_config(chain1=birth_death_spec(cap, body, cycle, kind)))
+        assert scenario.schedule1 is None
+        assert scenario.violations == tuple(f"config.chain1.birth_death: {v}" for v in direct_error.value.args)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(chain_specs(stochastic_matrices, st.integers(1, 4)), st.data())
@@ -370,7 +370,7 @@ class TestOneReader:
             KernelSchedule(space, body, cycle)
         scenario = load_scenario(demo_config(chain1=explicit_spec(states, body, cycle, kind)))
         assert scenario.schedule1 is None
-        assert scenario.violations == direct_error.value.args
+        assert scenario.violations == tuple(f"config.chain1: {v}" for v in direct_error.value.args)
 
     def test_loading_a_long_explicit_chain_peaks_near_its_stack(self):
         """Loading a 2,000-phase cap-50 explicit chain from parsed JSON peaks at
@@ -390,15 +390,18 @@ class TestOneReader:
         assert scenario.schedule1.phases.shape == (2000, 51, 51)
         assert peak <= 1.2 * scenario.schedule1.phases.nbytes
 
-    def test_a_body_fault_is_named_before_a_tail_fault(self, tmp_path, capsys):
-        """α 1.5 in ``alpha_table[1]`` and a wrong-length tail row: the kernel
-        module names the first entry at fault, the body's."""
+    def test_a_body_fault_is_named_before_a_tail_fault(self, tmp_path):
+        """α 1.5 in ``alpha_table[1]``, a wrong-length tail row and a
+        wrong-length ``initial1``: ``validate`` lists every fault under its
+        config path, the chain's in phase order, then the initial law's."""
         chain = {"birth_death": {"cap": 8, "alpha_table": [0.5, 1.5],
                                  "tail": {"kind": "periodic", "alphas": [0.75, [0.5] * 3]}}}
-        path = write_config(tmp_path, demo_config(chain1=chain))
-        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == (
-            "config error: config.chain1.birth_death: body[1]: down probabilities must lie strictly in (0, 1)\n")
+        path = write_config(tmp_path, demo_config(chain1=chain, initial1=[1.0, 0.0]))
+        assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
+            "config.chain1.birth_death: body[1]: down probabilities must lie strictly in (0, 1)",
+            "config.chain1.birth_death: tail[1]: expected shape (8,), got (3,)",
+            "config.initial1: initial vector must have length 9"]
 
     @pytest.mark.parametrize("chain, key", [
         ({"birth_death": {"cap": 8, "alpha_table": "ab", "tail": {"kind": "constant", "alphas": 0.75}}},
@@ -587,16 +590,22 @@ class TestCliExitCodes:
         path = write_config(tmp_path, demo_config(chain1=chain, initial1=[1.0, 0.0]))
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
-            "body[0]: expected shape (2, 2), got (3, 3)", "tail[1], row 1: sums to 0.5, not 1"]
-        # ragged entries are wrong shapes too, and every subcommand refuses them
-        chain = {"states": 2, "body": [[[0.5, 0.5], [1.0]]],
-                 "tail": {"kind": "periodic", "matrices": [[[0.5, [0.5]], [0.5, 0.5]], [[0.5, 0.5], [0.2, 0.3]]]}}
-        path = write_config(tmp_path, demo_config(chain1=chain, initial1=[1.0, 0.0]))
-        for sub in COMMANDS:
-            assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1, sub
-        assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
-            "body[0]: expected shape (2, 2), got ragged rows", "tail[0]: expected shape (2, 2), got ragged rows",
-            "tail[1], row 1: sums to 0.5, not 1"]
+            "config.chain1: body[0]: expected shape (2, 2), got (3, 3)",
+            "config.chain1: tail[1], row 1: sums to 0.5, not 1"]
+        # ragged entries, matrices or α rows, are wrong shapes too, and every subcommand refuses them
+        explicit = {"states": 2, "body": [[[0.5, 0.5], [1.0]]],
+                    "tail": {"kind": "periodic", "matrices": [[[0.5, [0.5]], [0.5, 0.5]], [[0.5, 0.5], [0.2, 0.3]]]}}
+        birth_death = {"birth_death": {"cap": 3, "tail": {"kind": "periodic", "alphas": [[0.5, [0.5], 0.5]]}}}
+        for chain, initial, violations in [
+            (explicit, [1.0, 0.0], ["config.chain1: body[0]: expected shape (2, 2), got ragged rows",
+                                    "config.chain1: tail[0]: expected shape (2, 2), got ragged rows",
+                                    "config.chain1: tail[1], row 1: sums to 0.5, not 1"]),
+            (birth_death, {"state": 0}, ["config.chain1.birth_death: tail[0]: expected shape (3,), got ragged rows"]),
+        ]:
+            path = write_config(tmp_path, demo_config(chain1=chain, initial1=initial))
+            for sub in COMMANDS:
+                assert main([sub, "--config", str(path), "--out-dir", str(tmp_path)]) == 1, sub
+            assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == violations
 
     def test_config_error_comes_before_kernel_violations(self, tmp_path, capsys):
         cfg = demo_config(chain1=explicit_chain([[0.5, 0.5], [0.2, 0.3]]), initial1=[1.0, 0.0], tail_len=-1)
@@ -607,7 +616,7 @@ class TestCliExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert load_report(tmp_path, "t_validate.json")["results"]["violations"] == [
-            "tail[0], row 1: sums to 0.5, not 1"]
+            "config.chain1: tail[0], row 1: sums to 0.5, not 1"]
 
     @pytest.mark.parametrize("sub, n_paths", [("validate", 800), ("simulate", 0)])
     def test_unwritable_out_dir_is_exit_3(self, tmp_path, capsys, sub, n_paths):

@@ -200,7 +200,7 @@ class TestBirthDeath:
             birth_death_schedule(1, [0.7])
 
     def test_row_of_the_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match=r"^tail\[1\]: expected 3 down probabilities, got \(2,\)$"):
+        with pytest.raises(ValueError, match=r"^tail\[1\]: expected shape \(3,\), got \(2,\)$"):
             birth_death_schedule(3, [0.7, [0.7, 0.8]])
 
     def test_extrema_over_body_and_tail(self):
