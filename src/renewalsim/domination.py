@@ -50,12 +50,12 @@ def first_return_coefficients(p: float, n: int) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     x = p * (1.0 - p)
     out = np.zeros(n + 1)
-    term = 2.0 * x
-    k = 1
-    while 2 * k <= n:
-        out[2 * k] = term
-        term *= 2.0 * (2 * k - 1) * x / (k + 1)
-        k += 1
+    # entry 2k is 2x times the ratios r_j = 2(2j - 1)x / (j + 1) for j < k,
+    # multiplied in that order, as a term-by-term loop would
+    terms, k = out[2::2], np.arange(1.0, n // 2)
+    terms[:1] = 2.0 * x
+    terms[1:] = 2.0 * (2.0 * k - 1.0) * x / (k + 1.0)
+    np.multiply.accumulate(terms, out=terms)
     return out
 
 

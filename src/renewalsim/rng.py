@@ -19,6 +19,7 @@ renewal estimator reads path i's stream one draw at a time through
 from __future__ import annotations
 
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -58,18 +59,19 @@ def mix(master_seed: int, *indices: int) -> int:
     return state
 
 
-def derive_stream(key: int, head: list[float]):
+def derive_stream(key: int, head: Sequence[float]):
     """Draw function of the counter stream with key ``key``, one of :func:`stream_keys`.
 
     Call n (from 0) returns ``uniforms(key, n)`` bit for bit.  ``head`` is
-    the stream's first ``len(head)`` draws, computed by the caller for many
-    keys at once; later draws come from :func:`uniforms` in blocks of
-    ``FIRST_BLOCK`` draws growing fourfold up to ``MAX_BLOCK``.
+    any sequence of the stream's first ``len(head)`` draws, such as a list
+    or a ``memoryview`` slice of a float64 buffer that the caller computed
+    for many keys at once; later draws come from :func:`uniforms` in blocks
+    of ``FIRST_BLOCK`` draws growing fourfold up to ``MAX_BLOCK``.
     """
     return chain.from_iterable(_blocks(key, head)).__next__
 
 
-def _blocks(key: int, head: list[float]):
+def _blocks(key: int, head: Sequence[float]):
     yield head
     k, size = len(head), FIRST_BLOCK
     while True:

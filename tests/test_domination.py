@@ -67,6 +67,20 @@ class TestFirstReturn:
         series = first_return_series(p, 60)
         assert np.allclose(closed, series, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("p", [0.51, 0.75, 0.99])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 2000, 5001])
+    def test_bit_identical_to_the_term_recurrence(self, p, n):
+        """Each term is the one before it times 2(2k - 1)x / (k + 1), in that
+        order of operations, as a scalar loop over k computes it."""
+        x = p * (1.0 - p)
+        expected = np.zeros(n + 1)
+        term, k = 2.0 * x, 1
+        while 2 * k <= n:
+            expected[2 * k] = term
+            term *= 2.0 * (2 * k - 1) * x / (k + 1)
+            k += 1
+        assert first_return_coefficients(p, n).tobytes() == expected.tobytes()
+
     def test_enumeration_oracle_low_orders(self):
         # brute force over all +-1 step sequences of length up to 8
         from itertools import product

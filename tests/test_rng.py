@@ -36,13 +36,17 @@ def test_keys_from_an_offset_are_a_slice(start):
     assert keys.tolist() == [mix(seed, *prefix, i) for i in range(start, count)]
 
 
-@pytest.mark.parametrize("head_len", [0, 16])
-def test_derived_stream_is_the_counter_stream(head_len):
-    # the head, its end, then the first block, the second (four times as long) and into the third
+@pytest.mark.parametrize("head_len, buffered", [
+    pytest.param(0, False, id="0"), pytest.param(16, False, id="16"), pytest.param(32, True, id="32-memoryview"),
+])
+def test_derived_stream_is_the_counter_stream(head_len, buffered):
+    # the head, its end, then the first block, the second (four times as long) and into the third;
+    # a buffered head is a memoryview slice of a float64 buffer holding more than the head
     key = mix(20190814, 7)
     draws = np.arange(head_len + 5 * rng.FIRST_BLOCK + 50)
     expected = uniforms(key, draws).tolist()
-    uniform = derive_stream(key, expected[:head_len])
+    head = memoryview(uniforms(key, draws))[:head_len] if buffered else expected[:head_len]
+    uniform = derive_stream(key, head)
     assert [uniform() for _ in draws] == expected
 
 

@@ -281,6 +281,27 @@ class TestJointOracle:
         assert got == joint_renewal_times(plan)
         assert 0 < est.censored < plan.n_paths
 
+    def test_results_do_not_depend_on_key_chunk_or_head_length(self, monkeypatch):
+        """Paths of up to 322 draws run past any head and into a second refill
+        block; chunks of 7 keys with heads of 0, 1 or 5 draws give the
+        defaults' results."""
+        from renewalsim import simulate
+
+        schedule1 = birth_death_schedule(6, [0.6, 0.55])
+        schedule2 = birth_death_schedule(6, [0.55, np.linspace(0.5, 0.7, 6)])
+        plan = SimulationPlan(schedule1, schedule2, delta(7, 5), delta(7, 6),
+                              horizon=160, n_paths=250, master_seed=17)
+        oracle = joint_renewal_times(plan)
+        default = estimate_joint_renewal(plan)
+        assert (default.trials_to_success < 0).any()  # unresolved paths step to the horizon
+        for chunk, head in ((7, 0), (7, 1), (7, 5), (simulate.KEY_CHUNK, simulate.HEAD_DRAWS)):
+            monkeypatch.setattr(simulate, "KEY_CHUNK", chunk)
+            monkeypatch.setattr(simulate, "HEAD_DRAWS", head)
+            est = estimate_joint_renewal(plan)
+            assert (est.meeting_times.tolist(), est.first_hit1.tolist(), est.first_hit2.tolist()) == oracle
+            assert est.trial_sums.tolist() == default.trial_sums.tolist()
+            assert est.trial_lengths.tolist() == default.trial_lengths.tolist()
+
 
 class TestInvalidKernel:
     """A non-finite or negative kernel entry is rejected when the schedule is
